@@ -10,7 +10,7 @@ and tests it in another.
 import numpy as np
 
 from xlalign.cipher import gen_cipher_corpus, gen_cldc_docs, nli_label
-from xlalign.encoders import encode_bilstm_maxpool, new_encoder
+from xlalign.encoders import encode_sentences, new_encoder
 from xlalign.evaluation import cldc_train_eval
 from xlalign.objectives import (TrainSchedule, infersent_accuracy,
                                 infersent_classify, new_head,
@@ -44,16 +44,14 @@ for p_lang in sorted(cc.nli):
         print(f"  accuracy premise={p_lang} hypothesis={h_lang}: {acc:.3f}")
 
 # Single-pair classification with the shared head:
-u = encode_bilstm_maxpool(data.premises[0], encoders["la"], vocabs["la"])
-v = encode_bilstm_maxpool(data.hypotheses[0], encoders["la"], vocabs["la"])
+u, v = encode_sentences([data.premises[0], data.hypotheses[0]], vocabs["la"], encoders["la"])
 print("probability triple:", np.round(infersent_classify(u, v, head), 3))
 
 # --- cross-lingual document classification --------------------------------------
 # Topic-banded documents in both languages; train on one side, test on the
 # ciphered side using the encoders aligned by the shared objective above.
 docs = gen_cldc_docs(cc, n_docs=320, seed=40)
-embedders = {lang: (lambda l: (lambda s: encode_bilstm_maxpool(s, encoders[l],
-                                                               vocabs[l]).vector))(lang)
+embedders = {lang: (lambda l: (lambda s: encode_sentences([s], vocabs[l], encoders[l])[0]))(lang)
              for lang in encoders}
 report = cldc_train_eval(docs["la"][:160], docs["lb"][160:], embedders,
                          train_lang="la", test_lang="lb", seed=41)

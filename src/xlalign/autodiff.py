@@ -78,6 +78,26 @@ def leaf(data, dtype=None):
     return Tensor(_as_array(data, dtype), requires_grad=True)
 
 
+class ParamSet:
+    """Graph-side view of a parameter set, wrapped once per step.
+
+    `params` is any object with a `prefix` and `named_arrays(prefix)`; its
+    tensors are looked up by name without the prefix, and `gradients()` keys
+    carry it, so they match the optimizer's name -> array dict.
+    """
+
+    def __init__(self, params, trainable=True):
+        wrap = leaf if trainable else constant
+        self.prefix = params.prefix
+        self.tensors = {name: wrap(a) for name, a in params.named_arrays(self.prefix).items()}
+
+    def __getitem__(self, name):
+        return self.tensors[self.prefix + name]
+
+    def gradients(self):
+        return {name: t.grad for name, t in self.tensors.items() if t.grad is not None}
+
+
 def _accum(node, g):
     if node.requires_grad:
         node.grad = g if node.grad is None else node.grad + g

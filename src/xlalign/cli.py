@@ -15,13 +15,14 @@ import numpy as np
 
 from .autodiff import NonFiniteError
 from .cipher import gen_cipher_corpus, gen_cldc_docs, write_corpus_files
-from .config import ConfigError, load_config, parse_config
-from .evaluation import (cldc_train_eval, neighbor_report, retrieval_accuracy,
-                         write_cldc_csv, write_curve_csv, write_retrieval_csv)
+from .config import FRAMEWORKS, ConfigError, load_config, parse_config
+from .evaluation import (cldc_train_eval, retrieval_accuracy, write_cldc_csv,
+                         write_curve_csv, write_retrieval_csv)
 from .linalg import SvdConvergenceError
 from .mapping import apply_map, load_map
-from .pipeline import Experiment, materialize, run_experiment
-from .text import load_word2vec, make_splits
+from .pipeline import (Experiment, curve_points, heldout_embeddings, materialize,
+                       run_experiment, write_neighbors)
+from .text import load_word2vec
 
 
 def _load_cfg(args):
@@ -51,53 +52,33 @@ def cmd_gen_corpus(args):
     return 0
 
 
-def _expect_framework(cfg, allowed, command):
-    if cfg.framework not in allowed:
-        raise ConfigError(
-            f"{command} expects framework in {allowed}, config says {cfg.framework!r}")
-
-
-def cmd_train(args):
-    cfg = _load_cfg(args)
-    _expect_framework(cfg, ("joint_seq2seq", "joint_infersent"), "train")
-    run_experiment(cfg)
-    print(f"trained {cfg.framework}; artifacts in {cfg.out_dir}")
-    return 0
-
-
-def cmd_transfer(args):
-    cfg = _load_cfg(args)
-    _expect_framework(cfg, ("transfer",), "transfer")
-    run_experiment(cfg)
-    print(f"transfer training done; artifacts in {cfg.out_dir}")
-    return 0
-
-
-def cmd_fit_map(args):
-    cfg = _load_cfg(args)
-    _expect_framework(cfg, ("sentence_map", "word_dict_map"), "fit-map")
-    run_experiment(cfg)
-    print(f"alignment map fitted; artifacts in {cfg.out_dir}")
-    return 0
+# subcommands that run the full pipeline: name -> (help, allowed frameworks, message)
+RUN_COMMANDS = {
+    "train": ("train a joint model per the config", ("joint_seq2seq", "joint_infersent"),
+              "trained {framework}; artifacts in {out_dir}"),
+    "transfer": ("frozen-pivot transfer training", ("transfer",),
+                 "transfer training done; artifacts in {out_dir}"),
+    "fit-map": ("fit an orthogonal alignment map", ("sentence_map", "word_dict_map"),
+                "alignment map fitted; artifacts in {out_dir}"),
+    "run": ("full train/align/evaluate pipeline", FRAMEWORKS,
+            "run complete; {files} files in {out_dir}"),
+}
 
 
 def cmd_run(args):
+    _, allowed, message = RUN_COMMANDS[args.command]
     cfg = _load_cfg(args)
+    if cfg.framework not in allowed:
+        raise ConfigError(
+            f"{args.command} expects framework in {allowed}, config says {cfg.framework!r}")
     produced = run_experiment(cfg)
-    print(f"run complete; {len(produced)} files in {cfg.out_dir}")
+    print(message.format(framework=cfg.framework, out_dir=cfg.out_dir, files=len(produced)))
     return 0
 
 
 def cmd_curve(args):
     cfg = _load_cfg(args)
-    from .evaluation import accuracy_curve
-
-    data = materialize(cfg)
-    exp = Experiment(cfg, data)
-    plan = make_splits(len(data.train_corpus), cfg.splits)
-    points = accuracy_curve(exp.factory, data.train_corpus, plan,
-                            [(exp.other, exp.pivot), (exp.pivot, exp.other)],
-                            data.test_pairs, model_tag=cfg.framework)
+    points = curve_points(Experiment(cfg, materialize(cfg)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "curve.csv")
     write_curve_csv(path, points)
@@ -108,18 +89,10 @@ def cmd_curve(args):
 def cmd_neighbors(args):
     cfg = _load_cfg(args)
     data, exp, embed_src, embed_tgt = _final_embedders(cfg)
-    test_src = [s for s, _ in data.test_pairs]
-    test_tgt = [t for _, t in data.test_pairs]
-    x, y = embed_src(test_src), embed_tgt(test_tgt)
-    queries = [(" ".join(test_src[i]), x[i]) for i in range(min(args.queries, len(test_src)))]
-    pools = {exp.other: ([" ".join(s) for s in test_src], x),
-             exp.pivot: ([" ".join(t) for t in test_tgt], y)}
-    report = neighbor_report(queries, pools, k=args.k)
+    x, y = heldout_embeddings(data, embed_src, embed_tgt)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "neighbors.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report)
-    print(report)
+    print(write_neighbors(os.path.join(cfg.out_dir, "neighbors.txt"), exp, x, y,
+                          queries=args.queries, k=args.k))
     return 0
 
 
@@ -183,15 +156,14 @@ def main(argv=None):
     p.add_argument("--tgt-lang", default="la")
     p.set_defaults(func=cmd_gen_corpus)
 
-    for name, func, desc in (
-            ("train", cmd_train, "train a joint model per the config"),
-            ("transfer", cmd_transfer, "frozen-pivot transfer training"),
-            ("fit-map", cmd_fit_map, "fit an orthogonal alignment map"),
-            ("curve", cmd_curve, "retrieval accuracy vs parallel-corpus size"),
-            ("run", cmd_run, "full train/align/evaluate pipeline")):
+    for name, (desc, _, _) in RUN_COMMANDS.items():
         p = sub.add_parser(name, help=desc)
         add_cfg_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_run)
+
+    p = sub.add_parser("curve", help="retrieval accuracy vs parallel-corpus size")
+    add_cfg_flags(p)
+    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("neighbors", help="nearest-neighbor inspection report")
     add_cfg_flags(p)

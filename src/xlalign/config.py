@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 FRAMEWORKS = ("joint_seq2seq", "joint_infersent", "transfer", "sentence_map", "word_dict_map")
@@ -72,8 +73,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 def _coerce(name, raw):
     default = getattr(ExperimentConfig(), name)
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -130,8 +129,16 @@ def validate_config(cfg):
         raise ConfigError(f"framework {cfg.framework!r} requires encoder bilstm_maxpool")
     if cfg.framework == "word_dict_map" and cfg.encoder != "sif":
         raise ConfigError("framework word_dict_map requires encoder sif")
-    if len(cfg.languages) != 2:
-        raise ConfigError(f"exactly two languages expected, got {cfg.languages}")
+    if len(cfg.languages) != 2 or cfg.languages[0] == cfg.languages[1]:
+        raise ConfigError(f"exactly two distinct languages expected, got {cfg.languages}")
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if kind == "int" and name != "seed" and value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
+        if name in ("p_del", "p_swap") and not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        if name in ("lr", "sif_a") and not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
     if cfg.corpus not in ("cipher", "files"):
         raise ConfigError(f"corpus {cfg.corpus!r} must be 'cipher' or 'files'")
     if cfg.corpus == "files" and not (cfg.src_path and cfg.tgt_path):
@@ -142,6 +149,8 @@ def validate_config(cfg):
         raise ConfigError("at least one split size is required")
     if list(cfg.splits) != sorted(set(cfg.splits)):
         raise ConfigError(f"splits must be strictly increasing: {cfg.splits}")
+    if cfg.splits[0] < 1:
+        raise ConfigError(f"split sizes must be positive: {cfg.splits}")
     if cfg.test_size < 2:
         raise ConfigError("test_size must be at least 2")
     return cfg

@@ -73,6 +73,11 @@ class EncoderParams:
     def output_dim(self):
         return 2 * self.hidden_size
 
+    @property
+    def prefix(self):
+        """Parameter-name prefix used in training, unique per language."""
+        return f"enc.{self.lang}."
+
     def named_arrays(self, prefix=""):
         return {
             f"{prefix}emb": self.embeddings,
@@ -83,19 +88,10 @@ class EncoderParams:
         }
 
 
-def new_encoder(vocab_size, dim, hidden, lang, seed, pretrained=None):
-    """Fresh encoder; `pretrained` optionally seeds the word-embedding table
-    (rows beyond the pretrained matrix stay random).
-    """
+def new_encoder(vocab_size, dim, hidden, lang, seed):
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
     emb = rng.uniform(-bound, bound, size=(vocab_size, dim))
-    if pretrained is not None:
-        pretrained = np.asarray(pretrained, dtype=np.float64)
-        if pretrained.shape[1] != dim:
-            raise ValueError(f"pretrained dim {pretrained.shape[1]} != encoder dim {dim}")
-        n = min(vocab_size, pretrained.shape[0])
-        emb[:n] = pretrained[:n]
     return EncoderParams(emb, init_lstm(dim, hidden, rng), init_lstm(dim, hidden, rng), lang)
 
 
@@ -106,16 +102,6 @@ def copy_encoder(enc):
         LSTMParams(enc.bwd.w_in.copy(), enc.bwd.w_rec.copy(), enc.bwd.bias.copy()),
         enc.lang,
     )
-
-
-@dataclass
-class SentenceEmbedding:
-    vector: np.ndarray
-    producer: str  # e.g. "bilstm:en" or "sif:en"
-
-    @property
-    def dim(self):
-        return self.vector.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +124,7 @@ def pad_batch(id_seqs):
     return ids, mask, lengths
 
 
-class EncoderTensors:
-    """Graph-side view of an encoder's parameter arrays (one wrap per step)."""
-
-    def __init__(self, enc, trainable=True):
-        mk = ad.leaf if trainable else ad.constant
-        self.emb = mk(enc.embeddings)
-        self.fwd = tuple(mk(a) for a in (enc.fwd.w_in, enc.fwd.w_rec, enc.fwd.bias))
-        self.bwd = tuple(mk(a) for a in (enc.bwd.w_in, enc.bwd.w_rec, enc.bwd.bias))
-        self.hidden = enc.hidden_size
-        self.names = list(enc.named_arrays())
-        self.tensors = [self.emb, *self.fwd, *self.bwd]
-
-    def gradients(self):
-        return {name: t.grad for name, t in zip(self.names, self.tensors) if t.grad is not None}
-
-
-def _scan(ids, mask, emb, cell, hidden, reverse):
+def _scan(ids, mask, emb, cell, reverse):
     """Run one LSTM direction over a padded batch.
 
     Padded steps copy h/c through unchanged, so with trailing padding the
@@ -163,6 +133,7 @@ def _scan(ids, mask, emb, cell, hidden, reverse):
     """
     b, t_max = ids.shape
     w_in, w_rec, bias = cell
+    hidden = w_rec.shape[0]
     h = ad.constant(np.zeros((b, hidden)))
     c = ad.constant(np.zeros((b, hidden)))
     steps = range(t_max - 1, -1, -1) if reverse else range(t_max)
@@ -179,9 +150,13 @@ def _scan(ids, mask, emb, cell, hidden, reverse):
 
 
 def encode_batch(ids, mask, enc_tensors):
-    """BiLSTM + masked temporal max-pool over a padded id batch -> (B, 2H)."""
-    fwd_states = _scan(ids, mask, enc_tensors.emb, enc_tensors.fwd, enc_tensors.hidden, False)
-    bwd_states = _scan(ids, mask, enc_tensors.emb, enc_tensors.bwd, enc_tensors.hidden, True)
+    """BiLSTM + masked temporal max-pool over a padded id batch -> (B, 2H).
+
+    `enc_tensors` is the encoder's `ParamSet`.
+    """
+    emb = enc_tensors["emb"]
+    fwd_states = _scan(ids, mask, emb, _cell(enc_tensors, "fwd."), False)
+    bwd_states = _scan(ids, mask, emb, _cell(enc_tensors, "bwd."), True)
     pooled = None
     for t in range(ids.shape[1]):
         state = ad.concat([fwd_states[t], bwd_states[t]], axis=1)
@@ -190,9 +165,14 @@ def encode_batch(ids, mask, enc_tensors):
     return pooled
 
 
-def encode_sentences(sentences, vocab, enc, trainable=False):
+def _cell(tensors, name):
+    """(w_in, w_rec, bias) of the LSTM cell stored under `name`."""
+    return tuple(tensors[name + k] for k in ("w_in", "w_rec", "bias"))
+
+
+def encode_sentences(sentences, vocab, enc):
     """Encode token sequences to a (n, 2H) array (forward pass only)."""
-    tensors = EncoderTensors(enc, trainable=False)
+    tensors = ad.ParamSet(enc, trainable=False)
     out = np.empty((len(sentences), enc.output_dim))
     step = 64
     for lo in range(0, len(sentences), step):
@@ -208,28 +188,12 @@ def _check_ids(ids, vocab_size):
         raise ValueError(f"token id {int(ids.max())} out of range for vocabulary of {vocab_size}")
 
 
-def encode_bilstm_maxpool(tokens_or_ids, enc, vocab=None):
-    """Embed one sentence; returns a SentenceEmbedding of dimension 2H."""
-    if not tokens_or_ids:
-        raise ValueError("cannot encode an empty sentence")
-    if isinstance(tokens_or_ids[0], str):
-        if vocab is None:
-            raise ValueError("a vocabulary is required to encode surface tokens")
-        ids = vocab.encode(tokens_or_ids)
-    else:
-        ids = list(tokens_or_ids)
-    arr, mask, _ = pad_batch([ids])
-    _check_ids(arr, enc.vocab_size)
-    vec = encode_batch(arr, mask, EncoderTensors(enc, trainable=False)).data[0]
-    return SentenceEmbedding(vec, f"bilstm:{enc.lang}")
-
-
 # ---------------------------------------------------------------------------
 # SIF weighted averaging
 # ---------------------------------------------------------------------------
 
 def encode_sif(tokens, table, vocab, a=1e-3):
-    """Length-normalised SIF-weighted sum of word vectors -> dimension D."""
+    """Length-normalised SIF-weighted sum of word vectors -> (D,) array."""
     if not tokens:
         raise ValueError("cannot encode an empty sentence")
     total = vocab.total_count
@@ -237,11 +201,11 @@ def encode_sif(tokens, table, vocab, a=1e-3):
     for tok in tokens:
         wid = vocab.id_of(tok)
         acc += sif_weight(vocab.frequencies[wid], total, a) * table[wid]
-    return SentenceEmbedding(acc / len(tokens), "sif")
+    return acc / len(tokens)
 
 
 def encode_sif_matrix(sentences, table, vocab, a=1e-3, remove_pc=False):
-    out = np.stack([encode_sif(s, table, vocab, a).vector for s in sentences])
+    out = np.stack([encode_sif(s, table, vocab, a) for s in sentences])
     if remove_pc:
         out = remove_principal_component(out)
     return out

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +59,7 @@ def nearest_neighbors(query, pool, texts, k):
 
     Returns [(text, cosine), ...].
     """
-    q = np.asarray(getattr(query, "vector", query), dtype=np.float64)
+    q = np.asarray(query, dtype=np.float64)
     qn = np.linalg.norm(q)
     if qn == 0.0:
         raise ValueError("zero-norm query embedding: cosine undefined")
@@ -142,8 +140,7 @@ def train_mlp(x, y, n_classes, hidden=64, steps=300, lr=1e-3, seed=0):
 
 def mean_document_embedding(doc, embedder):
     """Document vector = unweighted mean of its sentence embeddings."""
-    vecs = [np.asarray(getattr(embedder(s), "vector", embedder(s)), dtype=np.float64)
-            for s in doc]
+    vecs = [np.asarray(embedder(s), dtype=np.float64) for s in doc]
     return np.mean(vecs, axis=0)
 
 
@@ -187,14 +184,6 @@ class CurvePoint:
     accuracy: float
 
 
-def worker_count():
-    """Worker cap from XLALIGN_THREADS; defaults to 1 for bit-reproducibility."""
-    try:
-        return max(1, int(os.environ.get("XLALIGN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def accuracy_curve(model_factory, corpus, plan, directions, test_pairs, model_tag="model"):
     """Refit per split size and evaluate each direction on held-out pairs.
 
@@ -212,25 +201,16 @@ def accuracy_curve(model_factory, corpus, plan, directions, test_pairs, model_ta
     test_src = [s for s, _ in test_pairs]
     test_tgt = [t for _, t in test_pairs]
 
-    def cell(k):
-        size = plan.sizes[k]
+    points = []
+    for size in plan.sizes:
         embed_src, embed_tgt = model_factory(corpus.pairs[:size])
         x = embed_src(test_src)
         y = embed_tgt(test_tgt)
-        points = []
         for q_lang, p_lang in directions:
             a, b = _orient(x, y, corpus, q_lang, p_lang)
             rep = retrieval_accuracy(a, b, direction=f"{q_lang}>{p_lang}")
             points.append(CurvePoint(size, model_tag, rep.direction, rep.accuracy))
-        return points
-
-    n_workers = worker_count()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(cell, range(len(plan.sizes))))
-    else:
-        results = [cell(k) for k in range(len(plan.sizes))]
-    return [p for cell_points in results for p in cell_points]
+    return points
 
 
 def _pair_key(pair):

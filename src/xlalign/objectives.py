@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .encoders import (EncoderParams, EncoderTensors, LSTMParams, encode_batch,
-                       encode_sentences, init_lstm, pad_batch, _check_ids)
+from .encoders import (EncoderParams, LSTMParams, _cell, encode_batch, encode_sentences,
+                       init_lstm, pad_batch, _check_ids)
 from .optim import Adam
 from .rand import Xorshift64Star
 from .text import BOS, EOS, PAD, NoiseParams, corrupt
@@ -65,6 +65,8 @@ class DecoderParams:
     b_out: np.ndarray       # (V,)
     lang: str
 
+    prefix = "dec."
+
     @property
     def vocab_size(self):
         return self.w_out.shape[1]
@@ -91,21 +93,6 @@ def new_decoder(vocab_size, dim, sentence_dim, hidden, lang, seed):
     return DecoderParams(emb, cell, w_out, np.zeros(vocab_size), lang)
 
 
-class DecoderTensors:
-    def __init__(self, dec, trainable=True):
-        mk = ad.leaf if trainable else ad.constant
-        self.emb = mk(dec.embeddings)
-        self.cell = tuple(mk(a) for a in (dec.cell.w_in, dec.cell.w_rec, dec.cell.bias))
-        self.w_out = mk(dec.w_out)
-        self.b_out = mk(dec.b_out)
-        self.hidden = dec.cell.hidden_size
-        self.names = list(dec.named_arrays())
-        self.tensors = [self.emb, *self.cell, self.w_out, self.b_out]
-
-    def gradients(self):
-        return {name: t.grad for name, t in zip(self.names, self.tensors) if t.grad is not None}
-
-
 def teacher_forcing_arrays(target_ids, append_eos=True):
     """Build decoder input/target/mask arrays for a batch of target sentences.
 
@@ -128,16 +115,22 @@ def teacher_forcing_arrays(target_ids, append_eos=True):
 
 
 def decode_ce_sum(sent_emb, dec_tensors, dec_in, targets, mask):
-    """Teacher-forced cross-entropy summed over unmasked target tokens."""
+    """Teacher-forced cross-entropy summed over unmasked target tokens.
+
+    `dec_tensors` is the decoder's `ParamSet`.
+    """
     b = dec_in.shape[0]
-    h = ad.constant(np.zeros((b, dec_tensors.hidden)))
-    c = ad.constant(np.zeros((b, dec_tensors.hidden)))
+    emb, cell = dec_tensors["emb"], _cell(dec_tensors, "cell.")
+    w_out, b_out = dec_tensors["w_out"], dec_tensors["b_out"]
+    hidden = cell[1].shape[0]
+    h = ad.constant(np.zeros((b, hidden)))
+    c = ad.constant(np.zeros((b, hidden)))
     total = None
     for k in range(dec_in.shape[1]):
-        prev = ad.gather_rows(dec_tensors.emb, dec_in[:, k])
+        prev = ad.gather_rows(emb, dec_in[:, k])
         x = ad.concat([prev, sent_emb], axis=1)
-        h, c = ad.lstm_step(x, h, c, *dec_tensors.cell)
-        logits = ad.add(ad.matmul(h, dec_tensors.w_out), dec_tensors.b_out)
+        h, c = ad.lstm_step(x, h, c, *cell)
+        logits = ad.add(ad.matmul(h, w_out), b_out)
         ce = ad.softmax_cross_entropy_sum(logits, targets[:, k], mask[:, k])
         total = ce if total is None else ad.add(total, ce)
     return total
@@ -146,14 +139,13 @@ def decode_ce_sum(sent_emb, dec_tensors, dec_in, targets, mask):
 @dataclass
 class LossGraph:
     loss: ad.Tensor
-    enc_tensors: EncoderTensors
-    dec_tensors: DecoderTensors
+    enc_tensors: ad.ParamSet
+    dec_tensors: ad.ParamSet
     n_tokens: int
 
 
 def seq2seq_loss(inputs, targets, enc, dec, src_vocab, tgt_vocab,
-                 denoise=None, noise_rng=None, append_eos=True,
-                 enc_trainable=True, dec_trainable=True):
+                 denoise=None, noise_rng=None, append_eos=True):
     """Token-level cross-entropy of reconstructing/translating `targets` from
     the sentence embeddings of `inputs`, averaged over non-PAD target tokens.
 
@@ -175,8 +167,8 @@ def seq2seq_loss(inputs, targets, enc, dec, src_vocab, tgt_vocab,
         raise ValueError(
             f"target vocabulary mismatch: id {top} outside decoder table of {dec.vocab_size}")
 
-    enc_tensors = EncoderTensors(enc, trainable=enc_trainable)
-    dec_tensors = DecoderTensors(dec, trainable=dec_trainable)
+    enc_tensors = ad.ParamSet(enc)
+    dec_tensors = ad.ParamSet(dec)
     sent = encode_batch(in_ids, in_mask, enc_tensors)
     dec_in, tgt_arr, mask = teacher_forcing_arrays(tgt_ids, append_eos)
     n_tokens = int(mask.sum())
@@ -195,8 +187,18 @@ class JointResult:
     trace: list
 
 
-def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched,
-                        noise=None, log_every=1):
+def optimizer_params(*parts):
+    """name -> array over parameter sets, named as their `ParamSet` gradients are."""
+    params = {}
+    for part in parts:
+        arrays = part.named_arrays(part.prefix)
+        if arrays.keys() & params.keys():
+            raise ValueError(f"two parameter sets share the prefix {part.prefix!r}")
+        params.update(arrays)
+    return params
+
+
+def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, noise=None):
     """Alternate batch languages round-robin against one shared decoder.
 
     Pivot-language batches run the denoising reconstruction objective on the
@@ -212,10 +214,7 @@ def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched,
     noise_rng = Xorshift64Star(noise.seed ^ 0x5DEECE66D)
     rng = np.random.default_rng(sched.seed)
     opt = Adam(lr=sched.lr)
-
-    params = dict(decoder.named_arrays())
-    for lang, enc in encoders.items():
-        params.update(enc.named_arrays(f"enc.{lang}."))
+    params = optimizer_params(decoder, *encoders.values())
 
     pivot_sents = parallel.target_sentences()
     pairs = parallel.pairs
@@ -236,11 +235,9 @@ def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched,
                                  vocabs[lang], vocabs[pivot_lang])
             objective, pair = "nmt", f"{lang}>{pivot_lang}"
         ad.backward(graph.loss)
-        grads = {f"enc.{lang}.{k}": g for k, g in graph.enc_tensors.gradients().items()}
-        grads.update(graph.dec_tensors.gradients())
-        opt.apply(params, grads)
-        if step % log_every == 0:
-            trace.append((step, objective, pair, float(graph.loss.data)))
+        # key order is the clip-norm summation order: encoder, then decoder
+        opt.apply(params, {**graph.enc_tensors.gradients(), **graph.dec_tensors.gradients()})
+        trace.append((step, objective, pair, float(graph.loss.data)))
     return JointResult(encoders, decoder, trace)
 
 
@@ -254,6 +251,8 @@ class ClassifierHead:
     b1: np.ndarray
     w2: np.ndarray  # (hidden, 3)
     b2: np.ndarray
+
+    prefix = "head."
 
     @property
     def n_classes(self):
@@ -272,18 +271,6 @@ def new_head(sentence_dim, hidden=128, seed=0):
     return ClassifierHead(w1, np.zeros(hidden), w2, np.zeros(3))
 
 
-class HeadTensors:
-    def __init__(self, head, trainable=True):
-        mk = ad.leaf if trainable else ad.constant
-        self.w1, self.b1 = mk(head.w1), mk(head.b1)
-        self.w2, self.b2 = mk(head.w2), mk(head.b2)
-        self.names = list(head.named_arrays())
-        self.tensors = [self.w1, self.b1, self.w2, self.b2]
-
-    def gradients(self):
-        return {name: t.grad for name, t in zip(self.names, self.tensors) if t.grad is not None}
-
-
 def pair_features(u, v):
     """[u; v; |u - v|; u*v] along the last axis."""
     return ad.concat([u, v, ad.absolute(ad.sub(u, v)), ad.mul(u, v)], axis=-1)
@@ -293,21 +280,20 @@ def pair_features(u, v):
 class InferSentLossGraph:
     loss: ad.Tensor
     logits: ad.Tensor
-    premise_tensors: "EncoderTensors"
-    hypothesis_tensors: "EncoderTensors"
-    head_tensors: "HeadTensors"
+    premise_tensors: ad.ParamSet
+    hypothesis_tensors: ad.ParamSet
+    head_tensors: ad.ParamSet
 
 
-def infersent_loss(premises, hypotheses, labels, enc_p, enc_h, head,
-                   vocab_p, vocab_h, trainable=True):
+def infersent_loss(premises, hypotheses, labels, enc_p, enc_h, head, vocab_p, vocab_h):
     """Three-way cross-entropy of the shared classifier over a sentence-pair
     batch; the two sides may use different encoders (and share one when
     enc_p is enc_h).
     """
     labels = np.asarray(labels, dtype=np.int64)
-    enc_tensors_p = EncoderTensors(enc_p, trainable)
-    enc_tensors_h = enc_tensors_p if enc_h is enc_p else EncoderTensors(enc_h, trainable)
-    head_tensors = HeadTensors(head, trainable)
+    enc_tensors_p = ad.ParamSet(enc_p)
+    enc_tensors_h = enc_tensors_p if enc_h is enc_p else ad.ParamSet(enc_h)
+    head_tensors = ad.ParamSet(head)
     u = _encode_for(enc_tensors_p, enc_p, vocab_p, premises)
     v = _encode_for(enc_tensors_h, enc_h, vocab_h, hypotheses)
     logits = head_logits(u, v, head_tensors)
@@ -317,20 +303,20 @@ def infersent_loss(premises, hypotheses, labels, enc_p, enc_h, head,
 
 def head_logits(u, v, head_tensors):
     feats = pair_features(u, v)
-    hidden = ad.tanh(ad.add(ad.matmul(feats, head_tensors.w1), head_tensors.b1))
-    return ad.add(ad.matmul(hidden, head_tensors.w2), head_tensors.b2)
+    hidden = ad.tanh(ad.add(ad.matmul(feats, head_tensors["w1"]), head_tensors["b1"]))
+    return ad.add(ad.matmul(hidden, head_tensors["w2"]), head_tensors["b2"])
 
 
 def infersent_classify(u, v, head):
     """Probability triple over {entailment, contradiction, neutral}."""
-    u = np.asarray(getattr(u, "vector", u), dtype=np.float64)
-    v = np.asarray(getattr(v, "vector", v), dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"embedding dimensions differ: {u.shape} vs {v.shape}")
     if 4 * u.shape[-1] != head.w1.shape[0]:
         raise ValueError(
             f"feature dim {4 * u.shape[-1]} does not match classifier input {head.w1.shape[0]}")
-    logits = head_logits(ad.constant(u), ad.constant(v), HeadTensors(head, trainable=False))
+    logits = head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head, trainable=False))
     return ad.softmax_rows(logits.data)
 
 
@@ -361,7 +347,7 @@ def draw_language_pair(rng, langs):
     return langs[int(rng.integers(len(langs)))], langs[int(rng.integers(len(langs)))]
 
 
-def train_joint_infersent(datasets, encoders, head, vocabs, sched, log_every=1):
+def train_joint_infersent(datasets, encoders, head, vocabs, sched):
     """Premise and hypothesis languages are drawn independently and uniformly
     per batch; a single classifier head is shared across all languages.
     """
@@ -372,9 +358,7 @@ def train_joint_infersent(datasets, encoders, head, vocabs, sched, log_every=1):
     n = len(datasets[langs[0]].premises)
     rng = np.random.default_rng(sched.seed)
     opt = Adam(lr=sched.lr)
-    params = dict(head.named_arrays())
-    for lang, enc in encoders.items():
-        params.update(enc.named_arrays(f"enc.{lang}."))
+    params = optimizer_params(head, *encoders.values())
 
     trace, draws = [], []
     for step in range(sched.steps):
@@ -388,19 +372,14 @@ def train_joint_infersent(datasets, encoders, head, vocabs, sched, log_every=1):
                                labels, encoders[p_lang], encoders[h_lang], head,
                                vocabs[p_lang], vocabs[h_lang])
         ad.backward(graph.loss)
+        # clip-norm summation order: head, premise, hypothesis; one ParamSet
+        # serves both sides when p_lang == h_lang
+        opt.apply(params, {**graph.head_tensors.gradients(), **graph.premise_tensors.gradients(),
+                           **graph.hypothesis_tensors.gradients()})
 
-        grads = dict(graph.head_tensors.gradients())
-        grads.update({f"enc.{p_lang}.{k}": g
-                      for k, g in graph.premise_tensors.gradients().items()})
-        if h_lang != p_lang:
-            grads.update({f"enc.{h_lang}.{k}": g
-                          for k, g in graph.hypothesis_tensors.gradients().items()})
-        opt.apply(params, grads)
-
-        if step % log_every == 0:
-            acc = float((graph.logits.data.argmax(axis=1) == labels).mean())
-            trace.append((step, "infersent_loss", f"{p_lang}|{h_lang}", float(graph.loss.data)))
-            trace.append((step, "infersent_acc", f"{p_lang}|{h_lang}", acc))
+        acc = float((graph.logits.data.argmax(axis=1) == labels).mean())
+        trace.append((step, "infersent_loss", f"{p_lang}|{h_lang}", float(graph.loss.data)))
+        trace.append((step, "infersent_acc", f"{p_lang}|{h_lang}", acc))
     return InferSentResult(encoders, head, trace, draws)
 
 
@@ -413,13 +392,13 @@ def _encode_for(enc_tensors, enc, vocab, sentences):
 def infersent_accuracy(datasets, encoders, head, vocabs, p_lang, h_lang, batch=64):
     """Classification accuracy over a full dataset for one language pairing."""
     data_p, data_h = datasets[p_lang], datasets[h_lang]
-    head_tensors = HeadTensors(head, trainable=False)
+    head_tensors = ad.ParamSet(head, trainable=False)
     hits = 0
     for lo in range(0, len(data_p.premises), batch):
         sl = slice(lo, lo + batch)
-        u = _encode_for(EncoderTensors(encoders[p_lang], trainable=False),
+        u = _encode_for(ad.ParamSet(encoders[p_lang], trainable=False),
                         encoders[p_lang], vocabs[p_lang], data_p.premises[sl])
-        v = _encode_for(EncoderTensors(encoders[h_lang], trainable=False),
+        v = _encode_for(ad.ParamSet(encoders[h_lang], trainable=False),
                         encoders[h_lang], vocabs[h_lang], data_h.hypotheses[sl])
         logits = head_logits(u, v, head_tensors)
         hits += int((logits.data.argmax(axis=1) == np.array(data_p.labels[sl])).sum())
@@ -430,11 +409,11 @@ def infersent_accuracy(datasets, encoders, head, vocabs, p_lang, h_lang, batch=6
 # representation transfer
 # ---------------------------------------------------------------------------
 
-def transfer_l1_loss(sentences, target_embeddings, enc, vocab, trainable=True):
+def transfer_l1_loss(sentences, target_embeddings, enc, vocab):
     """Mean (per pair) L1 distance between the encoder's embeddings of the
-    sentences and fixed target embeddings. Returns (loss, encoder tensors).
+    sentences and fixed target embeddings. Returns (loss, encoder ParamSet).
     """
-    enc_tensors = EncoderTensors(enc, trainable)
+    enc_tensors = ad.ParamSet(enc)
     ids, mask, _ = pad_batch([vocab.encode(s) for s in sentences])
     _check_ids(ids, enc.vocab_size)
     emb = encode_batch(ids, mask, enc_tensors)
@@ -448,8 +427,7 @@ class TransferResult:
     trace: list
 
 
-def train_transfer(parallel, pivot_enc, new_enc, src_vocab, tgt_vocab, sched,
-                   log_every=1):
+def train_transfer(parallel, pivot_enc, new_enc, src_vocab, tgt_vocab, sched):
     """Regress the new encoder's embeddings onto the frozen pivot encoder's
     embeddings of the parallel translations (L1 loss, Adam).
 
@@ -462,7 +440,7 @@ def train_transfer(parallel, pivot_enc, new_enc, src_vocab, tgt_vocab, sched,
     targets = encode_sentences(parallel.target_sentences(), tgt_vocab, pivot_enc)
     rng = np.random.default_rng(sched.seed)
     opt = Adam(lr=sched.lr)
-    params = dict(new_enc.named_arrays("enc."))
+    params = optimizer_params(new_enc)
 
     trace = []
     src_sents = parallel.source_sentences()
@@ -471,8 +449,7 @@ def train_transfer(parallel, pivot_enc, new_enc, src_vocab, tgt_vocab, sched,
         loss, enc_tensors = transfer_l1_loss([src_sents[i] for i in idx], targets[idx],
                                              new_enc, src_vocab)
         ad.backward(loss)
-        opt.apply(params, {f"enc.{k}": g for k, g in enc_tensors.gradients().items()})
-        if step % log_every == 0:
-            trace.append((step, "transfer_l1", f"{parallel.src_lang}>{parallel.tgt_lang}",
-                          float(loss.data)))
+        opt.apply(params, enc_tensors.gradients())
+        trace.append((step, "transfer_l1", f"{parallel.src_lang}>{parallel.tgt_lang}",
+                      float(loss.data)))
     return TransferResult(new_enc, trace)

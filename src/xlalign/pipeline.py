@@ -104,53 +104,93 @@ def pretrain_sdae(sentences, vocab, cfg, lang, enc_seed):
 # ---------------------------------------------------------------------------
 
 class Experiment:
-    """Builds (embed_src, embed_tgt) factories for the configured framework
-    and stashes the artifacts of the largest split for saving.
+    """Builds, per split size, the configured framework's (embed_src, embed_tgt)
+    pair and the artifacts to save, keyed by output file name.
     """
 
     def __init__(self, cfg, data):
         self.cfg = cfg
         self.data = data
-        self.stash = {}
-        self.pretrain_traces = {}
-        self._embedders = {}  # split size -> (embed_src, embed_tgt)
-        pivot, other = cfg.pivot_lang(), cfg.other_lang()
-        self.pivot, self.other = pivot, other
+        self.pivot, self.other = cfg.pivot_lang(), cfg.other_lang()
+        self._enc_seed = {self.pivot: SEED_PIVOT_ENC, self.other: SEED_NEW_ENC}
+        self._pretrained = {}  # pretrain.<lang>.csv -> (write_trace, trace)
+        self._built = {}       # split size -> ((embed_src, embed_tgt), artifacts)
+        setups = {"transfer": self._transfer, "joint_seq2seq": self._joint_seq2seq,
+                  "joint_infersent": self._joint_infersent,
+                  "sentence_map": self._sentence_map, "word_dict_map": self._word_dict_map}
+        if cfg.framework not in setups:
+            raise ConfigError(f"framework {cfg.framework!r} has no pipeline")
+        # split-independent work (pretraining, inference training, word maps) runs here;
+        # the returned callable trains and aligns one split
+        self._build_split = setups[cfg.framework]()
 
-        if cfg.framework == "transfer":
-            self.pivot_enc, trace = pretrain_sdae(
-                data.train_corpus.target_sentences(), data.vocabs[pivot], cfg, pivot,
-                cfg.seed + SEED_PIVOT_ENC)
-            self.pretrain_traces[pivot] = trace
-        elif cfg.framework == "sentence_map" and cfg.encoder == "bilstm_maxpool":
-            self.mono_encs = {}
-            for lang, sentences, seed in (
-                    (pivot, data.train_corpus.target_sentences(), cfg.seed + SEED_PIVOT_ENC),
-                    (other, data.train_corpus.source_sentences(), cfg.seed + SEED_NEW_ENC)):
-                self.mono_encs[lang], trace = pretrain_sdae(
-                    sentences, data.vocabs[lang], cfg, lang, seed)
-                self.pretrain_traces[lang] = trace
-        elif cfg.framework == "joint_infersent":
-            self._train_infersent()
-        elif cfg.framework == "word_dict_map":
-            self._fit_word_map()
+    def factory(self, train_pairs):
+        return self.build(train_pairs)[0]
 
-    # -- constant-per-split models -------------------------------------------------
+    def build(self, train_pairs):
+        """((embed_src, embed_tgt), {file name: (writer, object)}) for one split."""
+        size = len(train_pairs)
+        if size not in self._built:
+            split = ParallelCorpus(list(train_pairs), self.other, self.pivot)
+            embedders, artifacts = self._build_split(split)
+            self._built[size] = embedders, {**self._pretrained, **artifacts}
+        return self._built[size]
 
-    def _train_infersent(self):
-        cfg, data = self.cfg, self.data
-        encoders = {
-            self.pivot: new_encoder(len(data.vocabs[self.pivot]), cfg.dim, cfg.hidden,
-                                    self.pivot, cfg.seed + SEED_PIVOT_ENC),
-            self.other: new_encoder(len(data.vocabs[self.other]), cfg.dim, cfg.hidden,
-                                    self.other, cfg.seed + SEED_NEW_ENC),
-        }
+    # -- frameworks ----------------------------------------------------------------
+
+    def _transfer(self):
+        pivot_enc = self._pretrain(self.pivot)
+
+        def build(split):
+            new_enc = self._new_encoder(self.other)
+            result = train_transfer(split, pivot_enc, new_enc, self.data.vocabs[self.other],
+                                    self.data.vocabs[self.pivot], self._schedule(SEED_TRAIN))
+            return (self._embed(new_enc), self._embed(pivot_enc)), {
+                f"encoder.{self.pivot}.ckpt": (save_encoder, pivot_enc),
+                f"encoder.{self.other}.ckpt": (save_encoder, new_enc),
+                "train.csv": (write_trace, result.trace)}
+        return build
+
+    def _joint_seq2seq(self):
+        cfg = self.cfg
+
+        def build(split):
+            encoders = self._encoder_pair()
+            decoder = new_decoder(len(self.data.vocabs[self.pivot]), cfg.dim, 2 * cfg.hidden,
+                                  cfg.hidden, self.pivot, cfg.seed + SEED_DECODER)
+            sched = self._schedule(SEED_TRAIN)
+            sched.language_order = [self.pivot, self.other]
+            noise = NoiseParams(cfg.p_del, cfg.p_swap, cfg.seed + SEED_NOISE)
+            result = train_joint_seq2seq(split, encoders, decoder, self.data.vocabs,
+                                         self.pivot, sched, noise)
+            return self._embed_pair(encoders), {
+                **_encoder_files(encoders), "decoder.ckpt": (save_decoder, decoder),
+                "train.csv": (write_trace, result.trace)}
+        return build
+
+    def _joint_infersent(self):
+        cfg = self.cfg
+        encoders = self._encoder_pair()
         head = new_head(2 * cfg.hidden, cfg.infersent_hidden, cfg.seed + SEED_HEAD)
-        sched = TrainSchedule(cfg.batch, cfg.steps, cfg.lr, [], cfg.seed + SEED_INFERSENT)
-        result = train_joint_infersent(data.cipher.nli, encoders, head, data.vocabs, sched)
-        self.stash["infersent"] = result
+        result = train_joint_infersent(self.data.cipher.nli, encoders, head, self.data.vocabs,
+                                       self._schedule(SEED_INFERSENT))
+        built = self._embed_pair(encoders), {
+            **_encoder_files(encoders), "head.ckpt": (save_head, head),
+            "train.csv": (write_trace, result.trace)}
+        return lambda split: built
 
-    def _fit_word_map(self):
+    def _sentence_map(self):
+        embed_src, embed_tgt, encoder_files = self._mono_embedders()
+
+        def build(split):
+            m = fit_orthogonal_map(embed_src(split.source_sentences()),
+                                   embed_tgt(split.target_sentences()),
+                                   src_space=self.other, tgt_space=self.pivot)
+            return (lambda sentences: embed_src(sentences) @ m.w, embed_tgt), {
+                "map.ckpt": (save_map, m), **encoder_files}
+        return build
+
+    def _word_dict_map(self):
         cfg, data = self.cfg, self.data
         if cfg.dict_path:
             pairs = load_dictionary(cfg.dict_path)
@@ -158,86 +198,59 @@ class Experiment:
             pairs = [(c, b) for b, c in sorted(data.cipher.cipher.items())]
         else:
             raise ConfigError("word_dict_map needs dict_path when corpus=files")
-        self.word_map = fit_word_dictionary_map(
+        m = fit_word_dictionary_map(
             pairs,
             data.vocabs[self.other].id_to_token, data.tables[self.other],
             data.vocabs[self.pivot].id_to_token, data.tables[self.pivot],
             src_space=f"words:{self.other}", tgt_space=f"words:{self.pivot}")
-        self.stash["map"] = self.word_map
+        embed_src, embed_tgt, _ = self._mono_embedders()
+        built = ((lambda sentences: embed_src(sentences) @ m.w, embed_tgt),
+                 {"map.ckpt": (save_map, m)})
+        return lambda split: built
 
-    # -- factory -------------------------------------------------------------------
+    # -- shared pieces -------------------------------------------------------------
 
-    def factory(self, train_pairs):
-        size = len(train_pairs)
-        if size not in self._embedders:
-            self._embedders[size] = self._build(train_pairs)
-        return self._embedders[size]
+    def _schedule(self, seed_offset):
+        cfg = self.cfg
+        return TrainSchedule(cfg.batch, cfg.steps, cfg.lr, [], cfg.seed + seed_offset)
 
-    def _build(self, train_pairs):
-        cfg, data = self.cfg, self.data
-        size = len(train_pairs)
-        split = ParallelCorpus(list(train_pairs), self.other, self.pivot)
-        sched = TrainSchedule(cfg.batch, cfg.steps, cfg.lr, [], cfg.seed + SEED_TRAIN)
+    def _new_encoder(self, lang):
+        cfg = self.cfg
+        return new_encoder(len(self.data.vocabs[lang]), cfg.dim, cfg.hidden, lang,
+                           cfg.seed + self._enc_seed[lang])
 
-        if cfg.framework == "transfer":
-            new_enc = new_encoder(len(data.vocabs[self.other]), cfg.dim, cfg.hidden,
-                                  self.other, cfg.seed + SEED_NEW_ENC)
-            result = train_transfer(split, self.pivot_enc, new_enc,
-                                    data.vocabs[self.other], data.vocabs[self.pivot], sched)
-            self.stash[size] = result
-            return (self._bilstm_fn(new_enc, self.other),
-                    self._bilstm_fn(self.pivot_enc, self.pivot))
+    def _encoder_pair(self):
+        return {lang: self._new_encoder(lang) for lang in (self.pivot, self.other)}
 
-        if cfg.framework == "joint_seq2seq":
-            encoders = {
-                self.pivot: new_encoder(len(data.vocabs[self.pivot]), cfg.dim, cfg.hidden,
-                                        self.pivot, cfg.seed + SEED_PIVOT_ENC),
-                self.other: new_encoder(len(data.vocabs[self.other]), cfg.dim, cfg.hidden,
-                                        self.other, cfg.seed + SEED_NEW_ENC),
-            }
-            decoder = new_decoder(len(data.vocabs[self.pivot]), cfg.dim, 2 * cfg.hidden,
-                                  cfg.hidden, self.pivot, cfg.seed + SEED_DECODER)
-            sched.language_order = [self.pivot, self.other]
-            noise = NoiseParams(cfg.p_del, cfg.p_swap, cfg.seed + SEED_NOISE)
-            result = train_joint_seq2seq(split, encoders, decoder, data.vocabs,
-                                         self.pivot, sched, noise)
-            self.stash[size] = result
-            return (self._bilstm_fn(encoders[self.other], self.other),
-                    self._bilstm_fn(encoders[self.pivot], self.pivot))
+    def _pretrain(self, lang):
+        corpus = self.data.train_corpus
+        sentences = corpus.target_sentences() if lang == self.pivot else corpus.source_sentences()
+        enc, trace = pretrain_sdae(sentences, self.data.vocabs[lang], self.cfg, lang,
+                                   self.cfg.seed + self._enc_seed[lang])
+        self._pretrained[f"pretrain.{lang}.csv"] = (write_trace, trace)
+        return enc
 
-        if cfg.framework == "joint_infersent":
-            result = self.stash["infersent"]
-            return (self._bilstm_fn(result.encoders[self.other], self.other),
-                    self._bilstm_fn(result.encoders[self.pivot], self.pivot))
-
-        if cfg.framework == "sentence_map":
-            embed_src, embed_tgt = self._mono_embedders()
-            m = fit_orthogonal_map(embed_src(split.source_sentences()),
-                                   embed_tgt(split.target_sentences()),
-                                   src_space=self.other, tgt_space=self.pivot)
-            self.stash[size] = m
-            return (lambda sentences: embed_src(sentences) @ m.w), embed_tgt
-
-        if cfg.framework == "word_dict_map":
-            embed_src, embed_tgt = self._mono_embedders()
-            m = self.word_map
-            return (lambda sentences: embed_src(sentences) @ m.w), embed_tgt
-
-        raise ConfigError(f"framework {cfg.framework!r} has no pipeline")
-
-    def _bilstm_fn(self, enc, lang):
-        vocab = self.data.vocabs[lang]
+    def _embed(self, enc):
+        vocab = self.data.vocabs[enc.lang]
         return lambda sentences: encode_sentences(sentences, vocab, enc)
 
+    def _embed_pair(self, encoders):
+        return self._embed(encoders[self.other]), self._embed(encoders[self.pivot])
+
     def _mono_embedders(self):
+        """Independently trained (embed_src, embed_tgt) and the files of their encoders."""
         cfg, data = self.cfg, self.data
         if cfg.encoder == "sif":
             def sif_fn(lang):
                 table, vocab = data.tables[lang], data.vocabs[lang]
                 return lambda sentences: encode_sif_matrix(sentences, table, vocab, cfg.sif_a)
-            return sif_fn(self.other), sif_fn(self.pivot)
-        return (self._bilstm_fn(self.mono_encs[self.other], self.other),
-                self._bilstm_fn(self.mono_encs[self.pivot], self.pivot))
+            return sif_fn(self.other), sif_fn(self.pivot), {}
+        encoders = {lang: self._pretrain(lang) for lang in (self.pivot, self.other)}
+        return (*self._embed_pair(encoders), _encoder_files(encoders))
+
+
+def _encoder_files(encoders):
+    return {f"encoder.{lang}.ckpt": (save_encoder, enc) for lang, enc in sorted(encoders.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +316,17 @@ def run_experiment(cfg):
             produced.append(os.path.relpath(path, cfg.out_dir))
 
     exp = Experiment(cfg, data)
-    plan = make_splits(len(data.train_corpus), cfg.splits)
-    directions = [(exp.other, exp.pivot), (exp.pivot, exp.other)]
-    points = accuracy_curve(exp.factory, data.train_corpus, plan, directions,
-                            data.test_pairs, model_tag=cfg.framework)
-    write_curve_csv(out("curve.csv"), points)
+    write_curve_csv(out("curve.csv"), curve_points(exp))
 
-    largest = cfg.splits[-1]
-    embed_src, embed_tgt = exp.factory(data.train_corpus.pairs[:largest])
-    test_src = [s for s, _ in data.test_pairs]
-    test_tgt = [t for _, t in data.test_pairs]
-    x, y = embed_src(test_src), embed_tgt(test_tgt)
+    (embed_src, embed_tgt), artifacts = exp.build(data.train_corpus.pairs[:cfg.splits[-1]])
+    x, y = heldout_embeddings(data, embed_src, embed_tgt)
     reports = [retrieval_accuracy(x, y, f"{exp.other}>{exp.pivot}"),
                retrieval_accuracy(y, x, f"{exp.pivot}>{exp.other}")]
     write_retrieval_csv(out("retrieval.csv"), reports)
+    write_neighbors(out("neighbors.txt"), exp, x, y)
 
-    queries = [(" ".join(test_src[i]), x[i]) for i in range(min(5, len(test_src)))]
-    pools = {exp.other: ([" ".join(s) for s in test_src], x),
-             exp.pivot: ([" ".join(t) for t in test_tgt], y)}
-    with open(out("neighbors.txt"), "w", encoding="utf-8") as fh:
-        fh.write(neighbor_report(queries, pools))
-
-    _save_artifacts(cfg, exp, out, largest)
+    for name, (write, obj) in artifacts.items():
+        write(out(name), obj)
 
     produced.append("manifest.txt")
     with open(os.path.join(cfg.out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
@@ -338,30 +340,28 @@ def run_experiment(cfg):
     return produced
 
 
-def _save_artifacts(cfg, exp, out, largest):
-    for lang, trace in exp.pretrain_traces.items():
-        write_trace(out(f"pretrain.{lang}.csv"), trace)
-    if cfg.framework == "transfer":
-        result = exp.stash[largest]
-        save_encoder(out(f"encoder.{exp.pivot}.ckpt"), exp.pivot_enc)
-        save_encoder(out(f"encoder.{exp.other}.ckpt"), result.new_encoder)
-        write_trace(out("train.csv"), result.trace)
-    elif cfg.framework == "joint_seq2seq":
-        result = exp.stash[largest]
-        for lang, enc in sorted(result.encoders.items()):
-            save_encoder(out(f"encoder.{lang}.ckpt"), enc)
-        save_decoder(out("decoder.ckpt"), result.decoder)
-        write_trace(out("train.csv"), result.trace)
-    elif cfg.framework == "joint_infersent":
-        result = exp.stash["infersent"]
-        for lang, enc in sorted(result.encoders.items()):
-            save_encoder(out(f"encoder.{lang}.ckpt"), enc)
-        save_head(out("head.ckpt"), result.head)
-        write_trace(out("train.csv"), result.trace)
-    elif cfg.framework == "sentence_map":
-        save_map(out("map.ckpt"), exp.stash[largest])
-        if cfg.encoder == "bilstm_maxpool":
-            for lang, enc in sorted(exp.mono_encs.items()):
-                save_encoder(out(f"encoder.{lang}.ckpt"), enc)
-    elif cfg.framework == "word_dict_map":
-        save_map(out("map.ckpt"), exp.stash["map"])
+def curve_points(exp):
+    """Held-out retrieval accuracy in both directions at every split size."""
+    data = exp.data
+    plan = make_splits(len(data.train_corpus), exp.cfg.splits)
+    return accuracy_curve(exp.factory, data.train_corpus, plan,
+                          [(exp.other, exp.pivot), (exp.pivot, exp.other)],
+                          data.test_pairs, model_tag=exp.cfg.framework)
+
+
+def heldout_embeddings(data, embed_src, embed_tgt):
+    """(x, y): the held-out source and target sentences, row-aligned."""
+    return (embed_src([s for s, _ in data.test_pairs]),
+            embed_tgt([t for _, t in data.test_pairs]))
+
+
+def write_neighbors(path, exp, x, y, queries=5, k=3):
+    """Write (and return) the nearest-neighbour report of the first held-out
+    source sentences against both held-out pools."""
+    test_src = [" ".join(s) for s, _ in exp.data.test_pairs]
+    test_tgt = [" ".join(t) for _, t in exp.data.test_pairs]
+    report = neighbor_report([(test_src[i], x[i]) for i in range(min(queries, len(test_src)))],
+                             {exp.other: (test_src, x), exp.pivot: (test_tgt, y)}, k=k)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report)
+    return report

@@ -22,7 +22,7 @@ from xlalign.evaluation import (cldc_train_eval, nearest_neighbors,
 from xlalign.mapping import apply_map, fit_orthogonal_map
 from xlalign.objectives import (TrainSchedule, draw_language_pair, infersent_loss,
                                 infersent_accuracy, new_decoder, new_head,
-                                seq2seq_loss, train_joint_infersent,
+                                optimizer_params, seq2seq_loss, train_joint_infersent,
                                 train_joint_seq2seq, train_transfer,
                                 transfer_l1_loss)
 from xlalign.text import NoiseParams, ParallelCorpus, build_vocab
@@ -149,10 +149,8 @@ def test_criterion_1_gradient_correctness():
                                 ("nmt", None, targets)):
         graph = seq2seq_loss(batch, tgts, enc, dec, vocab, vocab, denoise=denoise)
         ad.backward(graph.loss)
-        grads = {**{f"e.{k}": g for k, g in graph.enc_tensors.gradients().items()},
-                 **graph.dec_tensors.gradients()}
-        arrays = {**{f"e.{k}": v for k, v in enc.named_arrays().items()},
-                  **dec.named_arrays()}
+        grads = {**graph.enc_tensors.gradients(), **graph.dec_tensors.gradients()}
+        arrays = optimizer_params(enc, dec)
         worsts[name] = _fd_check(
             lambda: float(seq2seq_loss(batch, tgts, enc, dec, vocab, vocab,
                                        denoise=denoise).loss.data),
@@ -162,12 +160,9 @@ def test_criterion_1_gradient_correctness():
     labels = np.array([0, 2])
     graph = infersent_loss(batch, targets, labels, enc, enc2, head, vocab, vocab)
     ad.backward(graph.loss)
-    grads = {**{f"p.{k}": g for k, g in graph.premise_tensors.gradients().items()},
-             **{f"h.{k}": g for k, g in graph.hypothesis_tensors.gradients().items()},
+    grads = {**graph.premise_tensors.gradients(), **graph.hypothesis_tensors.gradients(),
              **graph.head_tensors.gradients()}
-    arrays = {**{f"p.{k}": v for k, v in enc.named_arrays().items()},
-              **{f"h.{k}": v for k, v in enc2.named_arrays().items()},
-              **head.named_arrays()}
+    arrays = optimizer_params(enc, enc2, head)
     worsts["infersent"] = _fd_check(
         lambda: float(infersent_loss(batch, targets, labels, enc, enc2, head,
                                      vocab, vocab).loss.data),
@@ -178,7 +173,7 @@ def test_criterion_1_gradient_correctness():
     loss, enc_tensors = transfer_l1_loss(batch, goal, enc, vocab)
     ad.backward(loss)
     grads = enc_tensors.gradients()
-    arrays = enc.named_arrays()
+    arrays = optimizer_params(enc)
     worsts["transfer_l1"] = _fd_check(
         lambda: float(transfer_l1_loss(batch, goal, enc, vocab)[0].data),
         [arrays[k] for k in grads], list(grads.values()))

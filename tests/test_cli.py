@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import xlalign
 from xlalign.cli import main
 from xlalign.encoders import dump_sentence_embeddings
 from xlalign.mapping import AlignmentMap, save_map
@@ -141,12 +146,12 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
     assert "zero-norm" in capsys.readouterr().err
 
 
-def test_xlalign_threads_env_caps_workers(monkeypatch):
-    from xlalign.evaluation import worker_count
-
-    monkeypatch.setenv("XLALIGN_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("XLALIGN_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.delenv("XLALIGN_THREADS")
-    assert worker_count() == 1
+@pytest.mark.parametrize("setting", ["dim=0", "hidden=-1", "batch=0", "steps=0", "min_count=0",
+                                     "splits=0", "p_del=2", "lr=nan", "languages=la,la"])
+def test_out_of_range_setting_is_validation_error(setting, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "xlalign.cli", "run", "--set", setting],
+                          capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

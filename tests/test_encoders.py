@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlalign.encoders import (EncoderTensors, encode_batch, encode_bilstm_maxpool,
-                              encode_sentences, encode_sif, encode_sif_matrix,
+from xlalign.autodiff import ParamSet
+from xlalign.encoders import (encode_batch, encode_sentences, encode_sif, encode_sif_matrix,
                               dump_sentence_embeddings, new_encoder, pad_batch,
                               remove_principal_component)
 from xlalign.text import build_vocab, sif_weight
@@ -22,38 +22,44 @@ def vocab():
     return build_vocab(["w0 w1 w2 w3 w4 w5 w6 w7"], min_count=1)
 
 
+def encode_ids(ids, enc):
+    """encode_batch on a batch of one sentence of token ids -> (2H,)."""
+    arr, mask, _ = pad_batch([ids])
+    return encode_batch(arr, mask, ParamSet(enc, trainable=False)).data[0]
+
+
 class TestBiLstmMaxpool:
     def test_single_token_is_concat_of_both_directions(self, enc):
-        emb = encode_bilstm_maxpool([5], enc)
+        emb = encode_ids([5], enc)
         x = enc.embeddings[5]
         h_f, _ = lstm_step_reference(x, np.zeros(4), np.zeros(4),
                                      enc.fwd.w_in, enc.fwd.w_rec, enc.fwd.bias)
         h_b, _ = lstm_step_reference(x, np.zeros(4), np.zeros(4),
                                      enc.bwd.w_in, enc.bwd.w_rec, enc.bwd.bias)
-        np.testing.assert_allclose(emb.vector, np.concatenate([h_f, h_b]), atol=1e-12)
+        np.testing.assert_allclose(emb, np.concatenate([h_f, h_b]), atol=1e-12)
 
     def test_output_dim_is_twice_hidden(self, enc):
-        assert encode_bilstm_maxpool([1, 2, 3], enc).dim == 8
+        assert encode_ids([1, 2, 3], enc).shape == (8,)
         assert enc.output_dim == 8
 
     def test_matches_scalar_reference(self, enc):
         ids = [2, 7, 4]
-        emb = encode_bilstm_maxpool(ids, enc)
-        assert np.max(np.abs(emb.vector - encode_reference(ids, enc))) < 1e-12
+        emb = encode_ids(ids, enc)
+        assert np.max(np.abs(emb - encode_reference(ids, enc))) < 1e-12
 
     def test_batched_equals_single(self, enc):
         # padding must not leak into shorter sentences' embeddings
         sents = [[1, 2, 3, 4, 5], [6], [7, 8], [9, 10, 11, 1, 2]]
         ids, mask, _ = pad_batch(sents)
-        batched = encode_batch(ids, mask, EncoderTensors(enc, trainable=False)).data
+        batched = encode_batch(ids, mask, ParamSet(enc, trainable=False)).data
         for i, s in enumerate(sents):
-            single = encode_bilstm_maxpool(s, enc).vector
+            single = encode_ids(s, enc)
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
     def test_maxpool_dominance(self, enc):
         # every output coordinate equals some timestep's concatenated state
         ids = [3, 1, 4, 1, 5]
-        emb = encode_bilstm_maxpool(ids, enc).vector
+        emb = encode_ids(ids, enc)
         states = []
         h = c = np.zeros(4)
         fwd = []
@@ -72,28 +78,29 @@ class TestBiLstmMaxpool:
             assert any(abs(emb[j] - states[t, j]) < 1e-12 for t in range(len(ids)))
 
     def test_token_order_matters_somewhere(self, enc):
-        a = encode_bilstm_maxpool([2, 3, 4], enc).vector
-        b = encode_bilstm_maxpool([3, 2, 4], enc).vector
+        a = encode_ids([2, 3, 4], enc)
+        b = encode_ids([3, 2, 4], enc)
         assert np.max(np.abs(a - b)) > 1e-9
 
     def test_deterministic(self, enc):
-        a = encode_bilstm_maxpool([1, 2, 3], enc).vector
-        b = encode_bilstm_maxpool([1, 2, 3], enc).vector
+        a = encode_ids([1, 2, 3], enc)
+        b = encode_ids([1, 2, 3], enc)
         assert np.array_equal(a, b)
 
-    def test_empty_sentence_rejected(self, enc):
+    def test_empty_sentence_rejected(self, enc, vocab):
         with pytest.raises(ValueError, match="empty"):
-            encode_bilstm_maxpool([], enc)
+            encode_sentences([[]], vocab, enc)
 
     def test_id_out_of_range_rejected(self, enc):
+        wide = build_vocab([" ".join(f"w{i}" for i in range(40))], min_count=1)
         with pytest.raises(ValueError, match="out of range"):
-            encode_bilstm_maxpool([99], enc)
+            encode_sentences([["w39"]], wide, enc)
 
     def test_encode_sentences_order_preserved(self, enc, vocab):
         sents = [["w1", "w2"], ["w3"], ["w4", "w5", "w6"]]
         out = encode_sentences(sents, vocab, enc)
         for i, s in enumerate(sents):
-            single = encode_bilstm_maxpool(s, enc, vocab).vector
+            single = encode_ids(vocab.encode(s), enc)
             np.testing.assert_allclose(out[i], single, atol=1e-12)
 
 
@@ -106,18 +113,18 @@ class TestSif:
         emb = encode_sif(["w1"], table, vocab, a=1e-3)
         wid = vocab.token_to_id["w1"]
         expected = sif_weight(vocab.frequencies[wid], vocab.total_count, 1e-3) * table[wid]
-        np.testing.assert_allclose(emb.vector, expected, atol=1e-15)
+        np.testing.assert_allclose(emb, expected, atol=1e-15)
 
     def test_repeated_word_averages_out(self, vocab):
         table = self._table(vocab)
-        one = encode_sif(["w2"], table, vocab).vector
-        two = encode_sif(["w2", "w2"], table, vocab).vector
+        one = encode_sif(["w2"], table, vocab)
+        two = encode_sif(["w2", "w2"], table, vocab)
         np.testing.assert_allclose(one, two, atol=1e-15)
 
     def test_matches_weighted_sum_oracle(self, vocab):
         table = self._table(vocab, seed=8)
         words = ["w1", "w2", "w2", "w5", "zzz"]
-        emb = encode_sif(words, table, vocab, a=2e-3).vector
+        emb = encode_sif(words, table, vocab, a=2e-3)
         acc = np.zeros(6)
         for w in words:
             wid = vocab.id_of(w)
@@ -127,15 +134,15 @@ class TestSif:
 
     def test_dimension_is_table_width(self, vocab):
         emb = encode_sif(["w1", "w3"], self._table(vocab), vocab)
-        assert emb.dim == 6
+        assert emb.shape == (6,)
 
     @given(st.permutations(["w1", "w2", "w3", "w4"]))
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariance(self, perm):
         vocab = build_vocab(["w0 w1 w2 w3 w4 w5 w6 w7"], min_count=1)
         table = self._table(vocab)
-        base = encode_sif(["w1", "w2", "w3", "w4"], table, vocab).vector
-        np.testing.assert_allclose(encode_sif(list(perm), table, vocab).vector, base, atol=1e-12)
+        base = encode_sif(["w1", "w2", "w3", "w4"], table, vocab)
+        np.testing.assert_allclose(encode_sif(list(perm), table, vocab), base, atol=1e-12)
 
     def test_empty_rejected(self, vocab):
         with pytest.raises(ValueError, match="empty"):

@@ -158,6 +158,16 @@ class TestCldc:
         report = cldc_train_eval(train, docs, lambda s: s, seed=3)
         assert 0.15 <= report.accuracy <= 0.35
 
+    def test_embedder_called_once_per_sentence(self, rng):
+        docs = self._clusters(rng, 3)
+        calls = []
+
+        def embedder(s):
+            calls.append(s)
+            return s
+        cldc_train_eval(docs, docs[:4], embedder, steps=2)
+        assert len(calls) == sum(len(doc) for doc, _ in docs + docs[:4])
+
     def test_mlp_learns_xorish_split(self, rng):
         x = rng.normal(size=(200, 2))
         y = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(int)
@@ -220,15 +230,3 @@ class TestCurve:
         write_curve_csv(path, points)
         assert path.read_text().splitlines() == ["size,model,direction,accuracy",
                                                  "100,transfer,de>en,0.5"]
-
-    def test_parallel_cells_match_serial(self, monkeypatch):
-        corpus = self._toy_corpus()
-        plan = make_splits(len(corpus), [2, 5, 9])
-        test_pairs = [([f"s{i}"], [f"t{i}"]) for i in range(50, 60)]
-        args = (self._identity_factory(), corpus, plan,
-                [("de", "en"), ("en", "de")], test_pairs)
-        monkeypatch.setenv("XLALIGN_THREADS", "1")
-        serial = accuracy_curve(*args)
-        monkeypatch.setenv("XLALIGN_THREADS", "3")
-        threaded = accuracy_curve(*args)
-        assert serial == threaded

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from xlalign.config import ConfigError, parse_config
-from xlalign.encoders import encode_bilstm_maxpool, new_encoder
+from xlalign.encoders import encode_sentences, new_encoder
 from xlalign.objectives import new_decoder, new_head
 from xlalign.pipeline import (Experiment, load_decoder, load_encoder, load_head,
                               materialize, save_decoder, save_encoder, save_head)
+from xlalign.text import build_vocab
 
 TOY = """
 framework=transfer
@@ -57,9 +58,10 @@ def test_encoder_checkpoint_round_trip(tmp_path):
     assert loaded.lang == "de"
     for name, arr in enc.named_arrays().items():
         np.testing.assert_array_equal(loaded.named_arrays()[name], arr)
-    ids = [3, 7, 1]
-    np.testing.assert_array_equal(encode_bilstm_maxpool(ids, loaded).vector,
-                                  encode_bilstm_maxpool(ids, enc).vector)
+    vocab = build_vocab(["w0 w1 w2 w3 w4 w5 w6 w7"], min_count=1)
+    sents = [["w1", "w5", "w0"]]
+    np.testing.assert_array_equal(encode_sentences(sents, vocab, loaded),
+                                  encode_sentences(sents, vocab, enc))
 
 
 def test_decoder_checkpoint_round_trip(tmp_path):
