@@ -36,16 +36,21 @@ for i in range(2):
 print("\nfinite differences agree within",
       np.max(np.abs(fd - w.grad)), "(expect ~1e-9)")
 
-# --- the LSTM step is itself made of these ops -----------------------------
+# --- a whole LSTM direction is one fused node --------------------------------
+# Rows are time-major (row t*B + b is step t of sentence b); the (B, T) mask
+# marks live steps, and a padded step carries the state through.
 rng = np.random.default_rng(0)
-d, hid = 3, 4
-h_t, c_t = ad.lstm_step(
-    ad.constant(rng.normal(size=d)),
-    ad.constant(np.zeros(hid)), ad.constant(np.zeros(hid)),
-    ad.leaf(rng.normal(size=(d, 4 * hid)) * 0.5),
-    ad.leaf(rng.normal(size=(hid, 4 * hid)) * 0.5),
-    ad.leaf(np.zeros(4 * hid)))
-print("\none LSTM step from zero state -> h_t =", np.round(h_t.data, 3))
+d, hid, steps, batch = 3, 4, 3, 2
+mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+w_in = ad.leaf(rng.normal(size=(d, 4 * hid)) * 0.5)
+states = ad.lstm_scan(
+    ad.constant(rng.normal(size=(steps * batch, d))), w_in,
+    ad.leaf(rng.normal(size=(hid, 4 * hid)) * 0.5), ad.leaf(np.zeros(4 * hid)), mask)
+pooled = ad.masked_maxpool(states, mask)
+ad.backward(ad.tsum(pooled))
+print("\nLSTM scan over 3 steps -> states", states.shape, "; max-pooled =\n",
+      np.round(pooled.data, 3))
+print("graph nodes:", len(ad.topo_order(pooled)), "; d sum / d w_in has shape", w_in.grad.shape)
 
 # Non-finite values are rejected at construction, so a diverging training
 # run fails loudly rather than poisoning downstream math.

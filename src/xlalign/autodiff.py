@@ -1,14 +1,18 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-The op set is deliberately minimal: exactly what the LSTM encoders/decoders,
-the inference classifier head and the training losses need. Nodes form an
-implicit DAG (each Tensor records its op name, parent nodes and a backward
-closure); ``backward`` walks the graph once in reverse topological order.
+The op set is deliberately minimal: elementwise and matrix ops for the
+classifier head and the losses, plus fused sequence kernels (`lstm_scan`,
+`masked_maxpool`) that run a whole masked LSTM direction or a temporal
+max-pool as one node with a hand-written backward. Nodes form an implicit DAG
+(each Tensor records its op name, parent nodes and a backward closure);
+``backward`` walks the graph once in reverse topological order.
 
 Conventions:
   * arrays are row-major, float64 by default (float32 accepted for speed);
-  * every created value is checked for NaN/Inf and rejected with
-    ``NonFiniteError``;
+  * every node's value (leaves, fused-op outputs, the loss) is checked for
+    NaN/Inf and rejected with ``NonFiniteError``, and so is every gradient
+    ``backward`` delivers to a leaf; a scan's per-step intermediates are not
+    checked one by one, a non-finite one surfaces in its outputs or gradients;
   * tensors are immutable values once created — build a fresh graph per
     training step and call ``backward`` once per graph.
 """
@@ -145,6 +149,9 @@ def backward(loss):
     for node in reversed(order):
         if node.grad is not None and node._backward is not None:
             node._backward(node.grad)
+    for node in order:
+        if node._backward is None and node.grad is not None and not np.all(np.isfinite(node.grad)):
+            raise NonFiniteError(f"non-finite gradient for a leaf of shape {node.data.shape}")
     return loss
 
 
@@ -214,12 +221,15 @@ def matmul(a, b):
     return Tensor(a.data @ b.data, op="matmul", parents=(a, b), backward=bwd)
 
 
+def _sigmoid(z):
+    """Logistic function of an array; exp(-|z|) never overflows."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a):
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(a.data)
 
     def bwd(g):
         _accum(a, g * out * (1.0 - out))
@@ -247,16 +257,6 @@ def absolute(a):
     return Tensor(np.abs(a.data), op="abs", parents=(a,), backward=bwd)
 
 
-def maximum(a, b):
-    """Elementwise max; ties route the gradient to the first operand."""
-    take_a = a.data >= b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g * take_a, a.data.shape))
-        _accum(b, _unbroadcast(g * ~take_a, b.data.shape))
-    return Tensor(np.maximum(a.data, b.data), op="maximum", parents=(a, b), backward=bwd)
-
-
 def concat(tensors, axis=-1):
     tensors = list(tensors)
     sizes = [t.data.shape[axis] for t in tensors]
@@ -269,15 +269,6 @@ def concat(tensors, axis=-1):
             _accum(t, g[tuple(idx)])
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
                   op="concat", parents=tuple(tensors), backward=bwd)
-
-
-def slice_last(a, lo, hi):
-    """Slice [lo, hi) along the last axis."""
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[..., lo:hi] = g
-        _accum(a, full)
-    return Tensor(a.data[..., lo:hi].copy(), op="slice", parents=(a,), backward=bwd)
 
 
 def gather_rows(table, ids):
@@ -307,14 +298,6 @@ def tmean(a):
     def bwd(g):
         _accum(a, np.full_like(a.data, float(g) / n))
     return Tensor(a.data.mean(), op="mean", parents=(a,), backward=bwd)
-
-
-def masked_fill(a, mask, value):
-    """a where mask==1, `value` where mask==0. `mask` is a constant array."""
-    m = constant(np.asarray(mask, dtype=a.data.dtype))
-    fill = constant(np.full_like(m.data, value))
-    one_minus = constant(1.0 - m.data)
-    return add(mul(a, m), mul(fill, one_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +341,138 @@ def softmax_rows(logits):
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell
+# fused sequence kernels
 # ---------------------------------------------------------------------------
+# Sequences are time-major: row t*B + b of a (T*B, n) array is step t of batch
+# row b. Masks are (B, T) 0/1 arrays as `pad_batch` builds them; padding is
+# trailing, and a padded step carries the LSTM state through unchanged.
 
-def lstm_step(x, h_prev, c_prev, w_in, w_rec, bias):
-    """One LSTM step. Gate layout along the last axis is [i, f, g, o].
+def time_major(a):
+    """(B, T) array -> (T*B,) in time-major row order."""
+    return np.asarray(a).T.reshape(-1)
 
-    x: (B, d) or (d,); h_prev/c_prev: (B, H) or (H,).
-    w_in: (d, 4H), w_rec: (H, 4H), bias: (4H,).
-    Returns (h_t, c_t).
+
+def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse=False, context=None, keep=False):
+    """Masked single-direction LSTM over time-major rows, on plain arrays.
+
+    x: (T*B, D); mask: (B, T); context: (B, C) or None, appended to every
+    step's input, so w_in is (D + C, 4H). Gate layout [i, f, g, o]; the state
+    starts at zero. Returns the hidden states (T*B, H) and, with `keep`, the
+    cache `lstm_scan` backpropagates through (else None). The graph op and
+    inference both run this one function.
     """
-    hid = w_rec.data.shape[0]
-    if w_in.data.shape[1] != 4 * hid or bias.data.shape[-1] != 4 * hid:
+    b, t_max = mask.shape
+    hid = w_rec.shape[0]
+    in_dim = x.shape[1] + (0 if context is None else context.shape[1])
+    if w_rec.shape != (hid, 4 * hid) or w_in.shape != (in_dim, 4 * hid) or bias.shape != (4 * hid,):
         raise ValueError(
-            f"inconsistent LSTM parameter shapes: w_in {w_in.data.shape}, "
-            f"w_rec {w_rec.data.shape}, bias {bias.data.shape}")
-    gates = add(add(matmul(x, w_in), matmul(h_prev, w_rec)), bias)
-    i = sigmoid(slice_last(gates, 0, hid))
-    f = sigmoid(slice_last(gates, hid, 2 * hid))
-    g = tanh(slice_last(gates, 2 * hid, 3 * hid))
-    o = sigmoid(slice_last(gates, 3 * hid, 4 * hid))
-    c_t = add(mul(f, c_prev), mul(i, g))
-    h_t = mul(o, tanh(c_t))
-    return h_t, c_t
+            f"inconsistent LSTM parameter shapes for input dim {in_dim}: w_in {w_in.shape}, "
+            f"w_rec {w_rec.shape}, bias {bias.shape}")
+    if x.shape[0] != t_max * b:
+        raise ValueError(f"{x.shape[0]} input rows do not match a ({b}, {t_max}) mask")
+    if context is not None:
+        steps_ctx = np.broadcast_to(context, (t_max,) + context.shape)
+        x = np.concatenate([x.reshape(t_max, b, -1), steps_ctx], axis=2).reshape(t_max * b, -1)
+    gates_in = (x @ w_in).reshape(t_max, b, 4 * hid)
+    live = mask.T[:, :, None] > 0
+    h = np.zeros((b, hid), dtype=gates_in.dtype)
+    c = np.zeros_like(h)
+    states = np.empty((t_max, b, hid), dtype=h.dtype)
+    if keep:
+        acts = np.empty_like(gates_in)
+        h_prev, c_prev, tanh_c = (np.empty_like(states) for _ in range(3))
+    for t in (range(t_max - 1, -1, -1) if reverse else range(t_max)):
+        gates = gates_in[t] + h @ w_rec + bias
+        act = _sigmoid(gates)
+        act[:, 2 * hid:3 * hid] = np.tanh(gates[:, 2 * hid:3 * hid])
+        c_new = act[:, hid:2 * hid] * c + act[:, :hid] * act[:, 2 * hid:3 * hid]
+        tc = np.tanh(c_new)
+        if keep:
+            acts[t], h_prev[t], c_prev[t], tanh_c[t] = act, h, c, tc
+        h = np.where(live[t], act[:, 3 * hid:] * tc, h)
+        c = np.where(live[t], c_new, c)
+        states[t] = h
+    cache = (x, live, acts, h_prev, c_prev, tanh_c) if keep else None
+    return states.reshape(t_max * b, hid), cache
+
+
+def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
+    """Backpropagation through time for `lstm_scan_forward`.
+
+    Returns the gradients of the (context-extended) input rows, w_in, w_rec
+    and bias.
+    """
+    x, live, acts, h_prev, c_prev, tanh_c = cache
+    t_max, b, hid = h_prev.shape
+    on = live.astype(acts.dtype)
+    off = 1.0 - on
+    i, f, g, o = (acts[..., k * hid:(k + 1) * hid] for k in range(4))
+    # gate-input gradients per unit of d c_new (i, f, g) and of d h_new (o)
+    via_c = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
+    via_h = tanh_c * o * (1.0 - o)
+    h_to_c = o * (1.0 - tanh_c * tanh_c)
+    g_states = g_states.reshape(t_max, b, hid)
+    d_gates = np.empty((t_max, b, 4, hid), dtype=acts.dtype)
+    dh = np.zeros((b, hid), dtype=acts.dtype)
+    dc = np.zeros_like(dh)
+    w_rec_t = w_rec.T
+    for t in (range(t_max) if reverse else range(t_max - 1, -1, -1)):
+        dh_t = g_states[t] + dh
+        dh_new = dh_t * on[t]
+        dc_new = dc * on[t] + dh_new * h_to_c[t]
+        np.multiply(dc_new[:, None, :], via_c[t], out=d_gates[t, :, :3])
+        np.multiply(dh_new, via_h[t], out=d_gates[t, :, 3])
+        dh = d_gates[t].reshape(b, 4 * hid) @ w_rec_t + dh_t * off[t]
+        dc = dc_new * f[t] + dc * off[t]
+    d_gates = d_gates.reshape(t_max * b, 4 * hid)
+    return (d_gates @ w_in.T, x.T @ d_gates, h_prev.reshape(-1, hid).T @ d_gates,
+            d_gates.sum(axis=0))
+
+
+def lstm_scan(x, w_in, w_rec, bias, mask, reverse=False, context=None):
+    """One LSTM direction over a padded batch as a single graph node.
+
+    x: (T*B, D) time-major input rows; mask: (B, T) constant array; context:
+    optional (B, C) tensor appended to every step's input. Returns the hidden
+    states (T*B, H), time-major, in input order for either direction.
+    """
+    mask = np.asarray(mask)
+    states, cache = lstm_scan_forward(x.data, w_in.data, w_rec.data, bias.data, mask, reverse,
+                                      None if context is None else context.data, keep=True)
+    parents = (x, w_in, w_rec, bias) + (() if context is None else (context,))
+
+    def bwd(g):
+        d_in, d_w_in, d_w_rec, d_bias = _lstm_scan_backward(g, cache, w_in.data, w_rec.data,
+                                                            reverse)
+        d = x.data.shape[1]
+        _accum(x, d_in[:, :d])
+        if context is not None:
+            _accum(context, d_in[:, d:].reshape(mask.shape[1], mask.shape[0], -1).sum(axis=0))
+        _accum(w_in, d_w_in)
+        _accum(w_rec, d_w_rec)
+        _accum(bias, d_bias)
+    return Tensor(states, op="lstm_scan", parents=parents, backward=bwd)
+
+
+def maxpool_forward(states, mask):
+    """Max over each row's live timesteps of time-major (T*B, H) states.
+
+    Returns the pooled (B, H) array and the timestep each entry came from;
+    ties go to the earliest timestep.
+    """
+    b, t_max = mask.shape
+    filled = np.where(mask.T[:, :, None] > 0, states.reshape(t_max, b, -1), MASK_FILL)
+    first = filled.argmax(axis=0)
+    return np.take_along_axis(filled, first[None], axis=0)[0], first
+
+
+def masked_maxpool(states, mask):
+    """Temporal max-pool over live steps as one node; gradient to the argmax."""
+    mask = np.asarray(mask)
+    pooled, first = maxpool_forward(states.data, mask)
+
+    def bwd(g):
+        full = np.zeros((mask.shape[1],) + pooled.shape, dtype=g.dtype)
+        np.put_along_axis(full, first[None], g[None], axis=0)
+        _accum(states, full.reshape(states.data.shape))
+    return Tensor(pooled, op="masked_maxpool", parents=(states,), backward=bwd)

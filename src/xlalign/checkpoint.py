@@ -13,29 +13,45 @@ Values are written with repr precision so they round-trip exactly in float64
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 HEADER = "XLALIGN-CKPT 1"
 
 
 def save_checkpoint(path, tensors, comments=()):
-    """tensors: mapping name -> ndarray. Names must not contain whitespace."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HEADER + "\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        for name, arr in tensors.items():
-            if any(ch.isspace() for ch in name):
-                raise ValueError(f"tensor name {name!r} contains whitespace")
-            arr = np.asarray(arr)
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"{name} {arr.ndim}{' ' + dims if dims else ''}\n")
-            flat = arr.reshape(-1)
-            if arr.ndim == 2:
-                for row in arr:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-            else:
-                fh.write(" ".join(repr(float(v)) for v in flat) + "\n")
+    """tensors: mapping name -> ndarray. Names must not contain whitespace.
+
+    Writes a temporary file next to `path` and renames it into place, so a
+    failed save leaves any earlier checkpoint at `path` whole.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            _write(fh, tensors, comments)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write(fh, tensors, comments):
+    fh.write(HEADER + "\n")
+    for line in comments:
+        fh.write(f"# {line}\n")
+    for name, arr in tensors.items():
+        if any(ch.isspace() for ch in name):
+            raise ValueError(f"tensor name {name!r} contains whitespace")
+        arr = np.asarray(arr)
+        dims = " ".join(str(d) for d in arr.shape)
+        fh.write(f"{name} {arr.ndim}{' ' + dims if dims else ''}\n")
+        flat = arr.reshape(-1)
+        if arr.ndim == 2:
+            for row in arr:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        else:
+            fh.write(" ".join(repr(float(v)) for v in flat) + "\n")
 
 
 def load_checkpoint(path):
@@ -71,6 +87,8 @@ def load_checkpoint(path):
                 continue
             parts = line.split()
             name, ndim = parts[0], int(parts[1])
+            if name in tensors:
+                raise ValueError(f"repeated tensor name {name!r}")
             dims = tuple(int(d) for d in parts[2:2 + ndim])
             if len(dims) != ndim:
                 raise ValueError(f"bad shape record for tensor {name!r}")

@@ -16,8 +16,8 @@ import numpy as np
 from .autodiff import NonFiniteError
 from .cipher import gen_cipher_corpus, gen_cldc_docs, write_corpus_files
 from .config import FRAMEWORKS, ConfigError, load_config, parse_config
-from .evaluation import (cldc_train_eval, retrieval_accuracy, write_cldc_csv,
-                         write_curve_csv, write_retrieval_csv)
+from .evaluation import (batched_embedder, cldc_train_eval, retrieval_accuracy,
+                         write_cldc_csv, write_curve_csv, write_retrieval_csv)
 from .linalg import SvdConvergenceError
 from .mapping import apply_map, load_map
 from .pipeline import (Experiment, curve_points, heldout_embeddings, materialize,
@@ -117,8 +117,8 @@ def cmd_eval_cldc(args):
         raise ConfigError("eval-cldc needs the synthetic corpus (corpus=cipher)")
     docs = gen_cldc_docs(data.cipher, args.docs, seed=cfg.seed + 40)
     split = args.docs // 2
-    embedders = {exp.other: lambda s: embed_src([s])[0],
-                 exp.pivot: lambda s: embed_tgt([s])[0]}
+    embedders = {exp.other: batched_embedder(embed_src, docs[exp.other]),
+                 exp.pivot: batched_embedder(embed_tgt, docs[exp.pivot])}
     reports = []
     for train_lang, test_lang in ((exp.pivot, exp.other), (exp.other, exp.pivot)):
         reports.append(cldc_train_eval(

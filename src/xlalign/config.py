@@ -145,6 +145,15 @@ def validate_config(cfg):
         raise ConfigError("corpus=files requires src_path and tgt_path")
     if cfg.corpus == "files" and cfg.framework == "joint_infersent":
         raise ConfigError("joint_infersent runs on the synthetic corpus (corpus=cipher)")
+    if cfg.corpus == "cipher":
+        if cfg.cipher_vocab < 10:
+            raise ConfigError(f"cipher_vocab must be at least 10, got {cfg.cipher_vocab}")
+        if cfg.cipher_min_len > cfg.cipher_max_len:
+            raise ConfigError(f"cipher_min_len {cfg.cipher_min_len} exceeds "
+                              f"cipher_max_len {cfg.cipher_max_len}")
+        if cfg.framework == "joint_infersent" and cfg.cipher_max_len >= cfg.cipher_vocab - 2:
+            raise ConfigError(f"joint_infersent needs cipher_max_len below cipher_vocab - 2 "
+                              f"for its NLI pairs, got {cfg.cipher_max_len} and {cfg.cipher_vocab}")
     if not cfg.splits:
         raise ConfigError("at least one split size is required")
     if list(cfg.splits) != sorted(set(cfg.splits)):

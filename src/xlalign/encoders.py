@@ -22,8 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .text import PAD, sif_weight
 
-MASK_FILL = ad.MASK_FILL
-
 
 @dataclass
 class LSTMParams:
@@ -124,45 +122,15 @@ def pad_batch(id_seqs):
     return ids, mask, lengths
 
 
-def _scan(ids, mask, emb, cell, reverse):
-    """Run one LSTM direction over a padded batch.
-
-    Padded steps copy h/c through unchanged, so with trailing padding the
-    backward direction starts each sentence from a zero state regardless of
-    batch width. Returns the per-timestep hidden states in input order.
-    """
-    b, t_max = ids.shape
-    w_in, w_rec, bias = cell
-    hidden = w_rec.shape[0]
-    h = ad.constant(np.zeros((b, hidden)))
-    c = ad.constant(np.zeros((b, hidden)))
-    steps = range(t_max - 1, -1, -1) if reverse else range(t_max)
-    states = [None] * t_max
-    for t in steps:
-        x = ad.gather_rows(emb, ids[:, t])
-        h_new, c_new = ad.lstm_step(x, h, c, w_in, w_rec, bias)
-        m = ad.constant(mask[:, t:t + 1])
-        keep = ad.constant(1.0 - mask[:, t:t + 1])
-        h = ad.add(ad.mul(h_new, m), ad.mul(h, keep))
-        c = ad.add(ad.mul(c_new, m), ad.mul(c, keep))
-        states[t] = h
-    return states
-
-
 def encode_batch(ids, mask, enc_tensors):
     """BiLSTM + masked temporal max-pool over a padded id batch -> (B, 2H).
 
     `enc_tensors` is the encoder's `ParamSet`.
     """
-    emb = enc_tensors["emb"]
-    fwd_states = _scan(ids, mask, emb, _cell(enc_tensors, "fwd."), False)
-    bwd_states = _scan(ids, mask, emb, _cell(enc_tensors, "bwd."), True)
-    pooled = None
-    for t in range(ids.shape[1]):
-        state = ad.concat([fwd_states[t], bwd_states[t]], axis=1)
-        state = ad.masked_fill(state, mask[:, t:t + 1], MASK_FILL)
-        pooled = state if pooled is None else ad.maximum(pooled, state)
-    return pooled
+    x = ad.gather_rows(enc_tensors["emb"], ad.time_major(ids))
+    pooled = [ad.masked_maxpool(ad.lstm_scan(x, *_cell(enc_tensors, name), mask, reverse), mask)
+              for name, reverse in (("fwd.", False), ("bwd.", True))]
+    return ad.concat(pooled, axis=1)
 
 
 def _cell(tensors, name):
@@ -171,15 +139,18 @@ def _cell(tensors, name):
 
 
 def encode_sentences(sentences, vocab, enc):
-    """Encode token sequences to a (n, 2H) array (forward pass only)."""
-    tensors = ad.ParamSet(enc, trainable=False)
+    """Encode token sequences to a (n, 2H) array; forward only, builds no graph."""
     out = np.empty((len(sentences), enc.output_dim))
     step = 64
     for lo in range(0, len(sentences), step):
         batch = sentences[lo:lo + step]
         ids, mask, _ = pad_batch([vocab.encode(s) for s in batch])
         _check_ids(ids, enc.vocab_size)
-        out[lo:lo + len(batch)] = encode_batch(ids, mask, tensors).data
+        x = enc.embeddings[ad.time_major(ids)]
+        pooled = [ad.maxpool_forward(ad.lstm_scan_forward(x, cell.w_in, cell.w_rec, cell.bias,
+                                                          mask, reverse)[0], mask)[0]
+                  for cell, reverse in ((enc.fwd, False), (enc.bwd, True))]
+        out[lo:lo + len(batch)] = np.concatenate(pooled, axis=1)
     return out
 
 

@@ -144,6 +144,14 @@ def mean_document_embedding(doc, embedder):
     return np.mean(vecs, axis=0)
 
 
+def batched_embedder(embed, docs):
+    """A per-sentence embedder over the sentences of `docs` ([(doc, label)]),
+    served from one `embed` call on their distinct sentences."""
+    distinct = list(dict.fromkeys(tuple(s) for doc, _ in docs for s in doc))
+    rows = dict(zip(distinct, embed([list(s) for s in distinct])))
+    return lambda sentence: rows[tuple(sentence)]
+
+
 def cldc_train_eval(train_docs, test_docs, embedder, train_lang="train", test_lang="test",
                     hidden=64, steps=300, lr=1e-3, seed=0):
     """Train an MLP on documents of one language, test on another.

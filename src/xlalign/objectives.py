@@ -117,23 +117,14 @@ def teacher_forcing_arrays(target_ids, append_eos=True):
 def decode_ce_sum(sent_emb, dec_tensors, dec_in, targets, mask):
     """Teacher-forced cross-entropy summed over unmasked target tokens.
 
-    `dec_tensors` is the decoder's `ParamSet`.
+    `dec_tensors` is the decoder's `ParamSet`. The sentence embedding is
+    appended to the previous-token embedding at every step; all steps' logits
+    come from one output projection.
     """
-    b = dec_in.shape[0]
-    emb, cell = dec_tensors["emb"], _cell(dec_tensors, "cell.")
-    w_out, b_out = dec_tensors["w_out"], dec_tensors["b_out"]
-    hidden = cell[1].shape[0]
-    h = ad.constant(np.zeros((b, hidden)))
-    c = ad.constant(np.zeros((b, hidden)))
-    total = None
-    for k in range(dec_in.shape[1]):
-        prev = ad.gather_rows(emb, dec_in[:, k])
-        x = ad.concat([prev, sent_emb], axis=1)
-        h, c = ad.lstm_step(x, h, c, *cell)
-        logits = ad.add(ad.matmul(h, w_out), b_out)
-        ce = ad.softmax_cross_entropy_sum(logits, targets[:, k], mask[:, k])
-        total = ce if total is None else ad.add(total, ce)
-    return total
+    x = ad.gather_rows(dec_tensors["emb"], ad.time_major(dec_in))
+    states = ad.lstm_scan(x, *_cell(dec_tensors, "cell."), mask, context=sent_emb)
+    logits = ad.add(ad.matmul(states, dec_tensors["w_out"]), dec_tensors["b_out"])
+    return ad.softmax_cross_entropy_sum(logits, ad.time_major(targets), ad.time_major(mask))
 
 
 @dataclass

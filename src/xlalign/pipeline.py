@@ -57,6 +57,10 @@ def materialize(cfg):
     train_pairs = corpus.pairs[:-cfg.test_size]
     test_pairs = corpus.pairs[-cfg.test_size:]
     train_corpus = ParallelCorpus(train_pairs, other, pivot)
+    try:
+        make_splits(train_corpus, cfg.splits)
+    except ValueError as exc:
+        raise ConfigError(f"splits do not fit the training corpus: {exc}") from exc
 
     extra = {other: [], pivot: []}
     if cc is not None and cc.nli:

@@ -204,14 +204,15 @@ CURVE_GRID_FULL = [s * 1000 for s in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)]
 def load_word2vec(path):
     """word2vec text format: `<count> <dim>` header, then `<word> <v1> ...`.
 
-    Returns (words, matrix).
+    A UTF-8 byte-order mark and trailing whitespace on a line (fastText `.vec`
+    files end every line with a space) are accepted. Returns (words, matrix).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         count, dim = int(header[0]), int(header[1])
         words, rows = [], []
         for line in fh:
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:
                 raise ValueError(f"bad embedding line for {parts[0]!r}: expected {dim} values")
             words.append(parts[0])

@@ -124,13 +124,9 @@ class TestGradientChecks:
         x[np.abs(x) < 0.1] += 0.5
         _check_op(lambda l: ad.tsum(ad.absolute(l[0])), [x])
 
-    def test_maximum_with_margin(self, rng):
-        a = rng.normal(size=(3, 3))
-        b = a + np.where(rng.normal(size=(3, 3)) > 0, 0.5, -0.5)
-        _check_op(lambda l: ad.tsum(ad.maximum(l[0], l[1])), [a, b])
-
-    def test_concat_slice(self, rng):
-        _check_op(lambda l: ad.tsum(ad.slice_last(ad.concat([l[0], l[1]], axis=1), 1, 4)),
+    def test_concat(self, rng):
+        _check_op(lambda l: ad.tsum(ad.mul(ad.concat([l[0], l[1]], axis=1),
+                                           ad.constant(np.arange(10.0).reshape(2, 5)))),
                   [rng.normal(size=(2, 3)), rng.normal(size=(2, 2))])
 
     def test_gather_rows(self, rng):
@@ -148,52 +144,135 @@ class TestGradientChecks:
         weights = np.array([1.0, 1.0, 0.0, 1.0])
         _check_op(lambda l: ad.softmax_cross_entropy_sum(l[0], targets, weights), [logits])
 
-    def test_lstm_step(self, rng):
-        d, hid = 3, 2
-        arrays = [rng.normal(size=(2, d)), rng.normal(size=(2, hid)), rng.normal(size=(2, hid)),
-                  rng.normal(size=(d, 4 * hid)), rng.normal(size=(hid, 4 * hid)),
-                  rng.normal(size=4 * hid)]
+    def test_lstm_scan_forward(self, rng):
+        _check_scan(rng, reverse=False, mask=_mask(3, 3))
 
-        def build(l):
-            h, c = ad.lstm_step(*l)
-            return ad.tsum(ad.add(h, c))
-        _check_op(build, arrays)
+    def test_lstm_scan_reverse_padded(self, rng):
+        _check_scan(rng, reverse=True, mask=_mask(3, 1, 2))
+
+    def test_lstm_scan_forward_padded(self, rng):
+        _check_scan(rng, reverse=False, mask=_mask(1, 3, 2))
+
+    def test_lstm_scan_context(self, rng):
+        _check_scan(rng, reverse=False, mask=_mask(2, 3), context_dim=2)
+
+    def test_lstm_scan_gap_carries_state(self, rng):
+        # a dead step inside a row carries h and c through, in both directions
+        gap = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]])
+        _check_scan(rng, reverse=False, mask=gap)
+        _check_scan(rng, reverse=True, mask=gap)
+
+    def test_masked_maxpool_with_margin(self, rng):
+        # four timesteps, two rows, the second row padded after step 2; the
+        # states are spread apart so no two live entries tie
+        states = rng.permutation(24).reshape(8, 3) * 0.5 + rng.normal(size=(8, 3)) * 0.01
+        mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=float)
+        weights = ad.constant(rng.normal(size=(2, 3)))
+        _check_op(lambda l: ad.tsum(ad.mul(ad.masked_maxpool(l[0], mask), weights)), [states])
+
+    def test_decoder_logits_batched_ce(self, rng):
+        # time-major (K*B, H) states -> one projection -> one weighted CE
+        k, b, hid, v = 3, 2, 4, 5
+        targets = rng.integers(0, v, size=k * b)
+        weights = ad.time_major(np.array([[1, 1, 1], [1, 1, 0]], dtype=float))
+        _check_op(lambda l: ad.softmax_cross_entropy_sum(
+                      ad.add(ad.matmul(l[0], l[1]), l[2]), targets, weights),
+                  [rng.normal(size=(k * b, hid)), rng.normal(size=(hid, v)),
+                   rng.normal(size=v)])
+
+
+def _mask(*lengths):
+    """(B, T) mask of rows with the given lengths, padded at the end."""
+    t_max = max(lengths)
+    return np.array([[1.0] * n + [0.0] * (t_max - n) for n in lengths])
+
+
+def _scan_inputs(rng, mask, d=3, hid=2, context_dim=0):
+    b, t_max = mask.shape
+    arrays = [rng.normal(size=(t_max * b, d)), rng.normal(size=(d + context_dim, 4 * hid)) * 0.7,
+              rng.normal(size=(hid, 4 * hid)) * 0.7, rng.normal(size=4 * hid) * 0.5]
+    if context_dim:
+        arrays.append(rng.normal(size=(b, context_dim)))
+    return arrays
+
+
+def _check_scan(rng, reverse, mask, context_dim=0):
+    """FD check of every lstm_scan input through a random linear readout."""
+    arrays = _scan_inputs(rng, mask, context_dim=context_dim)
+    readout = ad.constant(rng.normal(size=(arrays[0].shape[0], arrays[2].shape[0])))
+
+    def build(l):
+        context = l[4] if context_dim else None
+        states = ad.lstm_scan(*l[:4], mask, reverse=reverse, context=context)
+        return ad.tsum(ad.mul(states, readout))
+    _check_op(build, arrays)
+
+
+def _chained_reference(x_rows, mask, w_in, w_rec, bias, reverse):
+    """Per-row chain of scalar LSTM steps; padded steps carry the state."""
+    b, t_max = mask.shape
+    hid = w_rec.shape[0]
+    x = x_rows.reshape(t_max, b, -1)
+    out = np.zeros((t_max, b, hid))
+    for row in range(b):
+        h, c = np.zeros(hid), np.zeros(hid)
+        for t in (range(t_max - 1, -1, -1) if reverse else range(t_max)):
+            if mask[row, t]:
+                h, c = lstm_step_reference(x[t, row], h, c, w_in, w_rec, bias)
+            out[t, row] = h
+    return out.reshape(t_max * b, hid)
 
 
 class TestLstmStep:
+    """The LSTM step recurrence as `lstm_scan` runs it."""
+
     def test_all_zero_params(self):
         z = ad.constant
-        h, c = ad.lstm_step(z(np.zeros(3)), z(np.zeros(2)), z(np.zeros(2)),
-                            z(np.zeros((3, 8))), z(np.zeros((2, 8))), z(np.zeros(8)))
-        np.testing.assert_array_equal(c.data, np.zeros(2))
-        np.testing.assert_array_equal(h.data, np.zeros(2))
+        mask = np.ones((2, 3))
+        states = ad.lstm_scan(z(np.zeros((6, 3))), z(np.zeros((3, 8))), z(np.zeros((2, 8))),
+                              z(np.zeros(8)), mask)
+        np.testing.assert_array_equal(states.data, np.zeros((6, 2)))
 
     def test_shape_contract(self, rng):
-        d, hid = 3, 2
-        h, c = ad.lstm_step(ad.constant(rng.normal(size=d)),
-                            ad.constant(rng.normal(size=hid)),
-                            ad.constant(rng.normal(size=hid)),
-                            ad.constant(rng.normal(size=(d, 4 * hid))),
-                            ad.constant(rng.normal(size=(hid, 4 * hid))),
-                            ad.constant(rng.normal(size=4 * hid)))
-        assert h.data.shape == (hid,) and c.data.shape == (hid,)
+        mask = _mask(4, 2, 3)
+        arrays = _scan_inputs(rng, mask, context_dim=2)
+        states = ad.lstm_scan(*(ad.constant(a) for a in arrays[:4]), mask,
+                              context=ad.constant(arrays[4]))
+        assert states.data.shape == (4 * 3, 2)
 
     def test_matches_scalar_reference(self, rng):
-        d, hid = 4, 3
-        x, h0, c0 = rng.normal(size=d), rng.normal(size=hid), rng.normal(size=hid)
-        w_in, w_rec = rng.normal(size=(d, 4 * hid)), rng.normal(size=(hid, 4 * hid))
-        bias = rng.normal(size=4 * hid)
-        h, c = ad.lstm_step(ad.constant(x), ad.constant(h0), ad.constant(c0),
-                            ad.constant(w_in), ad.constant(w_rec), ad.constant(bias))
-        h_ref, c_ref = lstm_step_reference(x, h0, c0, w_in, w_rec, bias)
-        assert np.max(np.abs(h.data - h_ref)) < 1e-12
-        assert np.max(np.abs(c.data - c_ref)) < 1e-12
+        for reverse in (False, True):
+            mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
+            arrays = _scan_inputs(rng, mask, d=4, hid=3)
+            states = ad.lstm_scan(*(ad.constant(a) for a in arrays), mask, reverse=reverse)
+            ref = _chained_reference(*arrays[:1], mask, *arrays[1:], reverse)
+            assert np.max(np.abs(states.data - ref)) < 1e-12
 
-    def test_inconsistent_params_rejected(self, rng):
+    def test_inconsistent_params_rejected(self):
         with pytest.raises(ValueError, match="LSTM"):
-            ad.lstm_step(ad.constant(np.zeros(3)), ad.constant(np.zeros(2)),
-                         ad.constant(np.zeros(2)), ad.constant(np.zeros((3, 6))),
-                         ad.constant(np.zeros((2, 8))), ad.constant(np.zeros(8)))
+            ad.lstm_scan(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 6))),
+                         ad.constant(np.zeros((2, 8))), ad.constant(np.zeros(8)),
+                         np.ones((1, 2)))
+
+
+class TestMaskedMaxpool:
+    def test_ties_go_to_earliest_timestep(self):
+        # row 0 ties at steps 0 and 2; row 1's largest value sits on a padded step
+        states = ad.leaf(np.array([[5.0], [1.0], [2.0], [3.0], [5.0], [9.0]]))
+        mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=float)
+        pooled = ad.masked_maxpool(states, mask)
+        np.testing.assert_array_equal(pooled.data, [[5.0], [3.0]])
+        ad.backward(ad.tsum(pooled))
+        np.testing.assert_array_equal(states.grad, [[1.0], [0.0], [0.0], [1.0], [0.0], [0.0]])
+
+    def test_forward_matches_numpy_max_over_live_steps(self, rng):
+        mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)
+        states = rng.normal(size=(4 * 3, 5))
+        pooled, _ = ad.maxpool_forward(states, mask)
+        steps = states.reshape(4, 3, 5)
+        for row in range(3):
+            live = steps[mask[row] > 0, row]
+            np.testing.assert_array_equal(pooled[row], live.max(axis=0))
 
 
 class TestContracts:
@@ -204,6 +283,14 @@ class TestContracts:
     def test_inf_rejected(self):
         with pytest.raises(ad.NonFiniteError):
             ad.constant(np.array([np.inf]))
+
+    def test_nonfinite_gradient_rejected(self):
+        # every value is finite (1e-300 * 1e200 * 1e200 = 1e100), but the
+        # gradient reaching x is 1e400
+        x = ad.leaf(np.array([1e-300]))
+        big = ad.constant(np.array([1e200]))
+        with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="gradient"):
+            ad.backward(ad.tsum(ad.mul(ad.mul(x, big), big)))
 
     def test_softmax_shift_invariance(self, rng):
         z = rng.normal(size=(2, 3))

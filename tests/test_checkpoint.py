@@ -57,3 +57,29 @@ def test_truncated_rejected(tmp_path):
 def test_whitespace_name_rejected(tmp_path):
     with pytest.raises(ValueError, match="whitespace"):
         save_checkpoint(tmp_path / "x.ckpt", {"bad name": np.zeros(1)})
+
+
+def test_repeated_name_rejected(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    path.write_text(HEADER + "\nw 1 2\n1.0 2.0\nw 1 2\n3.0 4.0\n")
+    with pytest.raises(ValueError, match="repeated tensor name 'w'"):
+        load_checkpoint(path)
+
+
+def test_failed_save_keeps_earlier_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.arange(3.0)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="whitespace"):
+        save_checkpoint(path, {"ok": np.ones(2), "bad name": np.zeros(1)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_saved_bytes_are_the_plain_text_layout(tmp_path):
+    path = tmp_path / "layout.ckpt"
+    save_checkpoint(path, {"m": np.array([[1.0, 0.5], [-2.0, 0.1]]), "b": np.array([3.0]),
+                           "s": np.array(0.25)}, comments=["k=v"])
+    assert path.read_bytes() == (b"XLALIGN-CKPT 1\n# k=v\nm 2 2 2\n1.0 0.5\n-2.0 0.1\n"
+                                 b"b 1 1\n3.0\ns 0\n0.25\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["layout.ckpt"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import xlalign
+from xlalign import cli
 from xlalign.cli import main
 from xlalign.encoders import dump_sentence_embeddings
 from xlalign.mapping import AlignmentMap, save_map
@@ -137,6 +138,29 @@ def test_eval_cldc_subcommand(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_eval_cldc_embeds_each_side_in_one_batched_call(tmp_path, monkeypatch):
+    calls = []
+    final_embedders = cli._final_embedders
+
+    def counting(cfg):
+        data, exp, embed_src, embed_tgt = final_embedders(cfg)
+
+        def counted(side, embed):
+            def batched(sentences):
+                calls.append((side, len(sentences)))
+                return embed(sentences)
+            return batched
+        return data, exp, counted("src", embed_src), counted("tgt", embed_tgt)
+    monkeypatch.setattr(cli, "_final_embedders", counting)
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text("framework=sentence_map\nencoder=sif\ncipher_vocab=40\n"
+                   "cipher_sentences=300\ndim=16\nsplits=100,200\ntest_size=60\nseed=4\n")
+    assert main(["eval-cldc", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                 "--docs", "40"]) == 0
+    assert sorted(side for side, _ in calls) == ["src", "tgt"]
+    assert all(n > 40 for _, n in calls)  # every distinct sentence of 40 documents at once
+
+
 def test_numeric_failure_exits_2(tmp_path, capsys):
     x = np.zeros((4, 3))  # zero-norm rows make the cosine undefined
     src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
@@ -146,11 +170,15 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
     assert "zero-norm" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["dim=0", "hidden=-1", "batch=0", "steps=0", "min_count=0",
-                                     "splits=0", "p_del=2", "lr=nan", "languages=la,la"])
+@pytest.mark.parametrize("setting", [
+    "dim=0", "hidden=-1", "batch=0", "steps=0", "min_count=0", "splits=0", "p_del=2", "lr=nan",
+    "languages=la,la", "cipher_vocab=9", "cipher_min_len=5 cipher_max_len=3",
+    "framework=joint_infersent cipher_vocab=10", "splits=5000 cipher_sentences=300"])
 def test_out_of_range_setting_is_validation_error(setting, tmp_path):
+    """`setting` holds one or more space-separated KEY=VALUE overrides."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "xlalign.cli", "run", "--set", setting],
+    overrides = [arg for item in setting.split() for arg in ("--set", item)]
+    proc = subprocess.run([sys.executable, "-m", "xlalign.cli", "run", *overrides],
                           capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
     assert proc.returncode == 1
     assert "error:" in proc.stderr

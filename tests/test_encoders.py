@@ -56,6 +56,17 @@ class TestBiLstmMaxpool:
             single = encode_ids(s, enc)
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
+    def test_mixed_length_batch_matches_reference(self, enc):
+        sents = [[4, 5, 6, 7, 8, 9], [10], [11, 4, 5], [6, 11], [7, 7, 7, 7, 7]]
+        ids, mask, _ = pad_batch(sents)
+        batched = encode_batch(ids, mask, ParamSet(enc, trainable=False)).data
+        for i, s in enumerate(sents):
+            assert np.max(np.abs(batched[i] - encode_reference(s, enc))) < 1e-12
+        # inference runs the same kernels without a graph, bit for bit
+        vocab = build_vocab([" ".join(f"t{i:02d}" for i in range(4, 12))], min_count=1)
+        tokens = [[vocab.id_to_token[i] for i in s] for s in sents]
+        np.testing.assert_array_equal(encode_sentences(tokens, vocab, enc), batched)
+
     def test_maxpool_dominance(self, enc):
         # every output coordinate equals some timestep's concatenated state
         ids = [3, 1, 4, 1, 5]

@@ -1,0 +1,37 @@
+"""Guards on how much graph the fused kernels build."""
+
+from xlalign import autodiff as ad
+from xlalign.cipher import gen_cipher_corpus
+from xlalign.encoders import encode_sentences, new_encoder
+from xlalign.objectives import new_decoder, seq2seq_loss
+from xlalign.text import build_vocab
+
+
+def _setup():
+    pairs = gen_cipher_corpus(30, 40, (3, 8), seed=3).corpus.pairs
+    vb = build_vocab([s for s, _ in pairs], 1)
+    va = build_vocab([t for _, t in pairs], 1)
+    enc = new_encoder(len(vb), 8, 8, "lb", seed=1)
+    dec = new_decoder(len(va), 8, 16, 8, "la", seed=2)
+    return pairs, vb, va, enc, dec
+
+
+def test_seq2seq_loss_at_batch_16_builds_at_most_32_nodes():
+    pairs, vb, va, enc, dec = _setup()
+    graph = seq2seq_loss([s for s, _ in pairs[:16]], [t for _, t in pairs[:16]],
+                         enc, dec, vb, va)
+    assert len(ad.topo_order(graph.loss)) <= 32
+
+
+def test_encode_sentences_constructs_no_tensor(monkeypatch):
+    pairs, vb, _, enc, _ = _setup()
+    made = []
+    init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("op", "leaf"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    out = encode_sentences([s for s, _ in pairs], vb, enc)
+    assert out.shape == (len(pairs), enc.output_dim)
+    assert made == []

@@ -201,6 +201,19 @@ class TestEmbeddingFiles:
         assert w2 == words
         np.testing.assert_array_equal(m2, mat)
 
+    def test_word2vec_trailing_space_and_bom(self, tmp_path):
+        # fastText .vec files end each line with a space; some editors add a BOM
+        path = tmp_path / "vec.vec"
+        path.write_bytes("\ufeff2 3\nalpha 0.5 -1.0 2.0 \nbeta 1.0 0.0 -0.25 \n".encode("utf-8"))
+        words, mat = load_word2vec(path)
+        assert words == ["alpha", "beta"]
+        np.testing.assert_array_equal(mat, [[0.5, -1.0, 2.0], [1.0, 0.0, -0.25]])
+
+    def test_word2vec_bom_without_trailing_space(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes("\ufeff1 2\nw 1.5 2.5\n".encode("utf-8"))
+        assert load_word2vec(path)[0] == ["w"]
+
     def test_header_count_checked(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 3\nonly 0.1 0.2 0.3\n")
