@@ -59,18 +59,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(data, dtype=None):
     """Graph input that never receives gradient."""
@@ -155,21 +143,6 @@ def backward(loss):
     return loss
 
 
-def gradients(loss, leaves):
-    """Run backward and return one gradient array per leaf.
-
-    Leaves not reachable from the loss get a zero gradient of their shape.
-    """
-    backward(loss)
-    out = []
-    for p in leaves:
-        if p.grad is None:
-            out.append(np.zeros_like(p.data))
-        else:
-            out.append(p.grad)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
@@ -244,12 +217,6 @@ def tanh(a):
     return Tensor(out, op="tanh", parents=(a,), backward=bwd)
 
 
-def relu(a):
-    def bwd(g):
-        _accum(a, g * (a.data > 0))
-    return Tensor(np.maximum(a.data, 0.0), op="relu", parents=(a,), backward=bwd)
-
-
 def absolute(a):
     """|a|; subgradient 0 at 0."""
     def bwd(g):
@@ -290,14 +257,6 @@ def tsum(a):
     def bwd(g):
         _accum(a, np.full_like(a.data, float(g)))
     return Tensor(a.data.sum(), op="sum", parents=(a,), backward=bwd)
-
-
-def tmean(a):
-    n = a.data.size
-
-    def bwd(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
-    return Tensor(a.data.mean(), op="mean", parents=(a,), backward=bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,12 @@ def parse_config(text, overrides=()):
 
 
 def load_config(path, overrides=()):
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc})") from exc
+    return parse_config(text, overrides)
 
 
 def validate_config(cfg):

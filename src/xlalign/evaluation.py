@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .optim import Adam
+from .objectives import mlp_logits, new_mlp
+from .optim import fit
 
 
 def _normalize_rows(x, side):
@@ -104,38 +105,19 @@ class CLDCReport:
     n_classes: int = N_CLDC_CLASSES
 
 
-@dataclass
-class MLPClassifier:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def predict(self, x):
-        hidden = np.tanh(np.asarray(x) @ self.w1 + self.b1)
-        return (hidden @ self.w2 + self.b2).argmax(axis=1)
-
-
 def train_mlp(x, y, n_classes, hidden=64, steps=300, lr=1e-3, seed=0):
-    """Full-batch Adam on a one-hidden-layer tanh MLP."""
-    x = np.asarray(x, dtype=np.float64)
+    """Full-batch Adam on a one-hidden-layer tanh MLP; returns its `ClassifierHead`."""
+    x = ad.constant(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    d = x.shape[1]
-    clf = MLPClassifier(
-        rng.uniform(-1, 1, size=(d, hidden)) / np.sqrt(d), np.zeros(hidden),
-        rng.uniform(-1, 1, size=(hidden, n_classes)) / np.sqrt(hidden), np.zeros(n_classes))
-    params = {"w1": clf.w1, "b1": clf.b1, "w2": clf.w2, "b2": clf.b2}
-    opt = Adam(lr=lr)
-    xc = ad.constant(x)
-    for _ in range(steps):
-        leaves = {name: ad.leaf(arr) for name, arr in params.items()}
-        h = ad.tanh(ad.add(ad.matmul(xc, leaves["w1"]), leaves["b1"]))
-        logits = ad.add(ad.matmul(h, leaves["w2"]), leaves["b2"])
-        loss = ad.scale(ad.softmax_cross_entropy_sum(logits, y), 1.0 / len(y))
-        ad.backward(loss)
-        opt.apply(params, {name: t.grad for name, t in leaves.items()})
-    return clf
+    head = new_mlp(x.shape[1], hidden, n_classes, seed)
+
+    def one_step(_):
+        head_tensors = ad.ParamSet(head)
+        loss = ad.softmax_cross_entropy_sum(mlp_logits(x, head_tensors), y)
+        return ad.scale(loss, 1.0 / len(y)), (head_tensors,), ()
+
+    fit([head], steps, lr, one_step)
+    return head
 
 
 def mean_document_embedding(doc, embedder):

@@ -57,7 +57,7 @@ def apply_map(e, m, reverse=False):
     `reverse=True` applies W^T, taking target-space vectors back to the
     source space (exact because W is orthogonal).
     """
-    vec = np.asarray(getattr(e, "vector", e), dtype=np.float64)
+    vec = np.asarray(e, dtype=np.float64)
     if vec.shape[-1] != m.dim:
         raise ValueError(f"embedding dim {vec.shape[-1]} does not match map dim {m.dim}")
     return vec @ (m.w.T if reverse else m.w)

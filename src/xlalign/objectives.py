@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoders import (EncoderParams, LSTMParams, _cell, encode_batch, encode_sentences,
                        init_lstm, pad_batch, _check_ids)
-from .optim import Adam
+from .optim import fit
 from .rand import Xorshift64Star
 from .text import BOS, EOS, PAD, NoiseParams, corrupt
 
@@ -178,17 +178,6 @@ class JointResult:
     trace: list
 
 
-def optimizer_params(*parts):
-    """name -> array over parameter sets, named as their `ParamSet` gradients are."""
-    params = {}
-    for part in parts:
-        arrays = part.named_arrays(part.prefix)
-        if arrays.keys() & params.keys():
-            raise ValueError(f"two parameter sets share the prefix {part.prefix!r}")
-        params.update(arrays)
-    return params
-
-
 def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, noise=None):
     """Alternate batch languages round-robin against one shared decoder.
 
@@ -204,13 +193,10 @@ def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, 
     noise = noise if noise is not None else NoiseParams(seed=sched.seed)
     noise_rng = Xorshift64Star(noise.seed ^ 0x5DEECE66D)
     rng = np.random.default_rng(sched.seed)
-    opt = Adam(lr=sched.lr)
-    params = optimizer_params(decoder, *encoders.values())
-
     pivot_sents = parallel.target_sentences()
     pairs = parallel.pairs
-    trace = []
-    for step in range(sched.steps):
+
+    def one_step(step):
         lang = order[step % len(order)]
         idx = rng.integers(0, len(pairs), size=sched.batch_size)
         if lang == pivot_lang:
@@ -225,10 +211,11 @@ def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, 
             graph = seq2seq_loss(src, tgt, encoders[lang], decoder,
                                  vocabs[lang], vocabs[pivot_lang])
             objective, pair = "nmt", f"{lang}>{pivot_lang}"
-        ad.backward(graph.loss)
-        # key order is the clip-norm summation order: encoder, then decoder
-        opt.apply(params, {**graph.enc_tensors.gradients(), **graph.dec_tensors.gradients()})
-        trace.append((step, objective, pair, float(graph.loss.data)))
+        # clip-norm summation order: encoder, then decoder
+        return (graph.loss, (graph.enc_tensors, graph.dec_tensors),
+                [(step, objective, pair, float(graph.loss.data))])
+
+    trace = fit([decoder, *encoders.values()], sched.steps, sched.lr, one_step)
     return JointResult(encoders, decoder, trace)
 
 
@@ -238,9 +225,12 @@ def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, 
 
 @dataclass
 class ClassifierHead:
-    w1: np.ndarray  # (4 * sentence_dim, hidden)
+    """One-hidden-layer tanh MLP: the shared InferSent head over pair
+    features, and the CLDC classifier over document vectors."""
+
+    w1: np.ndarray  # (in_dim, hidden)
     b1: np.ndarray
-    w2: np.ndarray  # (hidden, 3)
+    w2: np.ndarray  # (hidden, n_classes)
     b2: np.ndarray
 
     prefix = "head."
@@ -253,13 +243,25 @@ class ClassifierHead:
         return {f"{prefix}w1": self.w1, f"{prefix}b1": self.b1,
                 f"{prefix}w2": self.w2, f"{prefix}b2": self.b2}
 
+    def predict(self, x):
+        """Class id of each row of the plain array x."""
+        return mlp_logits(ad.constant(x), ad.ParamSet(self, trainable=False)).data.argmax(axis=1)
+
+
+def new_mlp(in_dim, hidden, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-1, 1, size=(in_dim, hidden)) / np.sqrt(in_dim)
+    w2 = rng.uniform(-1, 1, size=(hidden, n_classes)) / np.sqrt(hidden)
+    return ClassifierHead(w1, np.zeros(hidden), w2, np.zeros(n_classes))
+
 
 def new_head(sentence_dim, hidden=128, seed=0):
-    rng = np.random.default_rng(seed)
-    fan_in = 4 * sentence_dim
-    w1 = rng.uniform(-1, 1, size=(fan_in, hidden)) / np.sqrt(fan_in)
-    w2 = rng.uniform(-1, 1, size=(hidden, 3)) / np.sqrt(hidden)
-    return ClassifierHead(w1, np.zeros(hidden), w2, np.zeros(3))
+    return new_mlp(4 * sentence_dim, hidden, 3, seed)
+
+
+def mlp_logits(x, head_tensors):
+    hidden = ad.tanh(ad.add(ad.matmul(x, head_tensors["w1"]), head_tensors["b1"]))
+    return ad.add(ad.matmul(hidden, head_tensors["w2"]), head_tensors["b2"])
 
 
 def pair_features(u, v):
@@ -293,9 +295,7 @@ def infersent_loss(premises, hypotheses, labels, enc_p, enc_h, head, vocab_p, vo
 
 
 def head_logits(u, v, head_tensors):
-    feats = pair_features(u, v)
-    hidden = ad.tanh(ad.add(ad.matmul(feats, head_tensors["w1"]), head_tensors["b1"]))
-    return ad.add(ad.matmul(hidden, head_tensors["w2"]), head_tensors["b2"])
+    return mlp_logits(pair_features(u, v), head_tensors)
 
 
 def infersent_classify(u, v, head):
@@ -348,29 +348,26 @@ def train_joint_infersent(datasets, encoders, head, vocabs, sched):
             raise ValueError(f"no encoder for language {lang!r}")
     n = len(datasets[langs[0]].premises)
     rng = np.random.default_rng(sched.seed)
-    opt = Adam(lr=sched.lr)
-    params = optimizer_params(head, *encoders.values())
+    draws = []
 
-    trace, draws = [], []
-    for step in range(sched.steps):
+    def one_step(step):
         p_lang, h_lang = draw_language_pair(rng, langs)
         draws.append((p_lang, h_lang))
         idx = rng.integers(0, n, size=sched.batch_size)
         labels = np.array([datasets[p_lang].labels[i] for i in idx])
-
         graph = infersent_loss([datasets[p_lang].premises[i] for i in idx],
                                [datasets[h_lang].hypotheses[i] for i in idx],
                                labels, encoders[p_lang], encoders[h_lang], head,
                                vocabs[p_lang], vocabs[h_lang])
-        ad.backward(graph.loss)
+        acc = float((graph.logits.data.argmax(axis=1) == labels).mean())
+        pair = f"{p_lang}|{h_lang}"
         # clip-norm summation order: head, premise, hypothesis; one ParamSet
         # serves both sides when p_lang == h_lang
-        opt.apply(params, {**graph.head_tensors.gradients(), **graph.premise_tensors.gradients(),
-                           **graph.hypothesis_tensors.gradients()})
+        return (graph.loss, (graph.head_tensors, graph.premise_tensors, graph.hypothesis_tensors),
+                [(step, "infersent_loss", pair, float(graph.loss.data)),
+                 (step, "infersent_acc", pair, acc)])
 
-        acc = float((graph.logits.data.argmax(axis=1) == labels).mean())
-        trace.append((step, "infersent_loss", f"{p_lang}|{h_lang}", float(graph.loss.data)))
-        trace.append((step, "infersent_acc", f"{p_lang}|{h_lang}", acc))
+    trace = fit([head, *encoders.values()], sched.steps, sched.lr, one_step)
     return InferSentResult(encoders, head, trace, draws)
 
 
@@ -430,17 +427,14 @@ def train_transfer(parallel, pivot_enc, new_enc, src_vocab, tgt_vocab, sched):
             f"embedding dimension mismatch: pivot {pivot_enc.output_dim} vs new {new_enc.output_dim}")
     targets = encode_sentences(parallel.target_sentences(), tgt_vocab, pivot_enc)
     rng = np.random.default_rng(sched.seed)
-    opt = Adam(lr=sched.lr)
-    params = optimizer_params(new_enc)
-
-    trace = []
     src_sents = parallel.source_sentences()
-    for step in range(sched.steps):
+    pair = f"{parallel.src_lang}>{parallel.tgt_lang}"
+
+    def one_step(step):
         idx = rng.integers(0, len(src_sents), size=sched.batch_size)
         loss, enc_tensors = transfer_l1_loss([src_sents[i] for i in idx], targets[idx],
                                              new_enc, src_vocab)
-        ad.backward(loss)
-        opt.apply(params, enc_tensors.gradients())
-        trace.append((step, "transfer_l1", f"{parallel.src_lang}>{parallel.tgt_lang}",
-                      float(loss.data)))
+        return loss, (enc_tensors,), [(step, "transfer_l1", pair, float(loss.data))]
+
+    trace = fit([new_enc], sched.steps, sched.lr, one_step)
     return TransferResult(new_enc, trace)

@@ -1,77 +1,80 @@
-"""Adam optimizer with bias correction, plus global-norm gradient clipping."""
+"""Adam with bias correction and global-norm gradient clipping, and the one
+training loop every learner runs through it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from . import autodiff as ad
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam moments and hyperparameters."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def for_param(cls, param, **hyper):
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param), **hyper)
-
-
-def adam_step(param, grad, state):
-    """One bias-corrected Adam update; returns the new parameter value.
-
-    Increments state.t and updates the moments in place.
-    """
-    param = np.asarray(param)
-    grad = np.asarray(grad)
-    if param.shape != grad.shape:
-        raise ValueError(f"parameter shape {param.shape} does not match gradient shape {grad.shape}")
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("non-finite gradient passed to adam_step")
-    state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+CLIP_NORM = 5.0
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm.
+
+    A non-finite norm raises `NonFiniteError`.
+    """
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if not np.isfinite(total):
+        raise ad.NonFiniteError(f"non-finite global gradient norm {total}")
     if total <= max_norm or total == 0.0:
         return grads
     factor = max_norm / total
     return {name: g * factor for name, g in grads.items()}
 
 
-@dataclass
 class Adam:
-    """Keeps one AdamState per named parameter and updates arrays in place."""
+    """Bias-corrected Adam after clipping to CLIP_NORM; one [m, v, t] per parameter name."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    clip_norm: float | None = 5.0
-    states: dict = field(default_factory=dict)
+    def __init__(self, lr):
+        self.lr = lr
+        self.state = {}
 
     def apply(self, params, grads):
         """params: name -> ndarray (updated in place); grads: name -> ndarray."""
-        if self.clip_norm is not None:
-            grads = clip_global_norm(grads, self.clip_norm)
-        for name, g in grads.items():
+        for name, g in clip_global_norm(grads, CLIP_NORM).items():
             p = params[name]
-            st = self.states.get(name)
-            if st is None:
-                st = AdamState.for_param(p, lr=self.lr, beta1=self.beta1,
-                                         beta2=self.beta2, epsilon=self.epsilon)
-                self.states[name] = st
-            p[...] = adam_step(p, g, st)
+            if p.shape != g.shape:
+                raise ValueError(f"parameter shape {p.shape} does not match gradient shape {g.shape}")
+            m, v, t = self.state.get(name) or (np.zeros_like(p), np.zeros_like(p), 0)
+            t += 1
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
+            self.state[name] = [m, v, t]
+            m_hat = m / (1.0 - BETA1 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
+            p[...] = p - self.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+
+
+def optimizer_params(*parts):
+    """name -> array over parameter sets, named as their `ParamSet` gradients are."""
+    params = {}
+    for part in parts:
+        arrays = part.named_arrays(part.prefix)
+        if arrays.keys() & params.keys():
+            raise ValueError(f"two parameter sets share the prefix {part.prefix!r}")
+        params.update(arrays)
+    return params
+
+
+def fit(parts, steps, lr, step):
+    """Train the parameter sets `parts` (updated in place) for `steps` Adam steps.
+
+    `step(i)` samples batch i and builds its loss graph; it returns the scalar
+    loss, the `ParamSet`s that hold the gradients in clip-norm summation order
+    (one may repeat) and the trace rows it logs. Returns every trace row.
+    """
+    opt = Adam(lr)
+    params = optimizer_params(*parts)
+    trace = []
+    for i in range(steps):
+        loss, param_sets, rows = step(i)
+        ad.backward(loss)
+        grads = {}
+        for tensors in param_sets:
+            grads.update(tensors.gradients())
+        opt.apply(params, grads)
+        trace.extend(rows)
+    return trace

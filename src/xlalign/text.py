@@ -209,6 +209,8 @@ def load_word2vec(path):
     """
     with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().split()
+        if len(header) != 2 or not all(h.isdigit() for h in header):
+            raise ValueError(f"{path}: header {' '.join(header)!r} is not '<count> <dim>'")
         count, dim = int(header[0]), int(header[1])
         words, rows = [], []
         for line in fh:

@@ -22,9 +22,10 @@ from xlalign.evaluation import (cldc_train_eval, nearest_neighbors,
 from xlalign.mapping import apply_map, fit_orthogonal_map
 from xlalign.objectives import (TrainSchedule, draw_language_pair, infersent_loss,
                                 infersent_accuracy, new_decoder, new_head,
-                                optimizer_params, seq2seq_loss, train_joint_infersent,
+                                seq2seq_loss, train_joint_infersent,
                                 train_joint_seq2seq, train_transfer,
                                 transfer_l1_loss)
+from xlalign.optim import optimizer_params
 from xlalign.text import NoiseParams, ParallelCorpus, build_vocab
 
 from conftest import finite_difference_grads, max_relative_error

@@ -69,6 +69,13 @@ def test_missing_config_file_is_validation_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
+def test_non_utf8_config_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("seed=7  # r\xe9sum\xe9\n".encode("latin-1"))
+    assert main(["run", "--config", str(bad)]) == 1
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_missing_corpus_file_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("corpus=files\nsrc_path=/nonexistent/a\ntgt_path=/nonexistent/b\n")
@@ -168,6 +175,19 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
     dump_sentence_embeddings(tgt, x)
     assert main(["eval-retrieval", "--src-emb", str(src), "--tgt-emb", str(tgt)]) == 2
     assert "zero-norm" in capsys.readouterr().err
+
+
+def test_empty_embedding_file_fails_without_traceback(tmp_path, rng):
+    empty, ok = tmp_path / "empty.vec", tmp_path / "ok.vec"
+    empty.write_text("")
+    dump_sentence_embeddings(ok, rng.normal(size=(4, 3)))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "xlalign.cli", "eval-retrieval",
+                           "--src-emb", str(empty), "--tgt-emb", str(ok)],
+                          capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    assert proc.returncode != 0
+    assert "empty.vec" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("setting", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xlalign.optim import Adam, AdamState, adam_step, clip_global_norm
+from xlalign.optim import Adam, clip_global_norm
 
 
 def adam_reference(theta, grad_fn, steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -17,44 +17,66 @@ def adam_reference(theta, grad_fn, steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return trajectory
 
 
+def _stepped(opt, p, g):
+    """Apply one Adam update of the single parameter `p` to a copy of it."""
+    params = {"p": np.array(p, dtype=np.float64)}
+    opt.apply(params, {"p": np.asarray(g, dtype=np.float64)})
+    return params["p"]
+
+
 def test_zero_gradient_is_identity():
     p = np.array([1.0, -2.0, 3.0])
-    st = AdamState.for_param(p)
-    out = adam_step(p, np.zeros(3), st)
+    opt = Adam(1e-3)
+    out = _stepped(opt, p, np.zeros(3))
     np.testing.assert_array_equal(out, p)
-    assert st.t == 1
+    assert opt.state["p"][2] == 1
 
 
 def test_first_step_magnitude_is_lr():
-    st = AdamState.for_param(np.zeros(1), lr=1e-3)
-    out = adam_step(np.zeros(1), np.array([0.37]), st)
+    out = _stepped(Adam(1e-3), np.zeros(1), np.array([0.37]))
     # bias correction makes m-hat = g and v-hat = g^2 on step one
     assert abs(abs(out[0]) - 1e-3) < 1e-9
 
 
 def test_five_step_trajectory_matches_reference():
     theta = 1.0
-    st = AdamState.for_param(np.array(theta), lr=0.1)
+    opt = Adam(0.1)
+    params = {"p": np.array(theta)}
     mine = []
-    p = np.array(theta)
     for _ in range(5):
-        p = adam_step(p, 2.0 * p, st)
-        mine.append(float(p))
+        opt.apply(params, {"p": 2.0 * params["p"]})  # |g| <= 2: never clipped
+        mine.append(float(params["p"]))
     ref = adam_reference(theta, lambda x: 2.0 * x, 5, lr=0.1)
     assert max(abs(a - b) for a, b in zip(mine, ref)) < 1e-12
-    assert st.t == 5
+    assert opt.state["p"][2] == 5
+
+
+def test_alternating_names_each_follow_the_reference():
+    """Names updated on alternate calls keep their own moments and step
+    counts, as the joint loop's per-language encoders do."""
+    opt = Adam(0.1)
+    params = {"a": np.array(1.0), "b": np.array(-0.5)}
+    mine = {"a": [], "b": []}
+    for k in range(10):
+        name = "ab"[k % 2]
+        opt.apply(params, {name: 2.0 * params[name]})
+        mine[name].append(float(params[name]))
+    for name, start in (("a", 1.0), ("b", -0.5)):
+        ref = adam_reference(start, lambda x: 2.0 * x, 5, lr=0.1)
+        assert max(abs(a - b) for a, b in zip(mine[name], ref)) < 1e-12
+        assert opt.state[name][2] == 5
 
 
 def test_shape_mismatch_rejected():
-    st = AdamState.for_param(np.zeros(3))
     with pytest.raises(ValueError, match="shape"):
-        adam_step(np.zeros(3), np.zeros(4), st)
+        Adam(1e-3).apply({"p": np.zeros(3)}, {"p": np.zeros(4)})
 
 
 def test_non_finite_gradient_rejected():
-    st = AdamState.for_param(np.zeros(2))
+    p = np.zeros(2)
     with pytest.raises(ValueError, match="non-finite"):
-        adam_step(np.zeros(2), np.array([1.0, np.nan]), st)
+        Adam(1e-3).apply({"p": p}, {"p": np.array([1.0, np.nan])})
+    np.testing.assert_array_equal(p, np.zeros(2))
 
 
 def test_clip_global_norm():
@@ -69,7 +91,7 @@ def test_clip_global_norm():
 def test_adam_updates_in_place():
     p = np.array([1.0, 1.0])
     params = {"p": p}
-    opt = Adam(lr=0.5)
+    opt = Adam(0.5)
     opt.apply(params, {"p": np.array([1.0, -1.0])})
     assert params["p"] is p
     assert p[0] < 1.0 < p[1]
