@@ -19,6 +19,11 @@ Conventions:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import operator
+import typing
+
 import numpy as np
 
 MASK_FILL = -1e30  # stands in for -inf in masked max-pooling; finite on purpose
@@ -28,22 +33,14 @@ class NonFiniteError(ValueError):
     """A tensor value contains NaN or Inf."""
 
 
-def _as_array(data, dtype=None):
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    return arr
-
-
 class Tensor:
     """One node of the computation graph; wraps an ndarray."""
 
     __slots__ = ("data", "op", "parents", "requires_grad", "grad", "_backward")
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=(), backward=None):
-        self.data = _as_array(data)
+        data = np.asarray(data)  # float32 stays float32; any other dtype becomes float64
+        self.data = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteError(f"non-finite values in tensor produced by op '{op}'")
         self.op = op
@@ -60,22 +57,65 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
 
-def constant(data, dtype=None):
+def constant(data):
     """Graph input that never receives gradient."""
-    return Tensor(_as_array(data, dtype), requires_grad=False)
+    return Tensor(data, requires_grad=False)
 
 
-def leaf(data, dtype=None):
+def leaf(data):
     """Trainable graph input (a parameter)."""
-    return Tensor(_as_array(data, dtype), requires_grad=True)
+    return Tensor(data, requires_grad=True)
+
+
+@functools.cache
+def name_table(cls):
+    """The one name table of a parameter set: (name, attribute path, is an array) per
+    leaf field of the dataclass `cls`, in field order. `embeddings` is named `emb`; a
+    nested dataclass field `f` adds `f.<name>` per leaf; a non-array leaf (`lang`) is metadata."""
+    hints, table = typing.get_type_hints(cls), []
+    for field in dataclasses.fields(cls):
+        f, kind = field.name, hints[field.name]
+        if dataclasses.is_dataclass(kind):
+            table += [(f"{f}.{n}", f"{f}.{p}", a) for n, p, a in name_table(kind)]
+        else:
+            table.append(("emb" if f == "embeddings" else f, f, kind is np.ndarray))
+    return tuple(table)
+
+
+def build_params(cls, values):
+    """The dataclass `cls` from an iterator over its leaf values in `name_table` order."""
+    hints = typing.get_type_hints(cls)
+    return cls(*(build_params(hints[f.name], values) if dataclasses.is_dataclass(hints[f.name])
+                 else next(values) for f in dataclasses.fields(cls)))
+
+
+@functools.cache
+def _getters(cls, prefix):
+    return tuple((prefix + name, operator.attrgetter(path))
+                 for name, path, is_array in name_table(cls) if is_array)
+
+
+class Params:
+    """Base of the parameter-set dataclasses; `kind` prefixes their array
+    names in a checkpoint and, by default, in training."""
+
+    kind = ""
+
+    @property
+    def prefix(self):
+        return f"{self.kind}."
+
+    def named_arrays(self, prefix=None):
+        """name -> array (not a copy) under `prefix`, by default the training prefix."""
+        getters = _getters(type(self), self.prefix if prefix is None else prefix)
+        return {name: get(self) for name, get in getters}
 
 
 class ParamSet:
     """Graph-side view of a parameter set, wrapped once per step.
 
-    `params` is any object with a `prefix` and `named_arrays(prefix)`; its
-    tensors are looked up by name without the prefix, and `gradients()` keys
-    carry it, so they match the optimizer's name -> array dict.
+    `params` is a `Params`; its tensors are looked up by name without the prefix,
+    and `gradients()` keys carry it, matching the optimizer's name -> array dict.
     """
 
     def __init__(self, params, trainable=True):

@@ -3,7 +3,7 @@
 Layout::
 
     XLALIGN-CKPT 1
-    # optional metadata comment lines
+    # key=value ...              (optional metadata comment lines)
     <name> <ndim> <dim1> ... <dimk>
     <value> <value> ...          (exactly prod(dims) values, any line wrapping)
 
@@ -98,3 +98,13 @@ def load_checkpoint(path):
                 raise ValueError(f"extra values after tensor {name!r}")
             tensors[name] = np.array(values, dtype=np.float64).reshape(dims)
     return tensors, comments
+
+
+def parse_metadata(path, comments):
+    """key -> value over the `key=value` tokens of a checkpoint's comment
+    lines; any other token is a ValueError naming the file and the token."""
+    tokens = [token.partition("=") for line in comments for token in line.split()]
+    for key, sep, value in tokens:
+        if not (key and sep):
+            raise ValueError(f"{path}: comment token {key + sep + value!r} is not key=value")
+    return {key: value for key, _, value in tokens}

@@ -33,10 +33,6 @@ class LSTMParams:
     def hidden_size(self):
         return self.w_rec.shape[0]
 
-    @property
-    def input_size(self):
-        return self.w_in.shape[0]
-
 
 def init_lstm(input_dim, hidden, rng):
     """Uniform in [-1/sqrt(H), 1/sqrt(H)]; forget-gate bias starts at 1.0."""
@@ -49,19 +45,17 @@ def init_lstm(input_dim, hidden, rng):
 
 
 @dataclass
-class EncoderParams:
+class EncoderParams(ad.Params):
     embeddings: np.ndarray  # (V, D)
     fwd: LSTMParams
     bwd: LSTMParams
     lang: str
 
+    kind = "enc"
+
     @property
     def vocab_size(self):
         return self.embeddings.shape[0]
-
-    @property
-    def dim(self):
-        return self.embeddings.shape[1]
 
     @property
     def hidden_size(self):
@@ -74,16 +68,7 @@ class EncoderParams:
     @property
     def prefix(self):
         """Parameter-name prefix used in training, unique per language."""
-        return f"enc.{self.lang}."
-
-    def named_arrays(self, prefix=""):
-        return {
-            f"{prefix}emb": self.embeddings,
-            f"{prefix}fwd.w_in": self.fwd.w_in, f"{prefix}fwd.w_rec": self.fwd.w_rec,
-            f"{prefix}fwd.bias": self.fwd.bias,
-            f"{prefix}bwd.w_in": self.bwd.w_in, f"{prefix}bwd.w_rec": self.bwd.w_rec,
-            f"{prefix}bwd.bias": self.bwd.bias,
-        }
+        return f"{self.kind}.{self.lang}."
 
 
 def new_encoder(vocab_size, dim, hidden, lang, seed):
@@ -91,15 +76,6 @@ def new_encoder(vocab_size, dim, hidden, lang, seed):
     bound = 1.0 / np.sqrt(dim)
     emb = rng.uniform(-bound, bound, size=(vocab_size, dim))
     return EncoderParams(emb, init_lstm(dim, hidden, rng), init_lstm(dim, hidden, rng), lang)
-
-
-def copy_encoder(enc):
-    return EncoderParams(
-        enc.embeddings.copy(),
-        LSTMParams(enc.fwd.w_in.copy(), enc.fwd.w_rec.copy(), enc.fwd.bias.copy()),
-        LSTMParams(enc.bwd.w_in.copy(), enc.bwd.w_rec.copy(), enc.bwd.bias.copy()),
-        enc.lang,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, parse_metadata, save_checkpoint
 from .linalg import svd
 
 
@@ -34,7 +34,9 @@ def fit_orthogonal_map(x, y, src_space="src", tgt_space="tgt", center=False):
     """Fit W mapping rows of x onto rows of y (paired translations).
 
     `center` subtracts the column means before fitting; off by default since
-    the map is rotation-only.
+    the map is rotation-only. Fewer pairs than the embedding width leave it
+    underdetermined, so retrieval hinges on float rounding (2H = 64, 50 pairs:
+    top-1 0.46 vs 0.44 for encoders ≤ 2.2e-16 apart).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -72,7 +74,7 @@ def load_map(path):
     tensors, comments = load_checkpoint(path)
     if "W" not in tensors:
         raise ValueError(f"{path} holds no tensor named W")
-    fields = dict(item.split("=", 1) for line in comments for item in line.split())
+    fields = parse_metadata(path, comments)
     return AlignmentMap(tensors["W"], fields.get("src", "src"), fields.get("tgt", "tgt"),
                         int(fields.get("pairs", 0)), float(fields.get("residual", "nan")))
 

@@ -58,30 +58,18 @@ def write_trace(path, rows):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DecoderParams:
+class DecoderParams(ad.Params):
     embeddings: np.ndarray  # (V, D) previous-token table, untied from encoders
     cell: LSTMParams        # input dim D + sentence_dim
     w_out: np.ndarray       # (H, V)
     b_out: np.ndarray       # (V,)
     lang: str
 
-    prefix = "dec."
+    kind = "dec"
 
     @property
     def vocab_size(self):
         return self.w_out.shape[1]
-
-    @property
-    def sentence_dim(self):
-        return self.cell.input_size - self.embeddings.shape[1]
-
-    def named_arrays(self, prefix="dec."):
-        return {
-            f"{prefix}emb": self.embeddings,
-            f"{prefix}cell.w_in": self.cell.w_in, f"{prefix}cell.w_rec": self.cell.w_rec,
-            f"{prefix}cell.bias": self.cell.bias,
-            f"{prefix}w_out": self.w_out, f"{prefix}b_out": self.b_out,
-        }
 
 
 def new_decoder(vocab_size, dim, sentence_dim, hidden, lang, seed):
@@ -127,6 +115,12 @@ def decode_ce_sum(sent_emb, dec_tensors, dec_in, targets, mask):
     return ad.softmax_cross_entropy_sum(logits, ad.time_major(targets), ad.time_major(mask))
 
 
+def _encode_for(enc_tensors, enc, vocab, sentences):
+    ids, mask, _ = pad_batch([vocab.encode(s) for s in sentences])
+    _check_ids(ids, enc.vocab_size)
+    return encode_batch(ids, mask, enc_tensors)
+
+
 @dataclass
 class LossGraph:
     loss: ad.Tensor
@@ -148,8 +142,6 @@ def seq2seq_loss(inputs, targets, enc, dec, src_vocab, tgt_vocab,
     if denoise is not None:
         rng = noise_rng if noise_rng is not None else Xorshift64Star(denoise.seed)
         inputs = [corrupt(s, denoise, rng) for s in inputs]
-    in_ids, in_mask, _ = pad_batch([src_vocab.encode(s) for s in inputs])
-    _check_ids(in_ids, enc.vocab_size)
     if any(not s for s in targets):
         raise ValueError("cannot decode an empty target sentence")
     tgt_ids = [tgt_vocab.encode(s) for s in targets]
@@ -160,7 +152,7 @@ def seq2seq_loss(inputs, targets, enc, dec, src_vocab, tgt_vocab,
 
     enc_tensors = ad.ParamSet(enc)
     dec_tensors = ad.ParamSet(dec)
-    sent = encode_batch(in_ids, in_mask, enc_tensors)
+    sent = _encode_for(enc_tensors, enc, src_vocab, inputs)
     dec_in, tgt_arr, mask = teacher_forcing_arrays(tgt_ids, append_eos)
     n_tokens = int(mask.sum())
     ce = decode_ce_sum(sent, dec_tensors, dec_in, tgt_arr, mask)
@@ -224,7 +216,7 @@ def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, 
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ClassifierHead:
+class ClassifierHead(ad.Params):
     """One-hidden-layer tanh MLP: the shared InferSent head over pair
     features, and the CLDC classifier over document vectors."""
 
@@ -233,15 +225,7 @@ class ClassifierHead:
     w2: np.ndarray  # (hidden, n_classes)
     b2: np.ndarray
 
-    prefix = "head."
-
-    @property
-    def n_classes(self):
-        return self.w2.shape[1]
-
-    def named_arrays(self, prefix="head."):
-        return {f"{prefix}w1": self.w1, f"{prefix}b1": self.b1,
-                f"{prefix}w2": self.w2, f"{prefix}b2": self.b2}
+    kind = "head"
 
     def predict(self, x):
         """Class id of each row of the plain array x."""
@@ -371,12 +355,6 @@ def train_joint_infersent(datasets, encoders, head, vocabs, sched):
     return InferSentResult(encoders, head, trace, draws)
 
 
-def _encode_for(enc_tensors, enc, vocab, sentences):
-    ids, mask, _ = pad_batch([vocab.encode(s) for s in sentences])
-    _check_ids(ids, enc.vocab_size)
-    return encode_batch(ids, mask, enc_tensors)
-
-
 def infersent_accuracy(datasets, encoders, head, vocabs, p_lang, h_lang, batch=64):
     """Classification accuracy over a full dataset for one language pairing."""
     data_p, data_h = datasets[p_lang], datasets[h_lang]
@@ -402,9 +380,7 @@ def transfer_l1_loss(sentences, target_embeddings, enc, vocab):
     sentences and fixed target embeddings. Returns (loss, encoder ParamSet).
     """
     enc_tensors = ad.ParamSet(enc)
-    ids, mask, _ = pad_batch([vocab.encode(s) for s in sentences])
-    _check_ids(ids, enc.vocab_size)
-    emb = encode_batch(ids, mask, enc_tensors)
+    emb = _encode_for(enc_tensors, enc, vocab, sentences)
     diff = ad.absolute(ad.sub(emb, ad.constant(target_embeddings)))
     return ad.scale(ad.tsum(diff), 1.0 / len(sentences)), enc_tensors
 

@@ -6,22 +6,22 @@ fixed offsets, so a config + seed pins every random draw in the run.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from . import autodiff as ad
+from .checkpoint import load_checkpoint, parse_metadata, save_checkpoint
 from .cipher import gen_cipher_corpus, write_corpus_files
 from .config import ConfigError
-from .encoders import (EncoderParams, LSTMParams, encode_sentences,
-                       encode_sif_matrix, new_encoder)
+from .encoders import EncoderParams, encode_sentences, encode_sif_matrix, new_encoder
 from .evaluation import (accuracy_curve, neighbor_report, retrieval_accuracy,
                          write_curve_csv, write_retrieval_csv)
 from .mapping import fit_orthogonal_map, fit_word_dictionary_map, save_map
-from .objectives import (ClassifierHead, DecoderParams, TrainSchedule, new_decoder,
-                         new_head, train_joint_infersent, train_joint_seq2seq,
-                         train_transfer, write_trace)
+from .objectives import (TrainSchedule, new_decoder, new_head, train_joint_infersent,
+                         train_joint_seq2seq, train_transfer, write_trace)
 from .text import (NoiseParams, ParallelCorpus, build_vocab, load_dictionary,
                    load_parallel, load_word2vec, make_splits)
 
@@ -150,8 +150,8 @@ class Experiment:
             result = train_transfer(split, pivot_enc, new_enc, self.data.vocabs[self.other],
                                     self.data.vocabs[self.pivot], self._schedule(SEED_TRAIN))
             return (self._embed(new_enc), self._embed(pivot_enc)), {
-                f"encoder.{self.pivot}.ckpt": (save_encoder, pivot_enc),
-                f"encoder.{self.other}.ckpt": (save_encoder, new_enc),
+                f"encoder.{self.pivot}.ckpt": (save_params, pivot_enc),
+                f"encoder.{self.other}.ckpt": (save_params, new_enc),
                 "train.csv": (write_trace, result.trace)}
         return build
 
@@ -168,7 +168,7 @@ class Experiment:
             result = train_joint_seq2seq(split, encoders, decoder, self.data.vocabs,
                                          self.pivot, sched, noise)
             return self._embed_pair(encoders), {
-                **_encoder_files(encoders), "decoder.ckpt": (save_decoder, decoder),
+                **_encoder_files(encoders), "decoder.ckpt": (save_params, decoder),
                 "train.csv": (write_trace, result.trace)}
         return build
 
@@ -179,7 +179,7 @@ class Experiment:
         result = train_joint_infersent(self.data.cipher.nli, encoders, head, self.data.vocabs,
                                        self._schedule(SEED_INFERSENT))
         built = self._embed_pair(encoders), {
-            **_encoder_files(encoders), "head.ckpt": (save_head, head),
+            **_encoder_files(encoders), "head.ckpt": (save_params, head),
             "train.csv": (write_trace, result.trace)}
         return lambda split: built
 
@@ -254,48 +254,42 @@ class Experiment:
 
 
 def _encoder_files(encoders):
-    return {f"encoder.{lang}.ckpt": (save_encoder, enc) for lang, enc in sorted(encoders.items())}
+    return {f"encoder.{lang}.ckpt": (save_params, enc) for lang, enc in sorted(encoders.items())}
 
 
 # ---------------------------------------------------------------------------
-# checkpoint helpers for composite parameter sets
+# parameter-set checkpoints
 # ---------------------------------------------------------------------------
 
-def save_encoder(path, enc):
-    save_checkpoint(path, enc.named_arrays("enc."), comments=[f"lang={enc.lang}"])
+def save_params(path, params):
+    """Checkpoint a parameter set: its arrays named `<kind>.<name>`, its
+    metadata (`lang`) as one comment line of `key=value` tokens."""
+    meta = [f"{name}={getattr(params, name)}"
+            for name, _, is_array in ad.name_table(type(params)) if not is_array]
+    save_checkpoint(path, params.named_arrays(f"{params.kind}."),
+                    comments=[" ".join(meta)] if meta else [])
 
 
-def load_encoder(path, lang=None):
+def load_params(path, cls):
+    """The `cls` that `save_params` wrote to `path`. Tensor names other than
+    the class's, or a missing metadata key, are a ValueError naming the file."""
     tensors, comments = load_checkpoint(path)
-    fields = dict(item.split("=", 1) for line in comments for item in line.split())
-    return EncoderParams(
-        tensors["enc.emb"],
-        LSTMParams(tensors["enc.fwd.w_in"], tensors["enc.fwd.w_rec"], tensors["enc.fwd.bias"]),
-        LSTMParams(tensors["enc.bwd.w_in"], tensors["enc.bwd.w_rec"], tensors["enc.bwd.bias"]),
-        lang or fields.get("lang", "xx"))
+    metadata = parse_metadata(path, comments)
+    table = [(f"{cls.kind}.{name}", tensors) if is_array else (name, metadata)
+             for name, _, is_array in ad.name_table(cls)]
+    expected = {key for key, source in table if source is tensors}
+    if tensors.keys() != expected:
+        raise ValueError(f"{path} is not a {cls.__name__} checkpoint: missing tensors "
+                         f"{sorted(expected - set(tensors))}, extra {sorted(set(tensors) - expected)}")
+    missing = [key for key, source in table if key not in source]
+    if missing:
+        raise ValueError(f"{path} has no {missing[0]}= comment")
+    return ad.build_params(cls, (source[key] for key, source in table))
 
 
-def save_decoder(path, dec):
-    save_checkpoint(path, dec.named_arrays("dec."), comments=[f"lang={dec.lang}"])
-
-
-def load_decoder(path):
-    tensors, comments = load_checkpoint(path)
-    fields = dict(item.split("=", 1) for line in comments for item in line.split())
-    return DecoderParams(
-        tensors["dec.emb"],
-        LSTMParams(tensors["dec.cell.w_in"], tensors["dec.cell.w_rec"], tensors["dec.cell.bias"]),
-        tensors["dec.w_out"], tensors["dec.b_out"], fields.get("lang", "xx"))
-
-
-def save_head(path, head):
-    save_checkpoint(path, head.named_arrays("head."))
-
-
-def load_head(path):
-    tensors, _ = load_checkpoint(path)
-    return ClassifierHead(tensors["head.w1"], tensors["head.b1"],
-                          tensors["head.w2"], tensors["head.b2"])
+# the names the benchmark calls
+save_encoder = save_params
+load_encoder = functools.partial(load_params, cls=EncoderParams)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,25 @@ def test_empty_embedding_file_fails_without_traceback(tmp_path, rng):
     assert "Traceback" not in proc.stderr
 
 
+def test_free_text_map_comment_fails_without_traceback(tmp_path, rng):
+    x = rng.normal(size=(4, 3))
+    src, tgt = tmp_path / "a.vec", tmp_path / "b.vec"
+    dump_sentence_embeddings(src, x)
+    dump_sentence_embeddings(tgt, x)
+    save_map(tmp_path / "handmade.ckpt", AlignmentMap(np.eye(3), "lb", "la", 4, 0.0))
+    lines = (tmp_path / "handmade.ckpt").read_text().splitlines(keepends=True)
+    lines[1] = "# made by hand\n"
+    (tmp_path / "handmade.ckpt").write_text("".join(lines))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "xlalign.cli", "eval-retrieval",
+                           "--src-emb", str(src), "--tgt-emb", str(tgt),
+                           "--map", str(tmp_path / "handmade.ckpt")],
+                          capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    assert proc.returncode == 2
+    assert "handmade.ckpt" in proc.stderr and "'made'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("setting", [
     "dim=0", "hidden=-1", "batch=0", "steps=0", "min_count=0", "splits=0", "p_del=2", "lr=nan",
     "languages=la,la", "cipher_vocab=9", "cipher_min_len=5 cipher_max_len=3",

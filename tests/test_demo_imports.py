@@ -1,7 +1,8 @@
-"""No test runs the demos, so a public name deleted from xlalign would break
-them unnoticed. Read each demo's syntax tree: every name it imports from
-xlalign, and every attribute it reads off an imported xlalign module (such as
-`ad.backward`), must exist."""
+"""No test runs the demos or the benchmark's workloads (bench/workloads.py),
+so a public name deleted from xlalign would break them unnoticed. Read each
+one's syntax tree: every name it imports from xlalign, and every attribute it
+reads off an imported xlalign module (such as `ad.backward` or
+`pipeline.save_encoder`), must exist."""
 
 import ast
 import importlib
@@ -10,7 +11,8 @@ from types import ModuleType
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "bench" / "workloads.py"]
 
 
 def _missing_names(tree):
@@ -36,7 +38,7 @@ def _missing_names(tree):
     return missing
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("demo", SCRIPTS, ids=lambda p: p.name)
 def test_demo_names_exist(demo):
     assert _missing_names(ast.parse(demo.read_text(encoding="utf-8"))) == []
 

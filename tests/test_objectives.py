@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from xlalign import autodiff as ad
 from xlalign.cipher import gen_cipher_corpus
-from xlalign.encoders import LSTMParams, copy_encoder, new_encoder
+from xlalign.encoders import LSTMParams, new_encoder
 from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule,
                                 infersent_classify, new_decoder, new_head,
                                 pair_features, seq2seq_loss, train_joint_infersent,
@@ -280,7 +282,7 @@ class TestTransfer:
         corpus = self._pair_corpus()
         vocab = build_vocab(corpus.target_sentences(), 1)
         pivot = new_encoder(len(vocab), 6, 5, "la", seed=2)
-        clone = copy_encoder(pivot)
+        clone = copy.deepcopy(pivot)
         same = ParallelCorpus([(t, t) for t in corpus.target_sentences()], "la", "la")
         res = train_transfer(same, pivot, clone, vocab, vocab,
                              TrainSchedule(4, 5, 1e-3, [], seed=3))

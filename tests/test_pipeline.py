@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from xlalign.checkpoint import load_checkpoint, save_checkpoint
 from xlalign.config import ConfigError, parse_config
-from xlalign.encoders import encode_sentences, new_encoder
-from xlalign.objectives import new_decoder, new_head
-from xlalign.pipeline import (Experiment, load_decoder, load_encoder, load_head,
-                              materialize, save_decoder, save_encoder, save_head)
+from xlalign.encoders import EncoderParams, encode_sentences, new_encoder
+from xlalign.objectives import ClassifierHead, DecoderParams, new_decoder, new_head
+from xlalign.pipeline import (Experiment, load_encoder, load_params, materialize,
+                              save_encoder, save_params)
 from xlalign.text import build_vocab
 
 TOY = """
@@ -50,37 +51,76 @@ def test_factory_caches_by_size():
     assert a is b
 
 
-def test_encoder_checkpoint_round_trip(tmp_path):
+PARAM_SETS = {
+    "encoder": (EncoderParams, lambda: new_encoder(12, 6, 5, "de", seed=9)),
+    "decoder": (DecoderParams, lambda: new_decoder(11, 6, 10, 5, "en", seed=2)),
+    "head": (ClassifierHead, lambda: new_head(8, hidden=6, seed=1)),
+}
+
+
+@pytest.mark.parametrize("kind", PARAM_SETS)
+def test_checkpoint_round_trip(tmp_path, kind):
+    cls, make = PARAM_SETS[kind]
+    params = make()
+    path = tmp_path / f"{kind}.ckpt"
+    save_params(path, params)
+    loaded = load_params(path, cls)
+    assert type(loaded) is cls
+    assert getattr(loaded, "lang", None) == getattr(params, "lang", None)
+    assert list(loaded.named_arrays()) == list(params.named_arrays())
+    for name, arr in params.named_arrays().items():
+        np.testing.assert_array_equal(loaded.named_arrays()[name], arr)
+
+
+def test_loaded_encoder_embeds_like_the_saved_one(tmp_path):
     enc = new_encoder(12, 6, 5, "de", seed=9)
     path = tmp_path / "enc.ckpt"
     save_encoder(path, enc)
     loaded = load_encoder(path)
-    assert loaded.lang == "de"
-    for name, arr in enc.named_arrays().items():
-        np.testing.assert_array_equal(loaded.named_arrays()[name], arr)
     vocab = build_vocab(["w0 w1 w2 w3 w4 w5 w6 w7"], min_count=1)
     sents = [["w1", "w5", "w0"]]
     np.testing.assert_array_equal(encode_sentences(sents, vocab, loaded),
                                   encode_sentences(sents, vocab, enc))
 
 
-def test_decoder_checkpoint_round_trip(tmp_path):
-    dec = new_decoder(11, 6, 10, 5, "en", seed=2)
-    path = tmp_path / "dec.ckpt"
-    save_decoder(path, dec)
-    loaded = load_decoder(path)
-    assert loaded.lang == "en"
-    for name, arr in dec.named_arrays().items():
-        np.testing.assert_array_equal(loaded.named_arrays()[name], arr)
+@pytest.mark.parametrize("saved, cls", [("decoder", EncoderParams), ("encoder", ClassifierHead)])
+def test_load_rejects_a_checkpoint_of_another_kind(tmp_path, saved, cls):
+    path = tmp_path / f"{saved}.ckpt"
+    save_params(path, PARAM_SETS[saved][1]())
+    with pytest.raises(ValueError, match=f"{path.name} is not a {cls.__name__} checkpoint"):
+        load_params(path, cls)
 
 
-def test_head_checkpoint_round_trip(tmp_path):
-    head = new_head(8, hidden=6, seed=1)
+def _rewrite(path, edit, comments=None):
+    tensors, old_comments = load_checkpoint(path)
+    edit(tensors)
+    save_checkpoint(path, tensors, old_comments if comments is None else comments)
+
+
+def test_load_rejects_a_missing_tensor(tmp_path):
+    path = tmp_path / "enc.ckpt"
+    save_params(path, PARAM_SETS["encoder"][1]())
+    _rewrite(path, lambda t: t.pop("enc.bwd.bias"))
+    with pytest.raises(ValueError, match=r"enc\.ckpt .*missing tensors \['enc\.bwd\.bias'\]"):
+        load_params(path, EncoderParams)
+
+
+def test_load_rejects_an_extra_tensor(tmp_path):
     path = tmp_path / "head.ckpt"
-    save_head(path, head)
-    loaded = load_head(path)
-    for name, arr in head.named_arrays().items():
-        np.testing.assert_array_equal(loaded.named_arrays()[name], arr)
+    save_params(path, PARAM_SETS["head"][1]())
+    _rewrite(path, lambda t: t.update({"head.w3": np.zeros(2)}))
+    with pytest.raises(ValueError, match=r"head\.ckpt .*extra \['head\.w3'\]"):
+        load_params(path, ClassifierHead)
+
+
+@pytest.mark.parametrize("kind", ["encoder", "decoder"])
+def test_load_rejects_a_missing_lang(tmp_path, kind):
+    cls, make = PARAM_SETS[kind]
+    path = tmp_path / f"{kind}.ckpt"
+    save_params(path, make())
+    _rewrite(path, lambda t: None, comments=[])
+    with pytest.raises(ValueError, match=f"{path.name} has no lang= comment"):
+        load_params(path, cls)
 
 
 def test_word_table_ingests_embedding_file(tmp_path):
