@@ -241,14 +241,6 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(a):
-    out = _sigmoid(a.data)
-
-    def bwd(g):
-        _accum(a, g * out * (1.0 - out))
-    return Tensor(out, op="sigmoid", parents=(a,), backward=bwd)
-
-
 def tanh(a):
     out = np.tanh(a.data)
 

@@ -10,6 +10,9 @@ from . import autodiff as ad
 from .objectives import mlp_logits, new_mlp
 from .optim import fit
 
+# byte budget of one block of similarity rows in retrieval
+BUDGET = 16 * 2**20
+
 
 def _normalize_rows(x, side):
     x = np.asarray(x, dtype=np.float64)
@@ -28,11 +31,31 @@ class RetrievalReport:
     gold_ranks: list | None = None  # 1-based rank of the gold translation per query
 
 
+def _similarity_blocks(xs, ys):
+    """Yield (start, block) over the cosine rows of consecutive query runs:
+    block[r] holds the similarities of query start + r to the whole pool.
+
+    Each block is a view of one buffer of at most BUDGET bytes (one row if a
+    row alone is larger), so memory stays bounded whatever the pool size;
+    the buffer is overwritten by the next block, so use a block before
+    asking for the next. A pool of up to 1448 rows fits in one block, which
+    is the single GEMM of the unblocked product.
+    """
+    n_queries, n = xs.shape[0], ys.shape[0]
+    rows = max(1, BUDGET // (8 * n))
+    buf = np.empty((min(rows, n_queries), n))
+    for start in range(0, n_queries, rows):
+        block = buf[:min(rows, n_queries - start)]
+        np.matmul(xs[start:start + len(block)], ys.T, out=block)
+        yield start, block
+
+
 def retrieval_accuracy(src, tgt, direction="src>tgt", store_ranks=False):
     """Fraction of source rows whose cosine-nearest target row is row i.
 
     Ties break toward the lowest index. Row i of src must be the translation
-    of row i of tgt.
+    of row i of tgt. Exact in memory bounded by BUDGET: each query's whole
+    similarity row is scored within one block.
     """
     xs = _normalize_rows(src, "source")
     ys = _normalize_rows(tgt, "target")
@@ -40,18 +63,17 @@ def retrieval_accuracy(src, tgt, direction="src>tgt", store_ranks=False):
         raise ValueError(f"paired matrices must share shape, got {xs.shape} and {ys.shape}")
     if xs.shape[0] < 2:
         raise ValueError("retrieval needs at least two pairs")
-    sims = xs @ ys.T
-    best = sims.argmax(axis=1)
-    hits = int((best == np.arange(xs.shape[0])).sum())
-    ranks = None
-    if store_ranks:
-        gold = sims[np.arange(len(sims)), np.arange(len(sims))]
-        # rank = 1 + number of strictly-better rows + earlier equal rows
-        ranks = []
-        for i, row in enumerate(sims):
-            better = int((row > gold[i]).sum())
-            equal_before = int((row[:i] == gold[i]).sum())
-            ranks.append(1 + better + equal_before)
+    hits = 0
+    ranks = [] if store_ranks else None
+    for start, block in _similarity_blocks(xs, ys):
+        gold_col = np.arange(start, start + len(block))
+        hits += int((block.argmax(axis=1) == gold_col).sum())
+        if store_ranks:
+            gold = block[np.arange(len(block)), gold_col][:, None]
+            # rank = 1 + number of strictly-better rows + earlier equal rows
+            earlier = np.arange(block.shape[1]) < gold_col[:, None]
+            ranks += (1 + (block > gold).sum(axis=1)
+                      + ((block == gold) & earlier).sum(axis=1)).tolist()
     return RetrievalReport(direction, hits / xs.shape[0], xs.shape[0], ranks)
 
 
@@ -60,11 +82,15 @@ def nearest_neighbors(query, pool, texts, k):
 
     Returns [(text, cosine), ...].
     """
+    return _ranked_neighbors(query, _normalize_rows(pool, "pool"), texts, k)
+
+
+def _ranked_neighbors(query, pool_n, texts, k):
+    """nearest_neighbors over a pool whose rows are already unit-normalised."""
     q = np.asarray(query, dtype=np.float64)
     qn = np.linalg.norm(q)
     if qn == 0.0:
         raise ValueError("zero-norm query embedding: cosine undefined")
-    pool_n = _normalize_rows(pool, "pool")
     if k > pool_n.shape[0]:
         raise ValueError(f"k={k} exceeds pool size {pool_n.shape[0]}")
     sims = pool_n @ (q / qn)
@@ -76,15 +102,18 @@ def nearest_neighbors(query, pool, texts, k):
 def neighbor_report(queries, pools, k=3):
     """Plain-text report: each query followed by its top-k neighbors per pool.
 
-    queries: [(label, vector), ...]; pools: {name: (texts, matrix)}.
+    queries: [(label, vector), ...]; pools: {name: (texts, matrix)}. Each
+    pool is normalised once for all queries.
     """
+    normed = {name: (texts, _normalize_rows(matrix, "pool"))
+              for name, (texts, matrix) in pools.items()}
     lines = []
     for label, vec in queries:
         lines.append(f"Query: {label}")
-        for name in sorted(pools):
-            texts, matrix = pools[name]
+        for name in sorted(normed):
+            texts, pool_n = normed[name]
             lines.append(f"  [{name}]")
-            for text, cos in nearest_neighbors(vec, matrix, texts, k):
+            for text, cos in _ranked_neighbors(vec, pool_n, texts, k):
                 lines.append(f"    {cos:+.4f}  {text}")
         lines.append("")
     return "\n".join(lines)

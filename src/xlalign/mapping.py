@@ -71,12 +71,28 @@ def save_map(path, m):
 
 
 def load_map(path):
+    """The map `save_map` wrote to `path`. A tensor other than a square W,
+    or a missing or malformed metadata value, is a ValueError naming the
+    file (and the key)."""
     tensors, comments = load_checkpoint(path)
-    if "W" not in tensors:
-        raise ValueError(f"{path} holds no tensor named W")
+    if tensors.keys() != {"W"}:
+        raise ValueError(f"{path} is not a map checkpoint: tensors {sorted(tensors)}, "
+                         "expected ['W']")
+    w = tensors["W"]
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"{path}: W must be a square 2-D matrix, got shape {w.shape}")
     fields = parse_metadata(path, comments)
-    return AlignmentMap(tensors["W"], fields.get("src", "src"), fields.get("tgt", "tgt"),
-                        int(fields.get("pairs", 0)), float(fields.get("residual", "nan")))
+    return AlignmentMap(w, *(_metadata(path, fields, key, kind) for key, kind in
+                             (("src", str), ("tgt", str), ("pairs", int), ("residual", float))))
+
+
+def _metadata(path, fields, key, kind):
+    if key not in fields:
+        raise ValueError(f"{path} has no {key}= comment")
+    try:
+        return kind(fields[key])
+    except ValueError:
+        raise ValueError(f"{path}: {key}={fields[key]!r} is not {kind.__name__}") from None
 
 
 def fit_word_dictionary_map(dict_pairs, src_words, src_table, tgt_words, tgt_table,

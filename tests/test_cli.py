@@ -7,6 +7,7 @@ import pytest
 
 import xlalign
 from xlalign import cli
+from xlalign.checkpoint import save_checkpoint
 from xlalign.cli import main
 from xlalign.encoders import dump_sentence_embeddings
 from xlalign.mapping import AlignmentMap, save_map
@@ -24,6 +25,13 @@ splits=40,80
 test_size=50
 seed=3
 """
+
+
+def run_cli(cwd, *args):
+    """`python -m xlalign.cli *args` in a fresh interpreter, run in `cwd`."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
+    return subprocess.run([sys.executable, "-m", "xlalign.cli", *args],
+                          capture_output=True, text=True, timeout=60, cwd=cwd, env=env)
 
 
 @pytest.fixture
@@ -181,12 +189,21 @@ def test_empty_embedding_file_fails_without_traceback(tmp_path, rng):
     empty, ok = tmp_path / "empty.vec", tmp_path / "ok.vec"
     empty.write_text("")
     dump_sentence_embeddings(ok, rng.normal(size=(4, 3)))
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "xlalign.cli", "eval-retrieval",
-                           "--src-emb", str(empty), "--tgt-emb", str(ok)],
-                          capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", str(empty), "--tgt-emb", str(ok))
     assert proc.returncode != 0
     assert "empty.vec" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_map_without_metadata_fails_without_traceback(tmp_path, rng):
+    x = rng.normal(size=(4, 3))
+    dump_sentence_embeddings(tmp_path / "a.vec", x)
+    dump_sentence_embeddings(tmp_path / "b.vec", x)
+    save_checkpoint(tmp_path / "bare.ckpt", {"W": np.eye(3)})
+    proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec",
+                   "--map", "bare.ckpt")
+    assert proc.returncode == 2
+    assert "bare.ckpt has no src= comment" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -199,11 +216,8 @@ def test_free_text_map_comment_fails_without_traceback(tmp_path, rng):
     lines = (tmp_path / "handmade.ckpt").read_text().splitlines(keepends=True)
     lines[1] = "# made by hand\n"
     (tmp_path / "handmade.ckpt").write_text("".join(lines))
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "xlalign.cli", "eval-retrieval",
-                           "--src-emb", str(src), "--tgt-emb", str(tgt),
-                           "--map", str(tmp_path / "handmade.ckpt")],
-                          capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", str(src), "--tgt-emb", str(tgt),
+                   "--map", str(tmp_path / "handmade.ckpt"))
     assert proc.returncode == 2
     assert "handmade.ckpt" in proc.stderr and "'made'" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -215,10 +229,8 @@ def test_free_text_map_comment_fails_without_traceback(tmp_path, rng):
     "framework=joint_infersent cipher_vocab=10", "splits=5000 cipher_sentences=300"])
 def test_out_of_range_setting_is_validation_error(setting, tmp_path):
     """`setting` holds one or more space-separated KEY=VALUE overrides."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
     overrides = [arg for item in setting.split() for arg in ("--set", item)]
-    proc = subprocess.run([sys.executable, "-m", "xlalign.cli", "run", *overrides],
-                          capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    proc = run_cli(tmp_path, "run", *overrides)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,6 +1,15 @@
-import pytest
+import json
+import os
+import subprocess
+import sys
 
-from xlalign.config import ConfigError, parse_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import xlalign
+from xlalign.config import (_FIELD_TYPES, ENCODER_KINDS, FRAMEWORKS, ConfigError,
+                            parse_config, validate_config)
 
 
 def test_defaults_are_valid():
@@ -66,3 +75,42 @@ def test_languages_pivot_first():
     cfg = parse_config("languages=en,de")
     assert cfg.pivot_lang() == "en"
     assert cfg.other_lang() == "de"
+
+
+KEYS = sorted(_FIELD_TYPES)
+VALUES = st.one_of(
+    st.integers(-10**4, 10**4).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e309", "9" * 5000, "la,la", "10,5", "0"]),
+    st.sampled_from(FRAMEWORKS + ENCODER_KINDS + ("cipher", "files")),
+    st.text(max_size=12))
+OVERRIDES = st.lists(st.builds("{}={}".format, st.sampled_from(KEYS) | st.text(max_size=8),
+                               VALUES), max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(OVERRIDES)
+def test_fuzzed_overrides_raise_only_config_error(overrides):
+    try:
+        cfg = parse_config("", overrides)
+    except ConfigError:
+        return
+    validate_config(cfg)
+
+
+# each sample holds at least one invalid override, so no run starts training
+CLI_SAMPLES = [["dim=-3"], ["lr=inf"], ["sif_a=nan", "seed=2"], ["splits="], ["languages="],
+               ["framework="], ["test_size=1"], ["p_swap=-0.5"], ["nope=1"], ["=5"],
+               ["batch=1e309"], ["cipher_sentences=" + "9" * 5000]]
+
+
+def test_invalid_overrides_exit_cleanly_from_the_cli(tmp_path):
+    script = ("import json, sys\nfrom xlalign.cli import main\n"
+              "print(json.dumps([main(['run', *[a for o in s for a in ('--set', o)]])"
+              " for s in json.loads(sys.argv[1])]))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(CLI_SAMPLES)],
+                          capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    assert "Traceback" not in proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert len(codes) == len(CLI_SAMPLES) and set(codes) <= {0, 1}

@@ -1,14 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from xlalign import evaluation
+from xlalign.cli import main
+from xlalign.encoders import dump_sentence_embeddings
 from xlalign.evaluation import (CurvePoint, accuracy_curve, cldc_train_eval,
                                 nearest_neighbors, neighbor_report,
                                 retrieval_accuracy, train_mlp, write_curve_csv)
 from xlalign.text import ParallelCorpus, make_splits
 
 from test_mapping import random_orthogonal
+
+
+def cosine(a, b):
+    return float(np.dot(a, b)) / (math.sqrt(float(np.dot(a, a))) *
+                                  math.sqrt(float(np.dot(b, b))))
 
 
 def brute_force_retrieval(src, tgt):
@@ -19,14 +28,53 @@ def brute_force_retrieval(src, tgt):
     for i in range(n):
         best_j, best_cos = -1, -math.inf
         for j in range(n):
-            num = float(np.dot(src[i], tgt[j]))
-            cos = num / (math.sqrt(float(np.dot(src[i], src[i]))) *
-                         math.sqrt(float(np.dot(tgt[j], tgt[j]))))
+            cos = cosine(src[i], tgt[j])
             if cos > best_cos:
                 best_j, best_cos = j, cos
         argmaxes.append(best_j)
         hits += best_j == i
     return hits / n, argmaxes
+
+
+def brute_force_gold_ranks(src, tgt):
+    """O(n^2) reference: 1 + the rows scoring strictly above the gold one +
+    the rows scoring equal to it at an earlier index."""
+    ranks = []
+    for i in range(len(src)):
+        cos = [cosine(src[i], t) for t in tgt]
+        ranks.append(1 + sum(c > cos[i] for c in cos) + sum(c == cos[i] for c in cos[:i]))
+    return ranks
+
+
+def sign_rows(g, n, d=32, nnz=4):
+    """Rows of `nnz` entries ±1 and zeros elsewhere. Their cosines are
+    multiples of 1/nnz, exact in every summation order, so equal rows tie
+    exactly in the GEMM and in the scalar oracle alike."""
+    x = np.zeros((n, d))
+    for row in x:
+        row[g.choice(d, nnz, replace=False)] = g.choice([-1.0, 1.0], nnz)
+    return x
+
+
+POOL = 300
+BLOCK_ROWS = 45  # 300 queries: six blocks of 45 and a last one of 30
+
+
+@pytest.fixture
+def small_budget(monkeypatch):
+    monkeypatch.setattr(evaluation, "BUDGET", 8 * POOL * BLOCK_ROWS)
+
+
+def tied_pairs(seed):
+    """POOL pairs with exact duplicate pool rows on both sides of the block
+    boundaries at 45 and 90 and far apart, and queries whose gold is beaten."""
+    g = np.random.default_rng(seed)
+    tgt = sign_rows(g, POOL)
+    for a, b in ((44, 45), (89, 90), (10, 200), (299, 3)):
+        tgt[b] = tgt[a]
+    src = tgt.copy()
+    src[::7] = sign_rows(g, len(src[::7]))
+    return src, tgt
 
 
 class TestRetrieval:
@@ -66,6 +114,46 @@ class TestRetrieval:
         tgt = np.eye(3)
         report = retrieval_accuracy(src, tgt, store_ranks=True)
         assert report.gold_ranks == [1, 1, 1]
+
+    def test_small_budget_spans_blocks(self, small_budget):
+        xs = ys = np.ones((POOL, 4))
+        sizes = [len(block) for _, block in evaluation._similarity_blocks(xs, ys)]
+        assert sizes == [BLOCK_ROWS] * 6 + [POOL - 6 * BLOCK_ROWS]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_blocked_matches_brute_force_oracle(self, small_budget, seed):
+        src, tgt = tied_pairs(seed)
+        g = np.random.default_rng(seed)
+        noisy = g.normal(size=(POOL, 6))
+        for a, b in ((src, tgt), (tgt, src), (noisy, noisy + 0.8 * g.normal(size=(POOL, 6)))):
+            assert retrieval_accuracy(a, b).accuracy == brute_force_retrieval(a, b)[0]
+
+    def test_blocked_gold_ranks_match_reference(self, small_budget):
+        src, tgt = tied_pairs(2)
+        report = retrieval_accuracy(src, tgt, store_ranks=True)
+        assert report.gold_ranks == brute_force_gold_ranks(src, tgt)
+        assert report.accuracy == report.gold_ranks.count(1) / POOL
+
+    def test_memory_is_bounded_by_the_block_budget(self, rng):
+        x, y = rng.normal(size=(4000, 32)), rng.normal(size=(4000, 32))
+        tracemalloc.start()
+        try:
+            retrieval_accuracy(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * evaluation.BUDGET + 4 * 2**20  # the n x n matrix alone is 128 MB
+
+    def test_eval_retrieval_command_spans_blocks(self, small_budget, tmp_path, capsys):
+        src, tgt = tied_pairs(3)
+        dump_sentence_embeddings(tmp_path / "src.vec", src)
+        dump_sentence_embeddings(tmp_path / "tgt.vec", tgt)
+        assert main(["eval-retrieval", "--src-emb", str(tmp_path / "src.vec"),
+                     "--tgt-emb", str(tmp_path / "tgt.vec"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        oracle, _ = brute_force_retrieval(src, tgt)
+        assert (tmp_path / "out" / "retrieval.csv").read_text().splitlines()[1] == \
+            f"src>tgt,{oracle!r},{POOL}"
 
     def test_isometry_invariance(self, rng):
         x = rng.normal(size=(25, 6))

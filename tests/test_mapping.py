@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xlalign.checkpoint import save_checkpoint
 from xlalign.mapping import (AlignmentMap, apply_map, fit_orthogonal_map,
                              fit_word_dictionary_map, load_map, save_map)
 
@@ -111,6 +112,36 @@ class TestPersistence:
         assert (loaded.src_space, loaded.tgt_space) == ("de", "en")
         assert loaded.n_pairs == 20
         assert loaded.residual == m.residual
+
+    @pytest.mark.parametrize("comment, key", [
+        ("", "src"),
+        ("tgt=en pairs=20 residual=0.5", "src"),
+        ("src=de pairs=20 residual=0.5", "tgt"),
+        ("src=de tgt=en residual=0.5", "pairs"),
+        ("src=de tgt=en pairs=20", "residual"),
+        ("src=de tgt=en pairs=abc residual=0.5", "pairs"),
+        ("src=de tgt=en pairs=2.5 residual=0.5", "pairs"),
+        ("src=de tgt=en pairs=20 residual=small", "residual")])
+    def test_bad_metadata_names_file_and_key(self, tmp_path, comment, key):
+        path = tmp_path / "map.ckpt"
+        save_checkpoint(path, {"W": np.eye(3)}, comments=[comment] if comment else [])
+        with pytest.raises(ValueError, match=f"map.ckpt.*{key}="):
+            load_map(path)
+
+    @pytest.mark.parametrize("tensors", [{}, {"V": np.eye(3)}, {"W": np.eye(3), "b": np.ones(3)}])
+    def test_tensors_other_than_w_rejected(self, tmp_path, tensors):
+        path = tmp_path / "map.ckpt"
+        save_checkpoint(path, tensors, comments=["src=de tgt=en pairs=3 residual=0.0"])
+        with pytest.raises(ValueError, match="map.ckpt is not a map checkpoint"):
+            load_map(path)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 2)])
+    def test_non_square_w_rejected(self, tmp_path, shape):
+        path = tmp_path / "map.ckpt"
+        save_checkpoint(path, {"W": np.ones(shape)},
+                        comments=["src=de tgt=en pairs=3 residual=0.0"])
+        with pytest.raises(ValueError, match="map.ckpt: W must be a square 2-D matrix"):
+            load_map(path)
 
 
 class TestWordDictionary:
