@@ -38,5 +38,5 @@ print("\nclean:    ", " ".join(sentence))
 print("corrupted:", " ".join(corrupt(sentence, noise)))
 
 # --- nested evaluation splits -------------------------------------------------
-plan = make_splits(1_000_000, [s * 1000 for s in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)])
-print("\nsplit sizes:", plan.sizes[:4], "... each a prefix of the next")
+sizes = make_splits(1_000_000, [s * 1000 for s in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)])
+print("\nsplit sizes:", sizes[:4], "... each a prefix of the next")

@@ -8,7 +8,7 @@ Bottom-up: inverse-frequency weighted word averaging (dimension D).
 import numpy as np
 
 from xlalign.cipher import gen_cipher_corpus
-from xlalign.encoders import encode_sentences, encode_sif, encode_sif_matrix, new_encoder
+from xlalign.encoders import encode_sentences, encode_sif, new_encoder
 from xlalign.text import build_vocab
 
 cc = gen_cipher_corpus(vocab_size=30, n_sentences=50, length_range=(3, 7), seed=2)
@@ -39,9 +39,3 @@ batch = sentences[:6]
 mat = encode_sentences(batch, vocab, enc)
 singles = np.stack([encode_sentences([s], vocab, enc)[0] for s in batch])
 print(f"\nbatched vs one-by-one encodings agree within {np.max(np.abs(mat - singles)):.1e}")
-
-# --- bulk SIF with optional principal-component removal -----------------------
-plain = encode_sif_matrix(batch, table, vocab)
-cleaned = encode_sif_matrix(batch, table, vocab, remove_pc=True)
-print(f"principal-component removal changes embeddings by up to "
-      f"{np.max(np.abs(plain - cleaned)):.3f} (flag is off by default)")

@@ -13,6 +13,7 @@ Values are written with repr precision so they round-trip exactly in float64
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -55,19 +56,20 @@ def _write(fh, tensors, comments):
 
 
 def load_checkpoint(path):
-    """Returns (tensors, comments)."""
+    """Returns (tensors, comments). A malformed header, shape record or
+    value is a ValueError naming the file (and the tensor)."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != HEADER:
-            raise ValueError(f"not a checkpoint file (header {first!r})")
+            raise ValueError(f"{path} is not a checkpoint file (header {first!r})")
         comments = []
         tokens = []
 
-        def next_tokens(n):
+        def next_tokens(n, name):
             while len(tokens) < n:
                 line = fh.readline()
                 if not line:
-                    raise ValueError("truncated checkpoint file")
+                    raise ValueError(f"{path}: truncated checkpoint file in tensor {name!r}")
                 if line.startswith("#"):
                     continue
                 tokens.extend(line.split())
@@ -85,19 +87,32 @@ def load_checkpoint(path):
             if line.startswith("#"):
                 comments.append(line[1:].strip())
                 continue
-            parts = line.split()
-            name, ndim = parts[0], int(parts[1])
+            name, *fields = line.split()
             if name in tensors:
-                raise ValueError(f"repeated tensor name {name!r}")
-            dims = tuple(int(d) for d in parts[2:2 + ndim])
-            if len(dims) != ndim:
-                raise ValueError(f"bad shape record for tensor {name!r}")
-            count = int(np.prod(dims)) if dims else 1
-            values = [float(tok) for tok in next_tokens(count)]
+                raise ValueError(f"{path}: repeated tensor name {name!r}")
+            dims = _shape(path, name, fields)
+            values = next_tokens(math.prod(dims), name)
+            try:
+                data = [float(tok) for tok in values]
+            except ValueError as exc:  # names the token
+                raise ValueError(f"{path}: tensor {name!r}: {exc}") from None
             if tokens:
-                raise ValueError(f"extra values after tensor {name!r}")
-            tensors[name] = np.array(values, dtype=np.float64).reshape(dims)
+                raise ValueError(f"{path}: extra values after tensor {name!r}")
+            tensors[name] = np.array(data, dtype=np.float64).reshape(dims)
     return tensors, comments
+
+
+def _shape(path, name, fields):
+    """The dims of a `<name> <ndim> <dim1> ... <dimk>` record: k = ndim
+    non-negative integers."""
+    try:
+        ndim, *dims = map(int, fields)
+        ok = len(dims) == ndim and min(dims, default=0) >= 0
+    except ValueError:  # no ndim, or a field that is not an integer
+        ok = False
+    if not ok:
+        raise ValueError(f"{path}: bad shape record for tensor {name!r}: {' '.join(fields)!r}")
+    return tuple(dims)
 
 
 def parse_metadata(path, comments):

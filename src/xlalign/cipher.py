@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .evaluation import N_CLDC_CLASSES
 from .objectives import NLIDataset
 from .rand import Xorshift64Star
 from .text import ParallelCorpus
@@ -26,10 +27,6 @@ class CipherCorpus:
     corpus: ParallelCorpus      # source = ciphered language "lb", target = base language "la"
     cipher: dict                # base token -> ciphered token
     nli: dict | None            # lang -> NLIDataset, when requested
-
-    @property
-    def inverse_cipher(self):
-        return {v: k for k, v in self.cipher.items()}
 
 
 def apply_cipher(tokens, mapping):
@@ -140,25 +137,24 @@ def _gen_nli(rng, base, cipher, n, lo, hi, cumulative, src_lang, tgt_lang):
 # synthetic labeled documents for the classification harness
 # ---------------------------------------------------------------------------
 
-def gen_cldc_docs(cipher_corpus, n_docs, seed=0, sentences_per_doc=(2, 4),
-                  n_classes=4):
-    """Topic-labeled documents: each class draws its sentences from one band
-    of the vocabulary, in both languages of the cipher corpus.
+def gen_cldc_docs(cipher_corpus, n_docs, seed=0):
+    """Topic-labeled documents of 2-4 sentences of 3-6 tokens: each of the
+    N_CLDC_CLASSES classes draws its sentences from one band of the
+    vocabulary, in both languages of the cipher corpus.
 
     Returns {lang: [(doc, label), ...]} with docs as lists of token lists.
     """
     rng = Xorshift64Star(seed)
     base = sorted(cipher_corpus.cipher)
-    band = len(base) // n_classes
+    band = len(base) // N_CLDC_CLASSES
     if band < 3:
-        raise ValueError(f"vocabulary too small for {n_classes} topic bands")
-    lo, hi = sentences_per_doc
+        raise ValueError(f"vocabulary too small for {N_CLDC_CLASSES} topic bands")
     docs = {cipher_corpus.corpus.tgt_lang: [], cipher_corpus.corpus.src_lang: []}
     for i in range(n_docs):
-        label = i % n_classes
+        label = i % N_CLDC_CLASSES
         vocab_band = base[label * band:(label + 1) * band]
         doc = []
-        for _ in range(lo + rng.randint(hi - lo + 1)):
+        for _ in range(2 + rng.randint(3)):
             length = 3 + rng.randint(4)
             doc.append([vocab_band[rng.randint(len(vocab_band))] for _ in range(length)])
         docs[cipher_corpus.corpus.tgt_lang].append((doc, label))
@@ -198,17 +194,3 @@ def write_corpus_files(out_dir, cc):
             emit(f"nli.{lang}.hypotheses.txt", (" ".join(h) for h in data.hypotheses))
         emit("nli.labels.txt", (str(l) for l in cc.nli[corpus.tgt_lang].labels))
     return paths
-
-
-def load_nli_files(out_dir, lang):
-    import os
-
-    def read(name):
-        with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
-            return [line.split() for line in fh.read().splitlines()]
-
-    premises = read(f"nli.{lang}.premises.txt")
-    hypotheses = read(f"nli.{lang}.hypotheses.txt")
-    with open(os.path.join(out_dir, "nli.labels.txt"), encoding="utf-8") as fh:
-        labels = [int(x) for x in fh.read().split()]
-    return NLIDataset(premises, hypotheses, labels)

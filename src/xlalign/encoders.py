@@ -151,28 +151,7 @@ def encode_sif(tokens, table, vocab, a=1e-3):
     return acc / len(tokens)
 
 
-def encode_sif_matrix(sentences, table, vocab, a=1e-3, remove_pc=False):
-    out = np.stack([encode_sif(s, table, vocab, a) for s in sentences])
-    if remove_pc:
-        out = remove_principal_component(out)
-    return out
-
-
-def remove_principal_component(x):
-    """Subtract each row's projection onto the first right singular vector.
-
-    Off by default in the pipelines; provided for experimentation.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _, _, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
-    pc = vt[0]
-    return x - np.outer(x @ pc, pc)
-
-
-def dump_sentence_embeddings(path, matrix):
-    """word2vec-style dump with the sentence index in place of the word."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for i, row in enumerate(matrix):
-            fh.write(str(i) + " " + " ".join(repr(float(v)) for v in row) + "\n")
+def encode_sif_matrix(sentences, table, vocab, a=1e-3):
+    """`encode_sif` of each sentence, stacked -> (n, D); no principal-component
+    removal."""
+    return np.stack([encode_sif(s, table, vocab, a) for s in sentences])

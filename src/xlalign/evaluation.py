@@ -16,7 +16,12 @@ BUDGET = 16 * 2**20
 
 def _normalize_rows(x, side):
     x = np.asarray(x, dtype=np.float64)
-    norms = np.sqrt((x * x).sum(axis=1))
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norms = np.sqrt((x * x).sum(axis=1))
+    bad = np.nonzero(~np.isfinite(norms))[0]
+    if bad.size:
+        raise ValueError(f"non-finite norm at {side} row {int(bad[0])}: "
+                         "the embedding holds nan or inf, or overflows")
     bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
         raise ValueError(f"zero-norm embedding at {side} row {int(bad[0])}: cosine undefined")
@@ -28,7 +33,6 @@ class RetrievalReport:
     direction: str
     accuracy: float
     n_queries: int
-    gold_ranks: list | None = None  # 1-based rank of the gold translation per query
 
 
 def _similarity_blocks(xs, ys):
@@ -50,7 +54,7 @@ def _similarity_blocks(xs, ys):
         yield start, block
 
 
-def retrieval_accuracy(src, tgt, direction="src>tgt", store_ranks=False):
+def retrieval_accuracy(src, tgt, direction="src>tgt"):
     """Fraction of source rows whose cosine-nearest target row is row i.
 
     Ties break toward the lowest index. Row i of src must be the translation
@@ -64,17 +68,9 @@ def retrieval_accuracy(src, tgt, direction="src>tgt", store_ranks=False):
     if xs.shape[0] < 2:
         raise ValueError("retrieval needs at least two pairs")
     hits = 0
-    ranks = [] if store_ranks else None
     for start, block in _similarity_blocks(xs, ys):
-        gold_col = np.arange(start, start + len(block))
-        hits += int((block.argmax(axis=1) == gold_col).sum())
-        if store_ranks:
-            gold = block[np.arange(len(block)), gold_col][:, None]
-            # rank = 1 + number of strictly-better rows + earlier equal rows
-            earlier = np.arange(block.shape[1]) < gold_col[:, None]
-            ranks += (1 + (block > gold).sum(axis=1)
-                      + ((block == gold) & earlier).sum(axis=1)).tolist()
-    return RetrievalReport(direction, hits / xs.shape[0], xs.shape[0], ranks)
+        hits += int((block.argmax(axis=1) == np.arange(start, start + len(block))).sum())
+    return RetrievalReport(direction, hits / xs.shape[0], xs.shape[0])
 
 
 def nearest_neighbors(query, pool, texts, k):
@@ -163,14 +159,13 @@ def batched_embedder(embed, docs):
     return lambda sentence: rows[tuple(sentence)]
 
 
-def cldc_train_eval(train_docs, test_docs, embedder, train_lang="train", test_lang="test",
-                    hidden=64, steps=300, lr=1e-3, seed=0):
+def cldc_train_eval(train_docs, test_docs, embedders, train_lang, test_lang, seed=0):
     """Train an MLP on documents of one language, test on another.
 
     train_docs/test_docs: [(doc, label)] with doc a list of sentences and
-    labels in range(4). `embedder` maps one sentence to a vector in the shared
-    cross-lingual space; pass {lang: callable} when the two sides need
-    different encoders.
+    labels in range(N_CLDC_CLASSES). `embedders` maps each of the two
+    languages to a callable that embeds one sentence in the shared
+    cross-lingual space.
     """
     train_y = np.array([label for _, label in train_docs])
     present = set(train_y.tolist())
@@ -181,12 +176,11 @@ def cldc_train_eval(train_docs, test_docs, embedder, train_lang="train", test_la
     if bad:
         raise ValueError(f"labels outside range({N_CLDC_CLASSES}): {sorted(set(bad))[:5]}")
 
-    embed_train = embedder[train_lang] if isinstance(embedder, dict) else embedder
-    embed_test = embedder[test_lang] if isinstance(embedder, dict) else embedder
-    train_x = np.stack([mean_document_embedding(doc, embed_train) for doc, _ in train_docs])
-    test_x = np.stack([mean_document_embedding(doc, embed_test) for doc, _ in test_docs])
+    train_x = np.stack([mean_document_embedding(doc, embedders[train_lang])
+                        for doc, _ in train_docs])
+    test_x = np.stack([mean_document_embedding(doc, embedders[test_lang]) for doc, _ in test_docs])
     test_y = np.array([label for _, label in test_docs])
-    clf = train_mlp(train_x, train_y, N_CLDC_CLASSES, hidden=hidden, steps=steps, lr=lr, seed=seed)
+    clf = train_mlp(train_x, train_y, N_CLDC_CLASSES, seed=seed)
     accuracy = float((clf.predict(test_x) == test_y).mean())
     return CLDCReport(train_lang, test_lang, accuracy)
 
@@ -203,14 +197,16 @@ class CurvePoint:
     accuracy: float
 
 
-def accuracy_curve(model_factory, corpus, plan, directions, test_pairs, model_tag="model"):
+def accuracy_curve(model_factory, corpus, sizes, directions, test_pairs, model_tag="model"):
     """Refit per split size and evaluate each direction on held-out pairs.
 
-    model_factory(train_pairs) must return (embed_src, embed_tgt) callables
-    that map a list of sentences into one shared space. The held-out pairs
-    must be disjoint from every training split (checked by content).
+    `sizes` comes from `text.make_splits`; split k trains on the first
+    sizes[k] pairs of the corpus. model_factory(train_pairs) must return
+    (embed_src, embed_tgt) callables that map a list of sentences into one
+    shared space. The held-out pairs must be disjoint from every training
+    split (checked by content).
     """
-    largest = set(map(_pair_key, corpus.pairs[:plan.sizes[-1]]))
+    largest = set(map(_pair_key, corpus.pairs[:sizes[-1]]))
     overlap = [p for p in test_pairs if _pair_key(p) in largest]
     if overlap:
         raise ValueError(
@@ -221,7 +217,7 @@ def accuracy_curve(model_factory, corpus, plan, directions, test_pairs, model_ta
     test_tgt = [t for _, t in test_pairs]
 
     points = []
-    for size in plan.sizes:
+    for size in sizes:
         embed_src, embed_tgt = model_factory(corpus.pairs[:size])
         x = embed_src(test_src)
         y = embed_tgt(test_tgt)

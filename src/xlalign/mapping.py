@@ -9,12 +9,16 @@ the right (e @ W).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, parse_metadata, save_checkpoint
 from .linalg import svd
+
+# how far W^T W of a loaded map may stray from the identity
+ORTHOGONALITY_TOL = 1e-9
 
 
 @dataclass
@@ -30,13 +34,13 @@ class AlignmentMap:
         return self.w.shape[0]
 
 
-def fit_orthogonal_map(x, y, src_space="src", tgt_space="tgt", center=False):
+def fit_orthogonal_map(x, y, src_space="src", tgt_space="tgt"):
     """Fit W mapping rows of x onto rows of y (paired translations).
 
-    `center` subtracts the column means before fitting; off by default since
-    the map is rotation-only. Fewer pairs than the embedding width leave it
-    underdetermined, so retrieval hinges on float rounding (2H = 64, 50 pairs:
-    top-1 0.46 vs 0.44 for encoders ≤ 2.2e-16 apart).
+    The map is rotation-only: no centering, no scaling. Fewer pairs than the
+    embedding width leave it underdetermined, so retrieval hinges on float
+    rounding (2H = 64, 50 pairs: top-1 0.46 vs 0.44 for encoders ≤ 2.2e-16
+    apart).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -44,9 +48,6 @@ def fit_orthogonal_map(x, y, src_space="src", tgt_space="tgt", center=False):
         raise ValueError(f"paired embedding matrices must share shape, got {x.shape} and {y.shape}")
     if x.shape[0] < 1:
         raise ValueError("at least one pair is required")
-    if center:
-        x = x - x.mean(axis=0)
-        y = y - y.mean(axis=0)
     u, _, vt = svd(x.T @ y)
     w = u @ vt
     residual = float(np.linalg.norm(x @ w - y))
@@ -71,9 +72,10 @@ def save_map(path, m):
 
 
 def load_map(path):
-    """The map `save_map` wrote to `path`. A tensor other than a square W,
-    or a missing or malformed metadata value, is a ValueError naming the
-    file (and the key)."""
+    """The map `save_map` wrote to `path`. A tensor other than a square,
+    orthogonal W (max |W^T W - I| <= ORTHOGONALITY_TOL, which also rejects
+    nan), or a missing or out-of-range metadata value (pairs >= 1, residual
+    finite and >= 0), is a ValueError naming the file and the key."""
     tensors, comments = load_checkpoint(path)
     if tensors.keys() != {"W"}:
         raise ValueError(f"{path} is not a map checkpoint: tensors {sorted(tensors)}, "
@@ -81,18 +83,28 @@ def load_map(path):
     w = tensors["W"]
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"{path}: W must be a square 2-D matrix, got shape {w.shape}")
+    with np.errstate(all="ignore"):  # a non-finite W is reported below
+        deviation = np.abs(w.T @ w - np.eye(len(w))).max(initial=0.0)
+    if not deviation <= ORTHOGONALITY_TOL:
+        raise ValueError(f"{path}: W is not orthogonal (max |W^T W - I| = {deviation:.3g}), "
+                         "so apply_map(reverse=True) would not invert it")
     fields = parse_metadata(path, comments)
-    return AlignmentMap(w, *(_metadata(path, fields, key, kind) for key, kind in
-                             (("src", str), ("tgt", str), ("pairs", int), ("residual", float))))
+    return AlignmentMap(w, *(_metadata(path, fields, key, kind, valid) for key, kind, valid in
+                             (("src", str, None), ("tgt", str, None),
+                              ("pairs", int, lambda n: n >= 1),
+                              ("residual", float, lambda r: 0.0 <= r < math.inf))))
 
 
-def _metadata(path, fields, key, kind):
+def _metadata(path, fields, key, kind, valid):
     if key not in fields:
         raise ValueError(f"{path} has no {key}= comment")
     try:
-        return kind(fields[key])
+        value = kind(fields[key])
     except ValueError:
         raise ValueError(f"{path}: {key}={fields[key]!r} is not {kind.__name__}") from None
+    if valid is not None and not valid(value):
+        raise ValueError(f"{path}: {key}={fields[key]!r} is out of range")
+    return value
 
 
 def fit_word_dictionary_map(dict_pairs, src_words, src_table, tgt_words, tgt_table,

@@ -26,7 +26,7 @@ from .encoders import (EncoderParams, LSTMParams, _cell, encode_batch, encode_se
                        init_lstm, pad_batch, _check_ids)
 from .optim import fit
 from .rand import Xorshift64Star
-from .text import BOS, EOS, PAD, NoiseParams, corrupt
+from .text import BOS, EOS, PAD, corrupt
 
 TRACE_HEADER = "step,objective,language_pair,value"
 
@@ -81,21 +81,19 @@ def new_decoder(vocab_size, dim, sentence_dim, hidden, lang, seed):
     return DecoderParams(emb, cell, w_out, np.zeros(vocab_size), lang)
 
 
-def teacher_forcing_arrays(target_ids, append_eos=True):
+def teacher_forcing_arrays(target_ids):
     """Build decoder input/target/mask arrays for a batch of target sentences.
 
-    Step k predicts target token k from [BOS, y_1, .., y_{k-1}]; with
-    append_eos the final step predicts EOS.
+    Step k predicts target token k from [BOS, y_1, .., y_{k-1}]; the final
+    step predicts EOS.
     """
-    extra = 1 if append_eos else 0
-    lengths = [len(s) + extra for s in target_ids]
-    k_max = max(lengths)
+    k_max = max(len(s) + 1 for s in target_ids)
     dec_in = np.full((len(target_ids), k_max), PAD, dtype=np.int64)
     targets = np.full((len(target_ids), k_max), PAD, dtype=np.int64)
     mask = np.zeros((len(target_ids), k_max))
     for i, seq in enumerate(target_ids):
-        row_in = [BOS] + list(seq[:len(seq) - 1 + extra])
-        row_tgt = list(seq) + ([EOS] if append_eos else [])
+        row_in = [BOS] + list(seq)
+        row_tgt = list(seq) + [EOS]
         dec_in[i, :len(row_in)] = row_in
         targets[i, :len(row_tgt)] = row_tgt
         mask[i, :len(row_tgt)] = 1.0
@@ -126,11 +124,10 @@ class LossGraph:
     loss: ad.Tensor
     enc_tensors: ad.ParamSet
     dec_tensors: ad.ParamSet
-    n_tokens: int
 
 
 def seq2seq_loss(inputs, targets, enc, dec, src_vocab, tgt_vocab,
-                 denoise=None, noise_rng=None, append_eos=True):
+                 denoise=None, noise_rng=None):
     """Token-level cross-entropy of reconstructing/translating `targets` from
     the sentence embeddings of `inputs`, averaged over non-PAD target tokens.
 
@@ -153,10 +150,9 @@ def seq2seq_loss(inputs, targets, enc, dec, src_vocab, tgt_vocab,
     enc_tensors = ad.ParamSet(enc)
     dec_tensors = ad.ParamSet(dec)
     sent = _encode_for(enc_tensors, enc, src_vocab, inputs)
-    dec_in, tgt_arr, mask = teacher_forcing_arrays(tgt_ids, append_eos)
-    n_tokens = int(mask.sum())
+    dec_in, tgt_arr, mask = teacher_forcing_arrays(tgt_ids)
     ce = decode_ce_sum(sent, dec_tensors, dec_in, tgt_arr, mask)
-    return LossGraph(ad.scale(ce, 1.0 / n_tokens), enc_tensors, dec_tensors, n_tokens)
+    return LossGraph(ad.scale(ce, 1.0 / int(mask.sum())), enc_tensors, dec_tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +166,18 @@ class JointResult:
     trace: list
 
 
-def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, noise=None):
+def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, noise):
     """Alternate batch languages round-robin against one shared decoder.
 
-    Pivot-language batches run the denoising reconstruction objective on the
-    pivot side of the corpus; every other language runs translation into the
-    pivot. The decoder parameter arrays are updated in place, so a single
-    shared set persists across all steps.
+    Pivot-language batches run the denoising reconstruction objective, with
+    `noise` (a NoiseParams), on the pivot side of the corpus; every other
+    language runs translation into the pivot. The decoder parameter arrays
+    are updated in place, so a single shared set persists across all steps.
     """
     order = sched.language_order or sorted(encoders)
     for lang in order:
         if lang not in encoders:
             raise ValueError(f"no encoder for scheduled language {lang!r}")
-    noise = noise if noise is not None else NoiseParams(seed=sched.seed)
     noise_rng = Xorshift64Star(noise.seed ^ 0x5DEECE66D)
     rng = np.random.default_rng(sched.seed)
     pivot_sents = parallel.target_sentences()
@@ -355,20 +350,13 @@ def train_joint_infersent(datasets, encoders, head, vocabs, sched):
     return InferSentResult(encoders, head, trace, draws)
 
 
-def infersent_accuracy(datasets, encoders, head, vocabs, p_lang, h_lang, batch=64):
+def infersent_accuracy(datasets, encoders, head, vocabs, p_lang, h_lang):
     """Classification accuracy over a full dataset for one language pairing."""
     data_p, data_h = datasets[p_lang], datasets[h_lang]
-    head_tensors = ad.ParamSet(head, trainable=False)
-    hits = 0
-    for lo in range(0, len(data_p.premises), batch):
-        sl = slice(lo, lo + batch)
-        u = _encode_for(ad.ParamSet(encoders[p_lang], trainable=False),
-                        encoders[p_lang], vocabs[p_lang], data_p.premises[sl])
-        v = _encode_for(ad.ParamSet(encoders[h_lang], trainable=False),
-                        encoders[h_lang], vocabs[h_lang], data_h.hypotheses[sl])
-        logits = head_logits(u, v, head_tensors)
-        hits += int((logits.data.argmax(axis=1) == np.array(data_p.labels[sl])).sum())
-    return hits / len(data_p.premises)
+    u = encode_sentences(data_p.premises, vocabs[p_lang], encoders[p_lang])
+    v = encode_sentences(data_h.hypotheses, vocabs[h_lang], encoders[h_lang])
+    logits = head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head, trainable=False))
+    return int((logits.data.argmax(axis=1) == np.array(data_p.labels)).sum()) / len(u)
 
 
 # ---------------------------------------------------------------------------

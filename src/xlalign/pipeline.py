@@ -58,7 +58,7 @@ def materialize(cfg):
     test_pairs = corpus.pairs[-cfg.test_size:]
     train_corpus = ParallelCorpus(train_pairs, other, pivot)
     try:
-        make_splits(train_corpus, cfg.splits)
+        make_splits(len(train_corpus), cfg.splits)
     except ValueError as exc:
         raise ConfigError(f"splits do not fit the training corpus: {exc}") from exc
 
@@ -341,8 +341,8 @@ def run_experiment(cfg):
 def curve_points(exp):
     """Held-out retrieval accuracy in both directions at every split size."""
     data = exp.data
-    plan = make_splits(len(data.train_corpus), exp.cfg.splits)
-    return accuracy_curve(exp.factory, data.train_corpus, plan,
+    sizes = make_splits(len(data.train_corpus), exp.cfg.splits)
+    return accuracy_curve(exp.factory, data.train_corpus, sizes,
                           [(exp.other, exp.pivot), (exp.pivot, exp.other)],
                           data.test_pairs, model_tag=exp.cfg.framework)
 

@@ -43,9 +43,6 @@ class Xorshift64Star:
             raise ValueError(f"randint needs n >= 1, got {n}")
         return int(self.uniform() * n)
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
     def shuffle(self, items):
         """In-place Fisher-Yates."""
         for i in range(len(items) - 1, 0, -1):

@@ -49,24 +49,21 @@ class Vocabulary:
     def encode(self, tokens):
         return [self.id_of(t) for t in tokens]
 
-    def decode(self, ids):
-        return [self.id_to_token[i] for i in ids]
-
     def probability(self, token):
         """Unigram probability p(w); OOV tokens share the pooled UNK mass."""
         return self.frequencies[self.id_of(token)] / self.total_count
 
 
-def build_vocab(lines_or_token_seqs, min_count=1):
-    """Count tokens and assign ids; tokens seen fewer than min_count times
-    collapse into UNK (their counts pool there for SIF weighting).
+def build_vocab(token_seqs, min_count=1):
+    """Count the tokens of the token sequences and assign ids; tokens seen
+    fewer than min_count times collapse into UNK (their counts pool there for
+    SIF weighting).
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts = {}
     n_seqs = 0
-    for item in lines_or_token_seqs:
-        tokens = tokenize(item) if isinstance(item, str) else item
+    for tokens in token_seqs:
         n_seqs += 1
         for t in tokens:
             counts[t] = counts.get(t, 0) + 1
@@ -172,33 +169,17 @@ def load_parallel(src_path, tgt_path, src_lang, tgt_lang):
     return ParallelCorpus(pairs, src_lang, tgt_lang, skipped)
 
 
-@dataclass
-class SplitPlan:
-    """Nested prefix splits: split k covers pair indices [0, sizes[k])."""
-
-    sizes: list
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError(f"split sizes must be strictly increasing: {self.sizes}")
-
-    def indices(self, k):
-        return range(self.sizes[k])
-
-
-def make_splits(corpus_or_size, sizes):
-    n = corpus_or_size if isinstance(corpus_or_size, int) else len(corpus_or_size)
+def make_splits(n, sizes):
+    """The split sizes for a corpus of n pairs, validated: nested prefix
+    splits, split k covering pair indices [0, sizes[k])."""
     sizes = list(sizes)
     if not sizes:
         raise ValueError("at least one split size required")
-    plan = SplitPlan(sizes)
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"split sizes must be strictly increasing: {sizes}")
     if sizes[-1] > n:
         raise ValueError(f"largest split {sizes[-1]} exceeds corpus size {n}")
-    return plan
-
-
-# the per-thousand grid the evaluation curves are reported on
-CURVE_GRID_FULL = [s * 1000 for s in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)]
+    return sizes
 
 
 def load_word2vec(path):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from xlalign.text import save_word2vec
+
 
 def finite_difference_grads(f, arrays, h=1e-5):
     """Central-difference gradients of scalar f(arrays) w.r.t. each array.
@@ -25,6 +27,11 @@ def finite_difference_grads(f, arrays, h=1e-5):
             gflat[i] = (hi - lo) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def write_dump(path, matrix):
+    """A word2vec-format dump of the rows of `matrix`, each named by its index."""
+    save_word2vec(path, [str(i) for i in range(len(matrix))], matrix)
 
 
 def max_relative_error(a, b, floor=1e-4):

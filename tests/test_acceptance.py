@@ -136,7 +136,7 @@ def _fd_check(forward, arrays, analytic):
 
 def test_criterion_1_gradient_correctness():
     t0 = time.monotonic()
-    vocab = build_vocab(["w0 w1 w2 w3 w4 w5 w6 w7"], 1)
+    vocab = build_vocab([[f"w{i}" for i in range(8)]], 1)
     enc = new_encoder(len(vocab), 4, 3, "en", seed=0)
     enc2 = new_encoder(len(vocab), 4, 3, "de", seed=2)
     dec = new_decoder(len(vocab), 4, 6, 3, "en", seed=1)
@@ -411,13 +411,14 @@ def test_criterion_10_cldc_harness():
         return docs
 
     train_docs, test_docs = make_docs(240), make_docs(240)
-    mono = cldc_train_eval(train_docs, test_docs, lambda s: s, "la", "la", seed=5).accuracy
+    identity = {"la": lambda s: s, "lb": lambda s: s}  # sentences are already vectors
+    mono = cldc_train_eval(train_docs, test_docs, identity, "la", "la", seed=5).accuracy
     assert mono >= 0.95
 
     shuffled_labels = [l for _, l in train_docs]
     np.random.default_rng(0).shuffle(shuffled_labels)
     shuffled = [(doc, l) for (doc, _), l in zip(train_docs, shuffled_labels)]
-    chance = cldc_train_eval(shuffled, test_docs, lambda s: s, "la", "la", seed=5).accuracy
+    chance = cldc_train_eval(shuffled, test_docs, identity, "la", "la", seed=5).accuracy
     assert 0.15 <= chance <= 0.35
 
     q, r = np.linalg.qr(np.random.default_rng(9).normal(size=(dim, dim)))
@@ -427,7 +428,7 @@ def test_criterion_10_cldc_harness():
                            np.stack([s @ rotation for doc, _ in train_docs for s in doc]))
     mapped_back = [([apply_map(s, m, reverse=True) for s in doc], l)
                    for doc, l in rotated_test]
-    cross = cldc_train_eval(train_docs, mapped_back, lambda s: s, "la", "lb", seed=5).accuracy
+    cross = cldc_train_eval(train_docs, mapped_back, identity, "la", "lb", seed=5).accuracy
     elapsed = time.monotonic() - t0
     assert abs(cross - mono) <= 0.02
     assert elapsed < 120.0

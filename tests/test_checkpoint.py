@@ -83,3 +83,19 @@ def test_saved_bytes_are_the_plain_text_layout(tmp_path):
     assert path.read_bytes() == (b"XLALIGN-CKPT 1\n# k=v\nm 2 2 2\n1.0 0.5\n-2.0 0.1\n"
                                  b"b 1 1\n3.0\ns 0\n0.25\n")
     assert [p.name for p in tmp_path.iterdir()] == ["layout.ckpt"]
+
+
+@pytest.mark.parametrize("record", ["w", "w x", "w 1.0 2", "w 2 2", "w 1 -2", "w 2 2 -1",
+                                    "w -1", "w 1 2 3"])
+def test_bad_shape_record_names_file_and_tensor(tmp_path, record):
+    path = tmp_path / "shape.ckpt"
+    path.write_text(f"{HEADER}\n{record}\n1.0 2.0\n")
+    with pytest.raises(ValueError, match=r"shape\.ckpt: bad shape record for tensor 'w'"):
+        load_checkpoint(path)
+
+
+def test_non_numeric_value_names_file_tensor_and_token(tmp_path):
+    path = tmp_path / "value.ckpt"
+    path.write_text(f"{HEADER}\nw 1 3\n1.0 two 3.0\n")
+    with pytest.raises(ValueError, match=r"value\.ckpt: tensor 'w': .*'two'"):
+        load_checkpoint(path)

@@ -1,13 +1,13 @@
 import pytest
 
-from xlalign.cipher import (apply_cipher, gen_cipher_corpus, gen_cldc_docs,
-                            load_nli_files, nli_label, write_corpus_files)
+from xlalign.cipher import (apply_cipher, gen_cipher_corpus, gen_cldc_docs, nli_label,
+                            write_corpus_files)
 
 
 class TestCipher:
     def test_double_application_with_inverse_is_identity(self):
         cc = gen_cipher_corpus(20, 30, (3, 6), seed=1)
-        inverse = cc.inverse_cipher
+        inverse = {v: k for k, v in cc.cipher.items()}
         for src, tgt in cc.corpus.pairs:
             assert apply_cipher(src, inverse) == tgt
             assert apply_cipher(tgt, cc.cipher) == src
@@ -70,11 +70,14 @@ class TestNliToy:
     def test_nli_files_round_trip(self, tmp_path):
         cc = gen_cipher_corpus(30, 5, (4, 7), seed=4, nli_size=30)
         write_corpus_files(tmp_path, cc)
+
+        def read(name):
+            return (tmp_path / name).read_text(encoding="utf-8").splitlines()
         for lang in ("la", "lb"):
-            loaded = load_nli_files(tmp_path, lang)
-            assert loaded.premises == cc.nli[lang].premises
-            assert loaded.hypotheses == cc.nli[lang].hypotheses
-            assert loaded.labels == cc.nli[lang].labels
+            assert [p.split() for p in read(f"nli.{lang}.premises.txt")] == cc.nli[lang].premises
+            assert [h.split() for h in read(f"nli.{lang}.hypotheses.txt")] == \
+                cc.nli[lang].hypotheses
+            assert [int(l) for l in read("nli.labels.txt")] == cc.nli[lang].labels
 
 
 class TestCldcDocs:

@@ -9,8 +9,9 @@ import xlalign
 from xlalign import cli
 from xlalign.checkpoint import save_checkpoint
 from xlalign.cli import main
-from xlalign.encoders import dump_sentence_embeddings
 from xlalign.mapping import AlignmentMap, save_map
+
+from conftest import write_dump
 
 TOY_TRANSFER = """
 framework=transfer
@@ -129,8 +130,8 @@ def test_eval_retrieval_from_dumps(tmp_path, capsys, rng):
     x = rng.normal(size=(12, 6))
     w, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
-    dump_sentence_embeddings(src, x)
-    dump_sentence_embeddings(tgt, x @ w)
+    write_dump(src, x)
+    write_dump(tgt, x @ w)
     map_path = tmp_path / "map.ckpt"
     save_map(map_path, AlignmentMap(w, "lb", "la", 12, 0.0))
     out = tmp_path / "out"
@@ -179,8 +180,8 @@ def test_eval_cldc_embeds_each_side_in_one_batched_call(tmp_path, monkeypatch):
 def test_numeric_failure_exits_2(tmp_path, capsys):
     x = np.zeros((4, 3))  # zero-norm rows make the cosine undefined
     src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
-    dump_sentence_embeddings(src, x)
-    dump_sentence_embeddings(tgt, x)
+    write_dump(src, x)
+    write_dump(tgt, x)
     assert main(["eval-retrieval", "--src-emb", str(src), "--tgt-emb", str(tgt)]) == 2
     assert "zero-norm" in capsys.readouterr().err
 
@@ -188,7 +189,7 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
 def test_empty_embedding_file_fails_without_traceback(tmp_path, rng):
     empty, ok = tmp_path / "empty.vec", tmp_path / "ok.vec"
     empty.write_text("")
-    dump_sentence_embeddings(ok, rng.normal(size=(4, 3)))
+    write_dump(ok, rng.normal(size=(4, 3)))
     proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", str(empty), "--tgt-emb", str(ok))
     assert proc.returncode != 0
     assert "empty.vec" in proc.stderr
@@ -197,8 +198,8 @@ def test_empty_embedding_file_fails_without_traceback(tmp_path, rng):
 
 def test_map_without_metadata_fails_without_traceback(tmp_path, rng):
     x = rng.normal(size=(4, 3))
-    dump_sentence_embeddings(tmp_path / "a.vec", x)
-    dump_sentence_embeddings(tmp_path / "b.vec", x)
+    write_dump(tmp_path / "a.vec", x)
+    write_dump(tmp_path / "b.vec", x)
     save_checkpoint(tmp_path / "bare.ckpt", {"W": np.eye(3)})
     proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec",
                    "--map", "bare.ckpt")
@@ -210,8 +211,8 @@ def test_map_without_metadata_fails_without_traceback(tmp_path, rng):
 def test_free_text_map_comment_fails_without_traceback(tmp_path, rng):
     x = rng.normal(size=(4, 3))
     src, tgt = tmp_path / "a.vec", tmp_path / "b.vec"
-    dump_sentence_embeddings(src, x)
-    dump_sentence_embeddings(tgt, x)
+    write_dump(src, x)
+    write_dump(tgt, x)
     save_map(tmp_path / "handmade.ckpt", AlignmentMap(np.eye(3), "lb", "la", 4, 0.0))
     lines = (tmp_path / "handmade.ckpt").read_text().splitlines(keepends=True)
     lines[1] = "# made by hand\n"
@@ -220,6 +221,54 @@ def test_free_text_map_comment_fails_without_traceback(tmp_path, rng):
                    "--map", str(tmp_path / "handmade.ckpt"))
     assert proc.returncode == 2
     assert "handmade.ckpt" in proc.stderr and "'made'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("record, message", [
+    ("W", "bad shape record for tensor 'W': ''"),
+    ("W two 3 3", "bad shape record for tensor 'W': 'two 3 3'"),
+    ("W 2 3 3.0", "bad shape record for tensor 'W': '2 3 3.0'"),
+    ("W 2 -3 -3", "bad shape record for tensor 'W': '2 -3 -3'"),
+    ("W 2 3", "bad shape record for tensor 'W': '2 3'"),
+    ("W 2 3 3\n1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 one", "tensor 'W': could not convert string "
+                                                     "to float: 'one'")],
+    ids=["no-ndim", "non-integer-ndim", "non-integer-dim", "negative-dim", "too-few-dims",
+         "non-numeric-value"])
+def test_malformed_map_record_fails_without_traceback(tmp_path, rng, record, message):
+    x = rng.normal(size=(4, 3))
+    write_dump(tmp_path / "a.vec", x)
+    write_dump(tmp_path / "b.vec", x)
+    (tmp_path / "bad.ckpt").write_text(
+        "XLALIGN-CKPT 1\n# src=lb tgt=la pairs=4 residual=0.0\n" + record + "\n")
+    proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec",
+                   "--map", "bad.ckpt")
+    assert proc.returncode == 2
+    assert f"bad.ckpt: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_map_that_apply_map_cannot_invert_fails_without_traceback(tmp_path, rng):
+    x = rng.normal(size=(4, 3))
+    write_dump(tmp_path / "a.vec", x)
+    write_dump(tmp_path / "b.vec", x)
+    save_checkpoint(tmp_path / "bad.ckpt", {"W": 2.0 * np.eye(3)},
+                    comments=["src=lb tgt=la pairs=-5 residual=-1.0"])
+    proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec",
+                   "--map", "bad.ckpt")
+    assert proc.returncode == 2
+    assert "bad.ckpt: W is not orthogonal" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_dump_fails_without_traceback(tmp_path, rng):
+    x = rng.normal(size=(5, 3))
+    write_dump(tmp_path / "a.vec", x)
+    x[3, 1] = np.nan
+    write_dump(tmp_path / "b.vec", x)
+    proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec")
+    assert proc.returncode == 2
+    assert "non-finite norm at target row 3" in proc.stderr
+    assert "accuracy=" not in proc.stdout
     assert "Traceback" not in proc.stderr
 
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from xlalign.autodiff import ParamSet
 from xlalign.encoders import (encode_batch, encode_sentences, encode_sif, encode_sif_matrix,
-                              dump_sentence_embeddings, new_encoder, pad_batch,
-                              remove_principal_component)
+                              new_encoder, pad_batch)
 from xlalign.text import build_vocab, sif_weight
 
 from conftest import encode_reference, lstm_step_reference
@@ -19,7 +18,7 @@ def enc():
 
 @pytest.fixture
 def vocab():
-    return build_vocab(["w0 w1 w2 w3 w4 w5 w6 w7"], min_count=1)
+    return build_vocab([[f"w{i}" for i in range(8)]], min_count=1)
 
 
 def encode_ids(ids, enc):
@@ -63,7 +62,7 @@ class TestBiLstmMaxpool:
         for i, s in enumerate(sents):
             assert np.max(np.abs(batched[i] - encode_reference(s, enc))) < 1e-12
         # inference runs the same kernels without a graph, bit for bit
-        vocab = build_vocab([" ".join(f"t{i:02d}" for i in range(4, 12))], min_count=1)
+        vocab = build_vocab([[f"t{i:02d}" for i in range(4, 12)]], min_count=1)
         tokens = [[vocab.id_to_token[i] for i in s] for s in sents]
         np.testing.assert_array_equal(encode_sentences(tokens, vocab, enc), batched)
 
@@ -103,7 +102,7 @@ class TestBiLstmMaxpool:
             encode_sentences([[]], vocab, enc)
 
     def test_id_out_of_range_rejected(self, enc):
-        wide = build_vocab([" ".join(f"w{i}" for i in range(40))], min_count=1)
+        wide = build_vocab([[f"w{i}" for i in range(40)]], min_count=1)
         with pytest.raises(ValueError, match="out of range"):
             encode_sentences([["w39"]], wide, enc)
 
@@ -150,7 +149,7 @@ class TestSif:
     @given(st.permutations(["w1", "w2", "w3", "w4"]))
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariance(self, perm):
-        vocab = build_vocab(["w0 w1 w2 w3 w4 w5 w6 w7"], min_count=1)
+        vocab = build_vocab([[f"w{i}" for i in range(8)]], min_count=1)
         table = self._table(vocab)
         base = encode_sif(["w1", "w2", "w3", "w4"], table, vocab)
         np.testing.assert_allclose(encode_sif(list(perm), table, vocab), base, atol=1e-12)
@@ -159,23 +158,12 @@ class TestSif:
         with pytest.raises(ValueError, match="empty"):
             encode_sif([], self._table(vocab), vocab)
 
-    def test_principal_component_removal_flag(self, vocab, rng):
+    def test_matrix_stacks_sentence_encodings(self, vocab):
         sents = [["w1", "w2"], ["w3"], ["w4", "w5"], ["w6", "w7", "w1"]]
         table = self._table(vocab)
-        plain = encode_sif_matrix(sents, table, vocab)
-        removed = encode_sif_matrix(sents, table, vocab, remove_pc=True)
-        assert plain.shape == removed.shape
-        assert np.max(np.abs(plain - removed)) > 1e-9
+        np.testing.assert_array_equal(encode_sif_matrix(sents, table, vocab),
+                                      [encode_sif(s, table, vocab) for s in sents])
 
-
-def test_embedding_dump_format(tmp_path, rng):
-    mat = rng.normal(size=(3, 4))
-    path = tmp_path / "sent.vec"
-    dump_sentence_embeddings(path, mat)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "3 4"
-    assert lines[1].split()[0] == "0"
-    np.testing.assert_allclose([float(v) for v in lines[2].split()[1:]], mat[1])
 
 
 def test_pad_batch_rejects_empty_member():

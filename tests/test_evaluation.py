@@ -6,12 +6,12 @@ import pytest
 
 from xlalign import evaluation
 from xlalign.cli import main
-from xlalign.encoders import dump_sentence_embeddings
 from xlalign.evaluation import (CurvePoint, accuracy_curve, cldc_train_eval,
                                 nearest_neighbors, neighbor_report,
                                 retrieval_accuracy, train_mlp, write_curve_csv)
 from xlalign.text import ParallelCorpus, make_splits
 
+from conftest import write_dump
 from test_mapping import random_orthogonal
 
 
@@ -34,16 +34,6 @@ def brute_force_retrieval(src, tgt):
         argmaxes.append(best_j)
         hits += best_j == i
     return hits / n, argmaxes
-
-
-def brute_force_gold_ranks(src, tgt):
-    """O(n^2) reference: 1 + the rows scoring strictly above the gold one +
-    the rows scoring equal to it at an earlier index."""
-    ranks = []
-    for i in range(len(src)):
-        cos = [cosine(src[i], t) for t in tgt]
-        ranks.append(1 + sum(c > cos[i] for c in cos) + sum(c == cos[i] for c in cos[:i]))
-    return ranks
 
 
 def sign_rows(g, n, d=32, nnz=4):
@@ -104,16 +94,24 @@ class TestRetrieval:
         with pytest.raises(ValueError, match="row 2"):
             retrieval_accuracy(x, rng.normal(size=(4, 3)))
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_row_named(self, rng, side, value):
+        x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        (x if side == "source" else y)[4, 2] = value
+        with pytest.raises(ValueError, match=f"non-finite norm at {side} row 4"):
+            retrieval_accuracy(x, y)
+
+    def test_non_finite_pool_row_named(self, rng):
+        pool = rng.normal(size=(3, 2))
+        pool[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite norm at pool row 1"):
+            nearest_neighbors(rng.normal(size=2), pool, ["a", "b", "c"], k=1)
+
     def test_needs_two_pairs(self, rng):
         x = rng.normal(size=(1, 3))
         with pytest.raises(ValueError, match="two"):
             retrieval_accuracy(x, x)
-
-    def test_gold_ranks(self):
-        src = np.eye(3)
-        tgt = np.eye(3)
-        report = retrieval_accuracy(src, tgt, store_ranks=True)
-        assert report.gold_ranks == [1, 1, 1]
 
     def test_small_budget_spans_blocks(self, small_budget):
         xs = ys = np.ones((POOL, 4))
@@ -128,12 +126,6 @@ class TestRetrieval:
         for a, b in ((src, tgt), (tgt, src), (noisy, noisy + 0.8 * g.normal(size=(POOL, 6)))):
             assert retrieval_accuracy(a, b).accuracy == brute_force_retrieval(a, b)[0]
 
-    def test_blocked_gold_ranks_match_reference(self, small_budget):
-        src, tgt = tied_pairs(2)
-        report = retrieval_accuracy(src, tgt, store_ranks=True)
-        assert report.gold_ranks == brute_force_gold_ranks(src, tgt)
-        assert report.accuracy == report.gold_ranks.count(1) / POOL
-
     def test_memory_is_bounded_by_the_block_budget(self, rng):
         x, y = rng.normal(size=(4000, 32)), rng.normal(size=(4000, 32))
         tracemalloc.start()
@@ -146,8 +138,8 @@ class TestRetrieval:
 
     def test_eval_retrieval_command_spans_blocks(self, small_budget, tmp_path, capsys):
         src, tgt = tied_pairs(3)
-        dump_sentence_embeddings(tmp_path / "src.vec", src)
-        dump_sentence_embeddings(tmp_path / "tgt.vec", tgt)
+        write_dump(tmp_path / "src.vec", src)
+        write_dump(tmp_path / "tgt.vec", tgt)
         assert main(["eval-retrieval", "--src-emb", str(tmp_path / "src.vec"),
                      "--tgt-emb", str(tmp_path / "tgt.vec"),
                      "--out-dir", str(tmp_path / "out")]) == 0
@@ -209,6 +201,9 @@ class TestNearestNeighbors:
         assert "[en]" in report
 
 
+IDENTITY = {"en": lambda s: s}  # sentences are already vectors
+
+
 class TestCldc:
     def _clusters(self, rng, n_per_class, d=8, spread=0.1):
         centers = np.eye(4, d) * 3.0
@@ -221,7 +216,7 @@ class TestCldc:
 
     def test_separable_clusters_learned(self, rng):
         docs = self._clusters(rng, 30)
-        report = cldc_train_eval(docs[::2], docs[1::2], lambda s: s,
+        report = cldc_train_eval(docs[::2], docs[1::2], IDENTITY,
                                  train_lang="en", test_lang="en", seed=5)
         assert report.accuracy >= 0.95
         assert report.n_classes == 4
@@ -229,13 +224,13 @@ class TestCldc:
     def test_missing_class_rejected(self, rng):
         docs = [d for d in self._clusters(rng, 5) if d[1] != 2]
         with pytest.raises(ValueError, match="absent"):
-            cldc_train_eval(docs, docs, lambda s: s)
+            cldc_train_eval(docs, docs, IDENTITY, "en", "en")
 
     def test_label_out_of_range_rejected(self, rng):
         docs = self._clusters(rng, 2)
         docs[0] = (docs[0][0], 7)
         with pytest.raises(ValueError):
-            cldc_train_eval(docs, docs, lambda s: s)
+            cldc_train_eval(docs, docs, IDENTITY, "en", "en")
 
     def test_shuffled_labels_near_chance(self, rng):
         docs = self._clusters(rng, 60)
@@ -243,7 +238,7 @@ class TestCldc:
         shuffled = list(labels)
         rng.shuffle(shuffled)
         train = [(doc, l) for (doc, _), l in zip(docs, shuffled)]
-        report = cldc_train_eval(train, docs, lambda s: s, seed=3)
+        report = cldc_train_eval(train, docs, IDENTITY, "en", "en", seed=3)
         assert 0.15 <= report.accuracy <= 0.35
 
     def test_embedder_called_once_per_sentence(self, rng):
@@ -253,7 +248,7 @@ class TestCldc:
         def embedder(s):
             calls.append(s)
             return s
-        cldc_train_eval(docs, docs[:4], embedder, steps=2)
+        cldc_train_eval(docs, docs[:4], {"en": embedder}, "en", "en")
         assert len(calls) == sum(len(doc) for doc, _ in docs + docs[:4])
 
     def test_mlp_learns_xorish_split(self, rng):
@@ -283,33 +278,33 @@ class TestCurve:
 
     def test_cardinality(self):
         corpus = self._toy_corpus()
-        plan = make_splits(len(corpus), [2, 5])
+        sizes = make_splits(len(corpus), [2, 5])
         test_pairs = [([f"s{i}"], [f"t{i}"]) for i in range(20, 24)]
-        points = accuracy_curve(self._identity_factory(), corpus, plan,
+        points = accuracy_curve(self._identity_factory(), corpus, sizes,
                                 [("de", "en"), ("en", "de")], test_pairs)
         assert len(points) == 2 * 2
         assert {p.size for p in points} == {2, 5}
 
     def test_overlapping_test_set_rejected(self):
         corpus = self._toy_corpus()
-        plan = make_splits(len(corpus), [2, 5])
+        sizes = make_splits(len(corpus), [2, 5])
         with pytest.raises(ValueError, match="overlaps"):
-            accuracy_curve(self._identity_factory(), corpus, plan,
+            accuracy_curve(self._identity_factory(), corpus, sizes,
                            [("de", "en")], corpus.pairs[:2])
 
     def test_identity_model_is_perfect_at_every_size(self):
         corpus = self._toy_corpus()
-        plan = make_splits(len(corpus), [2, 5, 9])
+        sizes = make_splits(len(corpus), [2, 5, 9])
         test_pairs = [([f"s{i}"], [f"t{i}"]) for i in range(50, 60)]
-        points = accuracy_curve(self._identity_factory(), corpus, plan,
+        points = accuracy_curve(self._identity_factory(), corpus, sizes,
                                 [("de", "en")], test_pairs)
         assert all(p.accuracy == 1.0 for p in points)
 
     def test_unknown_direction_rejected(self):
         corpus = self._toy_corpus()
-        plan = make_splits(len(corpus), [2])
+        sizes = make_splits(len(corpus), [2])
         with pytest.raises(ValueError, match="direction"):
-            accuracy_curve(self._identity_factory(), corpus, plan,
+            accuracy_curve(self._identity_factory(), corpus, sizes,
                            [("fr", "en")], [(["s90"], ["t90"]), (["s91"], ["t91"])])
 
     def test_csv_format(self, tmp_path):

@@ -52,13 +52,6 @@ class TestFit:
         with pytest.raises(ValueError, match="shape"):
             fit_orthogonal_map(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
 
-    def test_centering_flag(self, rng):
-        x = rng.normal(size=(20, 4)) + 5.0
-        y = x - 5.0
-        plain = fit_orthogonal_map(x, y)
-        centered = fit_orthogonal_map(x, y, center=True)
-        assert centered.residual < plain.residual
-
 
 class TestApply:
     def test_identity_map(self, rng):
@@ -121,7 +114,12 @@ class TestPersistence:
         ("src=de tgt=en pairs=20", "residual"),
         ("src=de tgt=en pairs=abc residual=0.5", "pairs"),
         ("src=de tgt=en pairs=2.5 residual=0.5", "pairs"),
-        ("src=de tgt=en pairs=20 residual=small", "residual")])
+        ("src=de tgt=en pairs=20 residual=small", "residual"),
+        ("src=de tgt=en pairs=0 residual=0.5", "pairs"),
+        ("src=de tgt=en pairs=-5 residual=0.5", "pairs"),
+        ("src=de tgt=en pairs=20 residual=-1.0", "residual"),
+        ("src=de tgt=en pairs=20 residual=nan", "residual"),
+        ("src=de tgt=en pairs=20 residual=inf", "residual")])
     def test_bad_metadata_names_file_and_key(self, tmp_path, comment, key):
         path = tmp_path / "map.ckpt"
         save_checkpoint(path, {"W": np.eye(3)}, comments=[comment] if comment else [])
@@ -141,6 +139,14 @@ class TestPersistence:
         save_checkpoint(path, {"W": np.ones(shape)},
                         comments=["src=de tgt=en pairs=3 residual=0.0"])
         with pytest.raises(ValueError, match="map.ckpt: W must be a square 2-D matrix"):
+            load_map(path)
+
+    @pytest.mark.parametrize("w", [2.0 * np.eye(3), np.full((3, 3), np.nan),
+                                   np.diag([1.0, 1.0, 1.0 + 1e-6])])
+    def test_non_orthogonal_w_rejected(self, tmp_path, w):
+        path = tmp_path / "map.ckpt"
+        save_checkpoint(path, {"W": w}, comments=["src=de tgt=en pairs=3 residual=0.0"])
+        with pytest.raises(ValueError, match="map.ckpt: W is not orthogonal"):
             load_map(path)
 
 

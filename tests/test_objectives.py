@@ -5,8 +5,8 @@ import pytest
 
 from xlalign import autodiff as ad
 from xlalign.cipher import gen_cipher_corpus
-from xlalign.encoders import LSTMParams, new_encoder
-from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule,
+from xlalign.encoders import LSTMParams, encode_sentences, new_encoder
+from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule, decode_ce_sum,
                                 infersent_classify, new_decoder, new_head,
                                 pair_features, seq2seq_loss, train_joint_infersent,
                                 train_joint_seq2seq, train_transfer, write_trace)
@@ -17,7 +17,7 @@ from conftest import encode_reference, lstm_step_reference
 
 @pytest.fixture
 def small_setup():
-    vocab = build_vocab(["w1 w2 w3 w4 w5 w6"], min_count=1)
+    vocab = build_vocab([[f"w{i}" for i in range(1, 7)]], min_count=1)
     enc = new_encoder(len(vocab), dim=4, hidden=3, lang="en", seed=1)
     dec = new_decoder(len(vocab), dim=4, sentence_dim=6, hidden=3, lang="en", seed=2)
     return vocab, enc, dec
@@ -58,10 +58,12 @@ class TestSeq2SeqLoss:
                             LSTMParams(rng.normal(size=(10, 12)), rng.normal(size=(3, 12)),
                                        np.zeros(12)),
                             rng.normal(size=(3, 1)), np.zeros(1), "en")
-        # the degenerate vocabulary maps every token to id 0, the only logit
-        graph = seq2seq_loss([["w1"]], [["<pad>"]], enc, dec, vocab,
-                             _degenerate_vocab(), append_eos=False)
-        assert float(graph.loss.data) == 0.0
+        # every target is id 0, the only logit
+        sent = ad.constant(encode_sentences([["w1"], ["w2", "w3"]], vocab, enc))
+        targets = np.zeros((2, 3), dtype=np.int64)
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        ce = decode_ce_sum(sent, ad.ParamSet(dec), targets, targets, mask)
+        assert float(ce.data) == 0.0
 
     def test_zero_projection_gives_log_v(self, small_setup):
         vocab, enc, dec = small_setup
@@ -109,11 +111,6 @@ class TestSeq2SeqLoss:
         assert set(graph.dec_tensors.gradients()) == set(dec.named_arrays())
 
 
-def _degenerate_vocab():
-    from xlalign.text import Vocabulary
-    return Vocabulary({"<pad>": 0}, ["<pad>"], [1], 1)
-
-
 class TestJointSeq2Seq:
     def _corpus(self, n=40, vocab_size=20, seed=5):
         cc = gen_cipher_corpus(vocab_size, n, (3, 6), seed=seed)
@@ -132,7 +129,8 @@ class TestJointSeq2Seq:
         split, va, vb = self._corpus()
         encs, dec = self._models(va, vb)
         res = train_joint_seq2seq(split, encs, dec, {"la": va, "lb": vb}, "la",
-                                  TrainSchedule(4, 4, 1e-3, ["la", "lb"], seed=1))
+                                  TrainSchedule(4, 4, 1e-3, ["la", "lb"], seed=1),
+                                  NoiseParams(seed=1))
         langs = [pair.split(">")[0] for _, _, pair, _ in res.trace]
         assert langs == ["la", "lb", "la", "lb"]
         objectives = [o for _, o, _, _ in res.trace]
@@ -143,7 +141,8 @@ class TestJointSeq2Seq:
         encs, dec = self._models(va, vb)
         arrays_before = {k: id(v) for k, v in dec.named_arrays().items()}
         res = train_joint_seq2seq(split, encs, dec, {"la": va, "lb": vb}, "la",
-                                  TrainSchedule(4, 6, 1e-3, ["la", "lb"], seed=1))
+                                  TrainSchedule(4, 6, 1e-3, ["la", "lb"], seed=1),
+                                  NoiseParams(seed=1))
         assert res.decoder is dec
         assert {k: id(v) for k, v in dec.named_arrays().items()} == arrays_before
 
@@ -153,7 +152,8 @@ class TestJointSeq2Seq:
         del encs["lb"]
         with pytest.raises(ValueError, match="lb"):
             train_joint_seq2seq(split, encs, dec, {"la": va, "lb": vb}, "la",
-                                TrainSchedule(4, 2, 1e-3, ["la", "lb"], seed=1))
+                                TrainSchedule(4, 2, 1e-3, ["la", "lb"], seed=1),
+                                NoiseParams(seed=1))
 
     def test_loss_halves_on_small_cipher_corpus(self):
         split, va, vb = self._corpus(n=200, vocab_size=30)
@@ -167,9 +167,11 @@ class TestJointSeq2Seq:
     def test_deterministic_trace(self):
         split, va, vb = self._corpus()
         t1 = train_joint_seq2seq(split, *_fresh(va, vb), {"la": va, "lb": vb}, "la",
-                                 TrainSchedule(4, 10, 1e-3, ["la", "lb"], seed=7)).trace
+                                 TrainSchedule(4, 10, 1e-3, ["la", "lb"], seed=7),
+                                 NoiseParams(seed=7)).trace
         t2 = train_joint_seq2seq(split, *_fresh(va, vb), {"la": va, "lb": vb}, "la",
-                                 TrainSchedule(4, 10, 1e-3, ["la", "lb"], seed=7)).trace
+                                 TrainSchedule(4, 10, 1e-3, ["la", "lb"], seed=7),
+                                 NoiseParams(seed=7)).trace
         assert t1 == t2
 
     def test_trace_csv_format(self, tmp_path):

@@ -77,7 +77,7 @@ def test_loaded_encoder_embeds_like_the_saved_one(tmp_path):
     path = tmp_path / "enc.ckpt"
     save_encoder(path, enc)
     loaded = load_encoder(path)
-    vocab = build_vocab(["w0 w1 w2 w3 w4 w5 w6 w7"], min_count=1)
+    vocab = build_vocab([[f"w{i}" for i in range(8)]], min_count=1)
     sents = [["w1", "w5", "w0"]]
     np.testing.assert_array_equal(encode_sentences(sents, vocab, loaded),
                                   encode_sentences(sents, vocab, enc))

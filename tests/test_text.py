@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlalign.rand import Xorshift64Star
-from xlalign.text import (CURVE_GRID_FULL, UNK, NoiseParams, build_vocab,
+from xlalign.evaluation import accuracy_curve
+from xlalign.text import (UNK, NoiseParams, ParallelCorpus, build_vocab,
                           corrupt, load_dictionary, load_parallel, load_word2vec,
                           make_splits, save_word2vec, sif_weight, tokenize)
 
@@ -35,19 +36,19 @@ class TestTokenize:
 
 class TestVocab:
     def test_direct_counts(self):
-        v = build_vocab(["a b", "a"], min_count=1)
+        v = build_vocab([["a", "b"], ["a"]], min_count=1)
         assert len(v) == 6  # 4 reserved + a + b
         assert v.frequencies[v.token_to_id["a"]] == 2
         assert v.frequencies[v.token_to_id["b"]] == 1
 
     def test_min_count_threshold(self):
-        v = build_vocab(["a b", "a"], min_count=2)
+        v = build_vocab([["a", "b"], ["a"]], min_count=2)
         assert "b" not in v.token_to_id
         assert v.id_of("b") == UNK
         assert v.frequencies[UNK] == 1  # pooled OOV mass
 
     def test_total_equals_sum_of_frequencies(self):
-        v = build_vocab(["a b c", "a b", "a"], min_count=2)
+        v = build_vocab([["a", "b", "c"], ["a", "b"], ["a"]], min_count=2)
         assert v.total_count == sum(v.frequencies) == 6
 
     def test_empty_corpus_rejected(self):
@@ -57,17 +58,17 @@ class TestVocab:
     def test_counts_match_counter_oracle(self):
         rng = Xorshift64Star(5)
         words = [f"t{i}" for i in range(40)]
-        lines = [" ".join(rng.choice(words) for _ in range(1 + rng.randint(9)))
-                 for _ in range(1000)]
-        oracle = Counter(w for line in lines for w in line.split())
-        v = build_vocab(lines, min_count=1)
+        sentences = [[words[rng.randint(len(words))] for _ in range(1 + rng.randint(9))]
+                     for _ in range(1000)]
+        oracle = Counter(w for sentence in sentences for w in sentence)
+        v = build_vocab(sentences, min_count=1)
         for w, c in oracle.items():
             assert v.frequencies[v.token_to_id[w]] == c
         assert v.total_count == sum(oracle.values())
 
     def test_encode_decode(self):
-        v = build_vocab(["x y"], min_count=1)
-        assert v.decode(v.encode(["x", "zzz"])) == ["x", "<unk>"]
+        v = build_vocab([["x", "y"]], min_count=1)
+        assert [v.id_to_token[i] for i in v.encode(["x", "zzz"])] == ["x", "<unk>"]
 
 
 class TestCorrupt:
@@ -164,12 +165,27 @@ class TestParallel:
         assert corpus.skipped == 1
 
 
+def curve_training_sets(n, sizes):
+    """The training pairs `accuracy_curve` hands its model factory, split by split."""
+    corpus = ParallelCorpus([([f"s{i}"], [f"t{i}"]) for i in range(n)], "de", "en")
+    seen = []
+
+    def embed(sentences):
+        return np.eye(len(sentences)) + 1.0
+
+    def factory(train_pairs):
+        seen.append(list(train_pairs))
+        return embed, embed
+    accuracy_curve(factory, corpus, make_splits(n, sizes), [("de", "en")],
+                   [(["held-out"], ["a"]), (["held-out"], ["b"])])
+    return corpus, seen
+
+
 class TestSplits:
     def test_prefix_rule(self):
-        plan = make_splits(10, [2, 5])
-        assert list(plan.indices(0)) == [0, 1]
-        assert list(plan.indices(1)) == [0, 1, 2, 3, 4]
-        assert set(plan.indices(0)) <= set(plan.indices(1))
+        assert make_splits(10, (2, 5)) == [2, 5]
+        corpus, seen = curve_training_sets(10, [2, 5])
+        assert seen == [corpus.pairs[:2], corpus.pairs[:5]]
 
     def test_not_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -180,15 +196,14 @@ class TestSplits:
             make_splits(10, [5, 20])
 
     def test_full_grid_on_million_pair_corpus(self):
-        plan = make_splits(1_000_000, CURVE_GRID_FULL)
-        assert len(plan.sizes) == 10
-        assert plan.sizes == [1000, 2000, 5000, 10000, 20000, 50000,
-                              100000, 200000, 500000, 1000000]
+        grid = [s * 1000 for s in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)]
+        assert make_splits(1_000_000, grid) == [1000, 2000, 5000, 10000, 20000, 50000,
+                                                100000, 200000, 500000, 1000000]
 
     def test_nesting_property(self):
-        plan = make_splits(5000, [10, 100, 1000])
-        for a, b in zip(plan.sizes, plan.sizes[1:]):
-            assert set(plan.indices(plan.sizes.index(a))) < set(plan.indices(plan.sizes.index(b)))
+        _, seen = curve_training_sets(5000, [10, 100, 1000])
+        for small, large in zip(seen, seen[1:]):
+            assert len(small) < len(large) and large[:len(small)] == small
 
 
 class TestEmbeddingFiles:
