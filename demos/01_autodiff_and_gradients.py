@@ -38,14 +38,16 @@ print("\nfinite differences agree within",
 
 # --- a whole LSTM direction is one fused node --------------------------------
 # Rows are time-major (row t*B + b is step t of sentence b); the (B, T) mask
-# marks live steps, and a padded step carries the state through.
+# marks live steps, and a padded step carries the state through. A scan takes
+# one (w_in, w_rec, bias) cell per direction and one `reverse` flag each; the
+# encoder runs its two directions as one scan.
 rng = np.random.default_rng(0)
 d, hid, steps, batch = 3, 4, 3, 2
 mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
 w_in = ad.leaf(rng.normal(size=(d, 4 * hid)) * 0.5)
-states = ad.lstm_scan(
-    ad.constant(rng.normal(size=(steps * batch, d))), w_in,
-    ad.leaf(rng.normal(size=(hid, 4 * hid)) * 0.5), ad.leaf(np.zeros(4 * hid)), mask)
+x = ad.constant(rng.normal(size=(steps * batch, d)))
+cell = (w_in, ad.leaf(rng.normal(size=(hid, 4 * hid)) * 0.5), ad.leaf(np.zeros(4 * hid)))
+states = ad.lstm_scan(x, [cell], mask, (False,))
 pooled = ad.masked_maxpool(states, mask)
 ad.backward(ad.tsum(pooled))
 print("\nLSTM scan over 3 steps -> states", states.shape, "; max-pooled =\n",

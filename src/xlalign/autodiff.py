@@ -2,9 +2,9 @@
 
 The op set is deliberately minimal: elementwise and matrix ops for the
 classifier head and the losses, plus fused sequence kernels (`lstm_scan`,
-`masked_maxpool`) that run a whole masked LSTM direction or a temporal
-max-pool as one node with a hand-written backward. Nodes form an implicit DAG
-(each Tensor records its op name, parent nodes and a backward closure);
+`masked_maxpool`) that run a stack of masked LSTM directions in one time loop
+or a temporal max-pool as one node with a hand-written backward. Nodes form an
+implicit DAG (each Tensor records its op name, parent nodes and a backward closure);
 ``backward`` walks the graph once in reverse topological order.
 
 Conventions:
@@ -235,10 +235,15 @@ def matmul(a, b):
 
 
 def _sigmoid(z):
-    """Logistic function of an array; exp(-|z|) never overflows."""
-    e = np.exp(-np.abs(z))
+    """Logistic function of an array; exp(-|z|) never overflows. Equal bit for bit
+    to `where(z >= 0, 1 / (1 + e), e / (1 + e))` with e = exp(-|z|)."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    np.copyto(e, 1.0, where=z >= 0)
+    e /= d
+    return e
 
 
 def tanh(a):
@@ -343,116 +348,158 @@ def time_major(a):
     return np.asarray(a).T.reshape(-1)
 
 
-def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse=False, context=None, keep=False):
-    """Masked single-direction LSTM over time-major rows, on plain arrays.
+# A scan runs a stack of k LSTM directions in one time loop. Inside it, and in
+# its cache, a per-direction array is (k, T, ...) in loop order: loop step i is
+# time step i of a forward direction and time step T-1-i of a reverse one.
 
-    x: (T*B, D); mask: (B, T); context: (B, C) or None, appended to every
-    step's input, so w_in is (D + C, 4H). Gate layout [i, f, g, o]; the state
-    starts at zero. Returns the hidden states (T*B, H) and, with `keep`, the
-    cache `lstm_scan` backpropagates through (else None). The graph op and
-    inference both run this one function.
+def _flip_reverse(a, reverse):
+    """Flip, in place, the time axis of each reverse direction of the (k, T, ...)
+    array `a`: time order to loop order and back. Returns `a`."""
+    for j, rev in enumerate(reverse):
+        if rev:
+            a[j] = a[j, ::-1].copy()
+    return a
+
+
+def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=False):
+    """k masked LSTM directions over the same time-major rows, on plain arrays.
+
+    x: (T*B, D); w_in: (k, D + C, 4H); w_rec: (k, H, 4H); bias: (k, 4H);
+    reverse: k flags, a reverse direction runs from the last step to the first;
+    mask: (B, T); context: (B, C) or None, appended to every step's input. Gate
+    layout [i, f, g, o]; the state starts at zero. Returns the hidden states
+    (T*B, k*H), direction j in columns j*H:(j+1)*H, and, with `keep`, the cache
+    `lstm_scan` backpropagates through (else None). The graph op, the decoder
+    and inference all run this one function. Each direction's products are
+    the BLAS calls a 2-D `@` makes, so its bits do not depend on k.
     """
     b, t_max = mask.shape
-    hid = w_rec.shape[0]
+    k, hid = w_rec.shape[:2]
     in_dim = x.shape[1] + (0 if context is None else context.shape[1])
-    if w_rec.shape != (hid, 4 * hid) or w_in.shape != (in_dim, 4 * hid) or bias.shape != (4 * hid,):
+    if (w_rec.shape != (k, hid, 4 * hid) or w_in.shape != (k, in_dim, 4 * hid)
+            or bias.shape != (k, 4 * hid) or len(reverse) != k):
         raise ValueError(
             f"inconsistent LSTM parameter shapes for input dim {in_dim}: w_in {w_in.shape}, "
-            f"w_rec {w_rec.shape}, bias {bias.shape}")
+            f"w_rec {w_rec.shape}, bias {bias.shape}, {len(reverse)} direction flags")
     if x.shape[0] != t_max * b:
         raise ValueError(f"{x.shape[0]} input rows do not match a ({b}, {t_max}) mask")
     if context is not None:
         steps_ctx = np.broadcast_to(context, (t_max,) + context.shape)
         x = np.concatenate([x.reshape(t_max, b, -1), steps_ctx], axis=2).reshape(t_max * b, -1)
-    gates_in = (x @ w_in).reshape(t_max, b, 4 * hid)
-    live = mask.T[:, :, None] > 0
-    h = np.zeros((b, hid), dtype=gates_in.dtype)
+    gates_in = _flip_reverse(np.matmul(x, w_in).reshape(k, t_max, b, 4 * hid), reverse)
+    live = _flip_reverse(np.repeat((mask.T > 0)[None, :, :, None], k, axis=0), reverse)
+    all_live = live.all(axis=(0, 2, 3)).tolist()
+    bias = bias[:, None, :]
+    h = np.zeros((k, b, hid), dtype=gates_in.dtype)
     c = np.zeros_like(h)
-    states = np.empty((t_max, b, hid), dtype=h.dtype)
+    states = np.empty((k, t_max, b, hid), dtype=h.dtype)
     if keep:
         acts = np.empty_like(gates_in)
         h_prev, c_prev, tanh_c = (np.empty_like(states) for _ in range(3))
-    for t in (range(t_max - 1, -1, -1) if reverse else range(t_max)):
-        gates = gates_in[t] + h @ w_rec + bias
+    for i in range(t_max):
+        gates = np.matmul(h, w_rec)
+        gates += gates_in[:, i]
+        gates += bias
         act = _sigmoid(gates)
-        act[:, 2 * hid:3 * hid] = np.tanh(gates[:, 2 * hid:3 * hid])
-        c_new = act[:, hid:2 * hid] * c + act[:, :hid] * act[:, 2 * hid:3 * hid]
+        np.tanh(gates[..., 2 * hid:3 * hid], out=act[..., 2 * hid:3 * hid])
+        c_new = act[..., hid:2 * hid] * c + act[..., :hid] * act[..., 2 * hid:3 * hid]
         tc = np.tanh(c_new)
         if keep:
-            acts[t], h_prev[t], c_prev[t], tanh_c[t] = act, h, c, tc
-        h = np.where(live[t], act[:, 3 * hid:] * tc, h)
-        c = np.where(live[t], c_new, c)
-        states[t] = h
+            acts[:, i], h_prev[:, i], c_prev[:, i], tanh_c[:, i] = act, h, c, tc
+        h_new = act[..., 3 * hid:] * tc
+        if all_live[i]:
+            h, c = h_new, c_new
+        else:
+            h = np.where(live[:, i], h_new, h)
+            c = np.where(live[:, i], c_new, c)
+        states[:, i] = h
     cache = (x, live, acts, h_prev, c_prev, tanh_c) if keep else None
-    return states.reshape(t_max * b, hid), cache
+    states = _flip_reverse(states, reverse).transpose(1, 2, 0, 3)
+    return states.reshape(t_max * b, k * hid), cache
 
 
 def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
-    """Backpropagation through time for `lstm_scan_forward`.
+    """Backpropagation through time for `lstm_scan_forward`, every direction in
+    one loop.
 
-    Returns the gradients of the (context-extended) input rows, w_in, w_rec
-    and bias.
+    Returns the gradient of the (context-extended) input rows, summed over the
+    directions, and the stacked gradients of w_in, w_rec and bias.
     """
     x, live, acts, h_prev, c_prev, tanh_c = cache
-    t_max, b, hid = h_prev.shape
+    k, t_max, b, hid = h_prev.shape
     on = live.astype(acts.dtype)
     off = 1.0 - on
-    i, f, g, o = (acts[..., k * hid:(k + 1) * hid] for k in range(4))
+    i, f, g, o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
     # gate-input gradients per unit of d c_new (i, f, g) and of d h_new (o)
-    via_c = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
+    via_c = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=3)
     via_h = tanh_c * o * (1.0 - o)
     h_to_c = o * (1.0 - tanh_c * tanh_c)
-    g_states = g_states.reshape(t_max, b, hid)
-    d_gates = np.empty((t_max, b, 4, hid), dtype=acts.dtype)
-    dh = np.zeros((b, hid), dtype=acts.dtype)
+    g_states = _flip_reverse(g_states.reshape(t_max, b, k, hid).transpose(2, 0, 1, 3).copy(),
+                             reverse)
+    d_gates = np.empty((k, t_max, b, 4, hid), dtype=acts.dtype)
+    dh = np.zeros((k, b, hid), dtype=acts.dtype)
     dc = np.zeros_like(dh)
-    w_rec_t = w_rec.T
-    for t in (range(t_max) if reverse else range(t_max - 1, -1, -1)):
-        dh_t = g_states[t] + dh
-        dh_new = dh_t * on[t]
-        dc_new = dc * on[t] + dh_new * h_to_c[t]
-        np.multiply(dc_new[:, None, :], via_c[t], out=d_gates[t, :, :3])
-        np.multiply(dh_new, via_h[t], out=d_gates[t, :, 3])
-        dh = d_gates[t].reshape(b, 4 * hid) @ w_rec_t + dh_t * off[t]
-        dc = dc_new * f[t] + dc * off[t]
-    d_gates = d_gates.reshape(t_max * b, 4 * hid)
-    return (d_gates @ w_in.T, x.T @ d_gates, h_prev.reshape(-1, hid).T @ d_gates,
-            d_gates.sum(axis=0))
+    w_rec_t = w_rec.transpose(0, 2, 1)
+    for s in range(t_max - 1, -1, -1):
+        dh_t = g_states[:, s] + dh
+        dh_new = dh_t * on[:, s]
+        dc_new = dc * on[:, s] + dh_new * h_to_c[:, s]
+        np.multiply(dc_new[:, :, None, :], via_c[:, s], out=d_gates[:, s, :, :3])
+        np.multiply(dh_new, via_h[:, s], out=d_gates[:, s, :, 3])
+        dh = np.matmul(d_gates[:, s].reshape(k, b, 4 * hid), w_rec_t) + dh_t * off[:, s]
+        dc = dc_new * f[:, s] + dc * off[:, s]
+    # weight gradients sum over rows in time order, as the per-direction products do
+    d_gates = _flip_reverse(d_gates, reverse).reshape(k, t_max * b, 4 * hid)
+    h_prev = _flip_reverse(h_prev.copy(), reverse).reshape(k, t_max * b, hid)
+    return (np.matmul(d_gates, w_in.transpose(0, 2, 1)).sum(axis=0), np.matmul(x.T, d_gates),
+            np.matmul(h_prev.transpose(0, 2, 1), d_gates), d_gates.sum(axis=1))
 
 
-def lstm_scan(x, w_in, w_rec, bias, mask, reverse=False, context=None):
-    """One LSTM direction over a padded batch as a single graph node.
+def lstm_scan(x, cells, mask, reverse, context=None):
+    """k LSTM directions over a padded batch as a single graph node.
 
-    x: (T*B, D) time-major input rows; mask: (B, T) constant array; context:
-    optional (B, C) tensor appended to every step's input. Returns the hidden
-    states (T*B, H), time-major, in input order for either direction.
+    x: (T*B, D) time-major input rows, read by every direction; cells: k
+    (w_in, w_rec, bias) tensor triples, stacked for `lstm_scan_forward`;
+    reverse: k flags; mask: (B, T) constant array; context: optional (B, C)
+    tensor appended to every step's input. Returns the hidden states
+    (T*B, k*H), time-major and in input order for either direction, direction
+    j in columns j*H:(j+1)*H.
     """
     mask = np.asarray(mask)
-    states, cache = lstm_scan_forward(x.data, w_in.data, w_rec.data, bias.data, mask, reverse,
+
+    def stacked(n):  # (k, ...) weights, a view for k = 1; backward stacks anew, holding no copy
+        arrays = [cell[n].data for cell in cells]
+        return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+    states, cache = lstm_scan_forward(x.data, stacked(0), stacked(1), stacked(2), mask, reverse,
                                       None if context is None else context.data, keep=True)
-    parents = (x, w_in, w_rec, bias) + (() if context is None else (context,))
+    parents = (x, *(t for cell in cells for t in cell)) + (() if context is None else (context,))
 
     def bwd(g):
-        d_in, d_w_in, d_w_rec, d_bias = _lstm_scan_backward(g, cache, w_in.data, w_rec.data,
-                                                            reverse)
+        d_in, *d_cells = _lstm_scan_backward(g, cache, stacked(0), stacked(1), reverse)
         d = x.data.shape[1]
         _accum(x, d_in[:, :d])
         if context is not None:
             _accum(context, d_in[:, d:].reshape(mask.shape[1], mask.shape[0], -1).sum(axis=0))
-        _accum(w_in, d_w_in)
-        _accum(w_rec, d_w_rec)
-        _accum(bias, d_bias)
+        for j, cell in enumerate(cells):
+            for t, d_t in zip(cell, d_cells):
+                _accum(t, d_t[j])
     return Tensor(states, op="lstm_scan", parents=parents, backward=bwd)
 
 
-def maxpool_forward(states, mask):
+def maxpool_forward(states, mask, keep=False):
     """Max over each row's live timesteps of time-major (T*B, H) states.
 
-    Returns the pooled (B, H) array and the timestep each entry came from;
-    ties go to the earliest timestep.
+    Returns the pooled (B, H) array, each entry taken from the earliest
+    timestep that holds the maximum, and, with `keep`, those timesteps (which
+    `masked_maxpool` backpropagates to), else None. Without `keep` a max
+    reduction gives the values; only a zero maximum, where -0.0 and 0.0 tie,
+    needs the timesteps to pick its sign.
     """
     b, t_max = mask.shape
     filled = np.where(mask.T[:, :, None] > 0, states.reshape(t_max, b, -1), MASK_FILL)
+    pooled = filled.max(axis=0)
+    if not keep and pooled.all():
+        return pooled, None
     first = filled.argmax(axis=0)
     return np.take_along_axis(filled, first[None], axis=0)[0], first
 
@@ -460,7 +507,7 @@ def maxpool_forward(states, mask):
 def masked_maxpool(states, mask):
     """Temporal max-pool over live steps as one node; gradient to the argmax."""
     mask = np.asarray(mask)
-    pooled, first = maxpool_forward(states.data, mask)
+    pooled, first = maxpool_forward(states.data, mask, keep=True)
 
     def bwd(g):
         full = np.zeros((mask.shape[1],) + pooled.shape, dtype=g.dtype)

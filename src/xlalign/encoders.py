@@ -15,12 +15,16 @@ embedding does not depend on what it was batched with.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .text import PAD, sif_weight
+
+BATCH = 64  # rows per inference batch; peak memory grows with it
+DIRECTIONS = (False, True)  # the BiLSTM's (fwd, bwd) cells, as `reverse` flags
 
 
 @dataclass
@@ -89,24 +93,22 @@ def pad_batch(id_seqs):
     lengths = [len(s) for s in id_seqs]
     if min(lengths) == 0:
         raise ValueError("cannot encode an empty sentence")
-    t_max = max(lengths)
-    ids = np.full((len(id_seqs), t_max), PAD, dtype=np.int64)
-    mask = np.zeros((len(id_seqs), t_max))
-    for i, seq in enumerate(id_seqs):
-        ids[i, :len(seq)] = seq
-        mask[i, :len(seq)] = 1.0
-    return ids, mask, lengths
+    live = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    ids = np.full(live.shape, PAD, dtype=np.int64)
+    ids[live] = np.fromiter(itertools.chain.from_iterable(id_seqs), np.int64, sum(lengths))
+    return ids, live.astype(np.float64), lengths
 
 
 def encode_batch(ids, mask, enc_tensors):
     """BiLSTM + masked temporal max-pool over a padded id batch -> (B, 2H).
 
-    `enc_tensors` is the encoder's `ParamSet`.
+    `enc_tensors` is the encoder's `ParamSet`. Both directions run in one
+    `lstm_scan` node, and one max-pool covers their (T*B, 2H) states.
     """
     x = ad.gather_rows(enc_tensors["emb"], ad.time_major(ids))
-    pooled = [ad.masked_maxpool(ad.lstm_scan(x, *_cell(enc_tensors, name), mask, reverse), mask)
-              for name, reverse in (("fwd.", False), ("bwd.", True))]
-    return ad.concat(pooled, axis=1)
+    states = ad.lstm_scan(x, [_cell(enc_tensors, "fwd."), _cell(enc_tensors, "bwd.")], mask,
+                          DIRECTIONS)
+    return ad.masked_maxpool(states, mask)
 
 
 def _cell(tensors, name):
@@ -115,18 +117,28 @@ def _cell(tensors, name):
 
 
 def encode_sentences(sentences, vocab, enc):
-    """Encode token sequences to a (n, 2H) array; forward only, builds no graph."""
-    out = np.empty((len(sentences), enc.output_dim))
-    step = 64
-    for lo in range(0, len(sentences), step):
-        batch = sentences[lo:lo + step]
-        ids, mask, _ = pad_batch([vocab.encode(s) for s in batch])
-        _check_ids(ids, enc.vocab_size)
-        x = enc.embeddings[ad.time_major(ids)]
-        pooled = [ad.maxpool_forward(ad.lstm_scan_forward(x, cell.w_in, cell.w_rec, cell.bias,
-                                                          mask, reverse)[0], mask)[0]
-                  for cell, reverse in ((enc.fwd, False), (enc.bwd, True))]
-        out[lo:lo + len(batch)] = np.concatenate(pooled, axis=1)
+    """Encode token sequences to a (n, 2H) array; forward only, builds no graph.
+
+    Sentences are encoded in order of length, in batches of `BATCH` rows, so
+    a batch pads little; the rows come back in input order. A trailing
+    one-row batch joins the batch before it: a one-row product takes BLAS's
+    matrix-vector path, whose rounding differs from a row of a matrix product.
+    """
+    ids = [vocab.encode(s) for s in sentences]
+    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+    bounds = list(range(0, len(ids), BATCH)) + [len(ids)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    w_in, w_rec, bias = (np.array([getattr(enc.fwd, n), getattr(enc.bwd, n)])
+                         for n in ("w_in", "w_rec", "bias"))
+    out = np.empty((len(ids), enc.output_dim))
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = order[lo:hi]
+        batch, mask, _ = pad_batch([ids[i] for i in rows])
+        _check_ids(batch, enc.vocab_size)
+        states, _ = ad.lstm_scan_forward(enc.embeddings[ad.time_major(batch)], w_in, w_rec, bias,
+                                         mask, DIRECTIONS)
+        out[rows] = ad.maxpool_forward(states, mask)[0]
     return out
 
 
@@ -141,17 +153,21 @@ def _check_ids(ids, vocab_size):
 
 def encode_sif(tokens, table, vocab, a=1e-3):
     """Length-normalised SIF-weighted sum of word vectors -> (D,) array."""
-    if not tokens:
-        raise ValueError("cannot encode an empty sentence")
-    total = vocab.total_count
-    acc = np.zeros(table.shape[1])
-    for tok in tokens:
-        wid = vocab.id_of(tok)
-        acc += sif_weight(vocab.frequencies[wid], total, a) * table[wid]
-    return acc / len(tokens)
+    return encode_sif_matrix([tokens], table, vocab, a)[0]
 
 
 def encode_sif_matrix(sentences, table, vocab, a=1e-3):
     """`encode_sif` of each sentence, stacked -> (n, D); no principal-component
-    removal."""
-    return np.stack([encode_sif(s, table, vocab, a) for s in sentences])
+    removal.
+
+    One pass over token positions: every sentence's sum grows in token order,
+    as a per-token loop adds it, and is divided by its length at the end.
+    """
+    weights = np.array([sif_weight(freq, vocab.total_count, a) for freq in vocab.frequencies])
+    ids, mask, lengths = pad_batch([vocab.encode(s) for s in sentences])
+    acc = np.zeros((len(sentences), table.shape[1]))
+    for pos in range(ids.shape[1]):
+        live = mask[:, pos] > 0
+        wid = ids[live, pos]
+        acc[live] += weights[wid][:, None] * table[wid]
+    return acc / np.array(lengths)[:, None]

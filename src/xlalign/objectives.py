@@ -108,7 +108,7 @@ def decode_ce_sum(sent_emb, dec_tensors, dec_in, targets, mask):
     come from one output projection.
     """
     x = ad.gather_rows(dec_tensors["emb"], ad.time_major(dec_in))
-    states = ad.lstm_scan(x, *_cell(dec_tensors, "cell."), mask, context=sent_emb)
+    states = ad.lstm_scan(x, [_cell(dec_tensors, "cell.")], mask, (False,), context=sent_emb)
     logits = ad.add(ad.matmul(states, dec_tensors["w_out"]), dec_tensors["b_out"])
     return ad.softmax_cross_entropy_sum(logits, ad.time_major(targets), ad.time_major(mask))
 

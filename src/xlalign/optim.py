@@ -40,12 +40,19 @@ class Adam:
                 raise ValueError(f"parameter shape {p.shape} does not match gradient shape {g.shape}")
             m, v, t = self.state.get(name) or (np.zeros_like(p), np.zeros_like(p), 0)
             t += 1
-            m = BETA1 * m + (1.0 - BETA1) * g
-            v = BETA2 * v + (1.0 - BETA2) * g * g
+            # in place, in the operation order of
+            # p - lr * (m / (1 - β1^t)) / (sqrt(v / (1 - β2^t)) + ε), so the bits match it
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             self.state[name] = [m, v, t]
-            m_hat = m / (1.0 - BETA1 ** t)
-            v_hat = v / (1.0 - BETA2 ** t)
-            p[...] = p - self.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+            step = m / (1.0 - BETA1 ** t)
+            step *= self.lr
+            denom = np.sqrt(v / (1.0 - BETA2 ** t))
+            denom += EPSILON
+            step /= denom
+            p -= step
 
 
 def optimizer_params(*parts):

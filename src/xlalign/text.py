@@ -47,7 +47,8 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK)
 
     def encode(self, tokens):
-        return [self.id_of(t) for t in tokens]
+        get = self.token_to_id.get
+        return [get(t, UNK) for t in tokens]
 
     def probability(self, token):
         """Unigram probability p(w); OOV tokens share the pooled UNK mass."""
@@ -187,21 +188,26 @@ def load_word2vec(path):
 
     A UTF-8 byte-order mark and trailing whitespace on a line (fastText `.vec`
     files end every line with a space) are accepted. Returns (words, matrix).
+    A malformed file is a `ValueError` naming the file and the 1-based line.
     """
     with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(h.isdigit() for h in header):
-            raise ValueError(f"{path}: header {' '.join(header)!r} is not '<count> <dim>'")
+            raise ValueError(f"{path}:1: header {' '.join(header)!r} is not '<count> <dim>'")
         count, dim = int(header[0]), int(header[1])
         words, rows = [], []
-        for line in fh:
+        for ln, line in enumerate(fh, 2):
             parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:
-                raise ValueError(f"bad embedding line for {parts[0]!r}: expected {dim} values")
+                raise ValueError(f"{path}:{ln}: expected a word and {dim} values, "
+                                 f"got {len(parts) - 1} values after {parts[0]!r}")
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
             words.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
     if len(words) != count:
-        raise ValueError(f"embedding file header says {count} words, found {len(words)}")
+        raise ValueError(f"{path}:1: header says {count} words, found {len(words)}")
     return words, np.array(rows, dtype=np.float64)
 
 

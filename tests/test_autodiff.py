@@ -143,22 +143,30 @@ class TestGradientChecks:
         _check_op(lambda l: ad.softmax_cross_entropy_sum(l[0], targets, weights), [logits])
 
     def test_lstm_scan_forward(self, rng):
-        _check_scan(rng, reverse=False, mask=_mask(3, 3))
+        _check_scan(rng, reverse=(False,), mask=_mask(3, 3))
 
     def test_lstm_scan_reverse_padded(self, rng):
-        _check_scan(rng, reverse=True, mask=_mask(3, 1, 2))
+        _check_scan(rng, reverse=(True,), mask=_mask(3, 1, 2))
 
     def test_lstm_scan_forward_padded(self, rng):
-        _check_scan(rng, reverse=False, mask=_mask(1, 3, 2))
+        _check_scan(rng, reverse=(False,), mask=_mask(1, 3, 2))
 
     def test_lstm_scan_context(self, rng):
-        _check_scan(rng, reverse=False, mask=_mask(2, 3), context_dim=2)
+        _check_scan(rng, reverse=(False,), mask=_mask(2, 3), context_dim=2)
 
     def test_lstm_scan_gap_carries_state(self, rng):
         # a dead step inside a row carries h and c through, in both directions
         gap = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]])
-        _check_scan(rng, reverse=False, mask=gap)
-        _check_scan(rng, reverse=True, mask=gap)
+        _check_scan(rng, reverse=(False,), mask=gap)
+        _check_scan(rng, reverse=(True,), mask=gap)
+
+    def test_lstm_scan_stacked_directions_padded(self, rng):
+        # both directions in one scan, over rows padded to different lengths
+        _check_scan(rng, reverse=(False, True), mask=_mask(3, 1, 2))
+
+    def test_lstm_scan_stacked_directions_with_gap(self, rng):
+        gap = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]])
+        _check_scan(rng, reverse=(True, False), mask=gap)
 
     def test_masked_maxpool_with_margin(self, rng):
         # four timesteps, two rows, the second row padded after step 2; the
@@ -185,24 +193,34 @@ def _mask(*lengths):
     return np.array([[1.0] * n + [0.0] * (t_max - n) for n in lengths])
 
 
-def _scan_inputs(rng, mask, d=3, hid=2, context_dim=0):
+def _scan_inputs(rng, mask, d=3, hid=2, context_dim=0, k=1):
+    """[x, then (w_in, w_rec, bias) per direction, then the context if any]."""
     b, t_max = mask.shape
-    arrays = [rng.normal(size=(t_max * b, d)), rng.normal(size=(d + context_dim, 4 * hid)) * 0.7,
-              rng.normal(size=(hid, 4 * hid)) * 0.7, rng.normal(size=4 * hid) * 0.5]
+    arrays = [rng.normal(size=(t_max * b, d))]
+    for _ in range(k):
+        arrays += [rng.normal(size=(d + context_dim, 4 * hid)) * 0.7,
+                   rng.normal(size=(hid, 4 * hid)) * 0.7, rng.normal(size=4 * hid) * 0.5]
     if context_dim:
         arrays.append(rng.normal(size=(b, context_dim)))
     return arrays
 
 
+def _scan(l, mask, reverse, context=None):
+    """lstm_scan of x = l[0] with one cell per flag in `reverse`, laid out as
+    `_scan_inputs` lays them out."""
+    cells = [tuple(l[1 + 3 * j:4 + 3 * j]) for j in range(len(reverse))]
+    return ad.lstm_scan(l[0], cells, mask, reverse, context=context)
+
+
 def _check_scan(rng, reverse, mask, context_dim=0):
     """FD check of every lstm_scan input through a random linear readout."""
-    arrays = _scan_inputs(rng, mask, context_dim=context_dim)
-    readout = ad.constant(rng.normal(size=(arrays[0].shape[0], arrays[2].shape[0])))
+    arrays = _scan_inputs(rng, mask, context_dim=context_dim, k=len(reverse))
+    hid = arrays[2].shape[0]
+    readout = ad.constant(rng.normal(size=(arrays[0].shape[0], len(reverse) * hid)))
 
     def build(l):
-        context = l[4] if context_dim else None
-        states = ad.lstm_scan(*l[:4], mask, reverse=reverse, context=context)
-        return ad.tsum(ad.mul(states, readout))
+        context = l[-1] if context_dim else None
+        return ad.tsum(ad.mul(_scan(l, mask, reverse, context), readout))
     _check_op(build, arrays)
 
 
@@ -227,30 +245,65 @@ class TestLstmStep:
     def test_all_zero_params(self):
         z = ad.constant
         mask = np.ones((2, 3))
-        states = ad.lstm_scan(z(np.zeros((6, 3))), z(np.zeros((3, 8))), z(np.zeros((2, 8))),
-                              z(np.zeros(8)), mask)
+        cell = (z(np.zeros((3, 8))), z(np.zeros((2, 8))), z(np.zeros(8)))
+        states = ad.lstm_scan(z(np.zeros((6, 3))), [cell], mask, (False,))
         np.testing.assert_array_equal(states.data, np.zeros((6, 2)))
 
     def test_shape_contract(self, rng):
         mask = _mask(4, 2, 3)
         arrays = _scan_inputs(rng, mask, context_dim=2)
-        states = ad.lstm_scan(*(ad.constant(a) for a in arrays[:4]), mask,
-                              context=ad.constant(arrays[4]))
+        states = _scan([ad.constant(a) for a in arrays], mask, (False,),
+                       context=ad.constant(arrays[4]))
         assert states.data.shape == (4 * 3, 2)
 
     def test_matches_scalar_reference(self, rng):
         for reverse in (False, True):
             mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
             arrays = _scan_inputs(rng, mask, d=4, hid=3)
-            states = ad.lstm_scan(*(ad.constant(a) for a in arrays), mask, reverse=reverse)
+            states = _scan([ad.constant(a) for a in arrays], mask, (reverse,))
             ref = _chained_reference(*arrays[:1], mask, *arrays[1:], reverse)
             assert np.max(np.abs(states.data - ref)) < 1e-12
 
+    def test_stacked_directions_match_scalar_reference(self, rng):
+        # padded rows and a dead step inside a row, both directions in one scan
+        mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
+        arrays = _scan_inputs(rng, mask, d=4, hid=3, k=2)
+        states = _scan([ad.constant(a) for a in arrays], mask, (False, True))
+        for j, reverse in enumerate((False, True)):
+            ref = _chained_reference(arrays[0], mask, *arrays[1 + 3 * j:4 + 3 * j], reverse)
+            assert np.max(np.abs(states.data[:, 3 * j:3 * j + 3] - ref)) < 1e-12
+
+    def test_stacked_directions_equal_single_directions_bit_for_bit(self, rng):
+        # each direction's states and gradients do not depend on what shares its loop
+        mask = _mask(5, 2, 4, 1, 5, 3, 3, 2)
+        arrays = _scan_inputs(rng, mask, d=6, hid=4, k=2)
+        g = rng.normal(size=(arrays[0].shape[0], 8))
+
+        def run(leaves, reverse, readout):
+            states = _scan(leaves, mask, reverse)
+            ad.backward(ad.tsum(ad.mul(states, ad.constant(readout))))
+            return states.data
+
+        both = [ad.leaf(a) for a in arrays]
+        stacked = run(both, (False, True), g)
+        for j, reverse in enumerate((False, True)):
+            one = [ad.leaf(arrays[0])] + [ad.leaf(a) for a in arrays[1 + 3 * j:4 + 3 * j]]
+            np.testing.assert_array_equal(run(one, (reverse,), g[:, 4 * j:4 * j + 4]),
+                                          stacked[:, 4 * j:4 * j + 4])
+            for single, joint in zip(one[1:], both[1 + 3 * j:4 + 3 * j]):
+                np.testing.assert_array_equal(single.grad, joint.grad)
+
     def test_inconsistent_params_rejected(self):
+        z = ad.constant
         with pytest.raises(ValueError, match="LSTM"):
-            ad.lstm_scan(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 6))),
-                         ad.constant(np.zeros((2, 8))), ad.constant(np.zeros(8)),
-                         np.ones((1, 2)))
+            ad.lstm_scan(z(np.zeros((2, 3))), [(z(np.zeros((3, 6))), z(np.zeros((2, 8))),
+                                                z(np.zeros(8)))], np.ones((1, 2)), (False,))
+
+    def test_one_flag_per_direction(self):
+        z = ad.constant
+        cell = (z(np.zeros((3, 8))), z(np.zeros((2, 8))), z(np.zeros(8)))
+        with pytest.raises(ValueError, match="direction flags"):
+            ad.lstm_scan(z(np.zeros((2, 3))), [cell, cell], np.ones((1, 2)), (False,))
 
 
 class TestMaskedMaxpool:
@@ -263,14 +316,24 @@ class TestMaskedMaxpool:
         ad.backward(ad.tsum(pooled))
         np.testing.assert_array_equal(states.grad, [[1.0], [0.0], [0.0], [1.0], [0.0], [0.0]])
 
+    def test_signed_zero_maximum_comes_from_the_earliest_step(self):
+        # -0.0 and 0.0 tie; with or without `keep` the earliest live zero wins, sign included
+        states = np.array([[-0.0], [0.0], [0.0], [-0.0], [-1.0], [-2.0]])
+        mask = np.ones((2, 3))
+        for keep in (False, True):
+            pooled, _ = ad.maxpool_forward(states, mask, keep=keep)
+            np.testing.assert_array_equal(np.signbit(pooled[:, 0]), [True, False])
+
     def test_forward_matches_numpy_max_over_live_steps(self, rng):
         mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)
         states = rng.normal(size=(4 * 3, 5))
         pooled, _ = ad.maxpool_forward(states, mask)
+        kept, _ = ad.maxpool_forward(states, mask, keep=True)
         steps = states.reshape(4, 3, 5)
         for row in range(3):
             live = steps[mask[row] > 0, row]
             np.testing.assert_array_equal(pooled[row], live.max(axis=0))
+            np.testing.assert_array_equal(kept[row], live.max(axis=0))
 
 
 class TestContracts:

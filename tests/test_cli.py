@@ -186,6 +186,22 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
     assert "zero-norm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, line", [
+    ("2 2\na 0.1 0.2\nb 0.3 zz\n", 3),
+    ("2 2\na 0.1 0.2\nb 0.3\n", 3),
+    ("3 2\na 0.1 0.2\nb 0.3 0.4\n", 1),
+], ids=["non-numeric", "too-few-values", "count-mismatch"])
+def test_malformed_embedding_file_exits_2_naming_file_and_line(tmp_path, capsys, rng, body,
+                                                               line):
+    bad, ok = tmp_path / "bad.vec", tmp_path / "ok.vec"
+    bad.write_text(body)
+    write_dump(ok, rng.normal(size=(2, 2)))
+    assert main(["eval-retrieval", "--src-emb", str(ok), "--tgt-emb", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {bad}:{line}: ")
+    assert "Traceback" not in err
+
+
 def test_empty_embedding_file_fails_without_traceback(tmp_path, rng):
     empty, ok = tmp_path / "empty.vec", tmp_path / "ok.vec"
     empty.write_text("")

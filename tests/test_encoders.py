@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlalign import encoders
 from xlalign.autodiff import ParamSet
-from xlalign.encoders import (encode_batch, encode_sentences, encode_sif, encode_sif_matrix,
-                              new_encoder, pad_batch)
-from xlalign.text import build_vocab, sif_weight
+from xlalign.encoders import (BATCH, encode_batch, encode_sentences, encode_sif,
+                              encode_sif_matrix, new_encoder, pad_batch)
+from xlalign.text import RESERVED, Vocabulary, build_vocab, sif_weight
 
 from conftest import encode_reference, lstm_step_reference
 
@@ -114,6 +115,43 @@ class TestBiLstmMaxpool:
             np.testing.assert_allclose(out[i], single, atol=1e-12)
 
 
+class TestBatching:
+    """`encode_sentences` encodes in length order and returns rows in input order."""
+
+    @staticmethod
+    def _sentences(n, seed):
+        r = np.random.default_rng(seed)
+        return [[f"w{i}" for i in r.integers(0, 8, size=r.integers(1, 10))] for _ in range(n)]
+
+    @pytest.mark.parametrize("n", [2 * BATCH + 37, BATCH + 1, 257])
+    def test_shuffled_input_gives_permuted_output(self, enc, vocab, n):
+        sents = self._sentences(n, seed=n)
+        perm = np.random.default_rng(1).permutation(n)
+        out = encode_sentences(sents, vocab, enc)
+        np.testing.assert_array_equal(encode_sentences([sents[i] for i in perm], vocab, enc),
+                                      out[perm])
+
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]), (BATCH, [BATCH]), (BATCH + 1, [BATCH + 1]), (2 * BATCH + 37, [BATCH, BATCH, 37]),
+        (2 * BATCH + 1, [BATCH, BATCH + 1]),
+    ])
+    def test_batches_are_length_sorted_and_a_trailing_single_row_merges(
+            self, enc, vocab, monkeypatch, n, sizes):
+        batches = []
+
+        def recording_pad_batch(id_seqs):
+            batches.append([len(s) for s in id_seqs])
+            return pad_batch(id_seqs)
+        monkeypatch.setattr(encoders, "pad_batch", recording_pad_batch)
+        sents = self._sentences(n, seed=n)
+        encode_sentences(sents, vocab, enc)
+        assert [len(b) for b in batches] == sizes
+        assert sum(batches, []) == sorted(len(s) for s in sents)
+
+    def test_no_sentences_give_an_empty_matrix(self, enc, vocab):
+        assert encode_sentences([], vocab, enc).shape == (0, enc.output_dim)
+
+
 class TestSif:
     def _table(self, vocab, seed=0):
         return np.random.default_rng(seed).normal(size=(len(vocab), 6))
@@ -157,6 +195,41 @@ class TestSif:
     def test_empty_rejected(self, vocab):
         with pytest.raises(ValueError, match="empty"):
             encode_sif([], self._table(vocab), vocab)
+
+    def test_matrix_equals_per_token_scalar_loop_bit_for_bit(self):
+        r = np.random.default_rng(4)
+        corpus = [[f"w{i}" for i in r.integers(0, 9, size=r.integers(1, 7))] for _ in range(60)]
+        vocab = build_vocab(corpus[:40], min_count=2)  # unseen and rare words share UNK
+        table = r.normal(size=(len(vocab), 5))
+        a = 2e-3
+        expected = np.empty((len(corpus), 5))
+        for row, sentence in enumerate(corpus):
+            acc = [0.0] * 5
+            for token in sentence:
+                wid = vocab.id_of(token)
+                weight = a / (a + vocab.frequencies[wid] / vocab.total_count)
+                for j in range(5):
+                    acc[j] += weight * float(table[wid, j])
+            expected[row] = [v / len(sentence) for v in acc]
+        np.testing.assert_array_equal(encode_sif_matrix(corpus, table, vocab, a), expected)
+        np.testing.assert_array_equal(encode_sif(corpus[7], table, vocab, a), expected[7])
+
+    def test_empty_member_rejected(self, vocab):
+        with pytest.raises(ValueError, match="empty"):
+            encode_sif_matrix([["w1"], []], self._table(vocab), vocab)
+
+    @pytest.mark.parametrize("total, frequency, a, message", [
+        (8, 1, 0.0, "smoothing constant must be positive"),
+        (8, 1, -1e-3, "smoothing constant must be positive"),
+        (0, 0, 1e-3, "total token count must be positive"),
+        (8, 9, 1e-3, "outside"),
+        (8, -1, 1e-3, "outside"),
+    ])
+    def test_weight_range_errors_still_raise(self, total, frequency, a, message):
+        vocab = Vocabulary({"w": 4}, RESERVED + ["w"],
+                           [0, 0, 0, 0, frequency], total)
+        with pytest.raises(ValueError, match=message):
+            encode_sif(["w"], np.ones((5, 2)), vocab, a)
 
     def test_matrix_stacks_sentence_encodings(self, vocab):
         sents = [["w1", "w2"], ["w3"], ["w4", "w5"], ["w6", "w7", "w1"]]

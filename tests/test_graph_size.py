@@ -2,7 +2,7 @@
 
 from xlalign import autodiff as ad
 from xlalign.cipher import gen_cipher_corpus
-from xlalign.encoders import encode_sentences, new_encoder
+from xlalign.encoders import encode_batch, encode_sentences, new_encoder, pad_batch
 from xlalign.objectives import new_decoder, seq2seq_loss
 from xlalign.text import build_vocab
 
@@ -21,6 +21,15 @@ def test_seq2seq_loss_at_batch_16_builds_at_most_32_nodes():
     graph = seq2seq_loss([s for s, _ in pairs[:16]], [t for _, t in pairs[:16]],
                          enc, dec, vb, va)
     assert len(ad.topo_order(graph.loss)) <= 32
+
+
+def test_encode_batch_runs_both_directions_in_one_scan_node():
+    pairs, vb, _, enc, _ = _setup()
+    ids, mask, _ = pad_batch([vb.encode(s) for s, _ in pairs[:16]])
+    ops = [node.op for node in ad.topo_order(encode_batch(ids, mask, ad.ParamSet(enc)))]
+    assert ops.count("lstm_scan") == 1
+    assert ops.count("masked_maxpool") == 1
+    assert len(ops) == 10  # 7 parameter leaves, the gather, the scan and the pool
 
 
 def test_encode_sentences_constructs_no_tensor(monkeypatch):

@@ -95,3 +95,26 @@ def test_adam_updates_in_place():
     opt.apply(params, {"p": np.array([1.0, -1.0])})
     assert params["p"] is p
     assert p[0] < 1.0 < p[1]
+
+
+def test_in_place_update_is_bit_equal_to_the_out_of_place_formula(rng):
+    """20 steps on three tensors, clipping included, against the update written
+    out of place; the in-place arithmetic must keep its operation order."""
+    shapes = {"w": (4, 6), "b": (6,), "s": ()}
+    params = {n: rng.normal(size=s) for n, s in shapes.items()}
+    oracle = {n: p.copy() for n, p in params.items()}
+    moments = {n: (np.zeros_like(p), np.zeros_like(p)) for n, p in params.items()}
+    opt, lr, b1, b2, eps = Adam(3e-2), 3e-2, 0.9, 0.999, 1e-8
+    for t in range(1, 21):
+        grads = {n: rng.normal(size=s) * (8.0 if t % 3 == 0 else 0.5) for n, s in shapes.items()}
+        opt.apply(params, grads)
+        for n, g in clip_global_norm(grads, 5.0).items():
+            m, v = moments[n]
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            moments[n] = (m, v)
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            oracle[n] = oracle[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for n in shapes:
+            np.testing.assert_array_equal(params[n], oracle[n])

@@ -235,6 +235,20 @@ class TestEmbeddingFiles:
         with pytest.raises(ValueError, match="2 words"):
             load_word2vec(path)
 
+    @pytest.mark.parametrize("body, line, message", [
+        ("2 2\na 0.1 0.2\nb 0.3 zz\n", 3, "could not convert string to float: 'zz'"),
+        ("2 2\na 0.1 0.2\nb 0.3\n", 3, "expected a word and 2 values, got 1 values after 'b'"),
+        ("3 2\na 0.1 0.2\nb 0.3 0.4\n", 1, "header says 3 words, found 2"),
+        ("2 x\na 0.1 0.2\n", 1, "is not '<count> <dim>'"),
+    ], ids=["non-numeric", "too-few-values", "count-mismatch", "bad-header"])
+    def test_malformed_file_names_file_and_line(self, tmp_path, body, line, message):
+        path = tmp_path / "vec.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError) as info:
+            load_word2vec(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+        assert message in str(info.value)
+
     def test_dictionary(self, tmp_path):
         path = tmp_path / "dict.txt"
         path.write_text("hund dog\nkatze cat\n\n")
