@@ -430,13 +430,16 @@ def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
     on = live.astype(acts.dtype)
     off = 1.0 - on
     i, f, g, o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
-    # gate-input gradients per unit of d c_new (i, f, g) and of d h_new (o)
-    via_c = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=3)
-    via_h = tanh_c * o * (1.0 - o)
+    # d_gates starts as the gate-input gradients per unit of d c_new (i, f, g)
+    # and of d h_new (o); each loop step scales its own slice by those two
+    d_gates = np.empty((k, t_max, b, 4, hid), dtype=acts.dtype)
+    np.multiply(g * i, 1.0 - i, out=d_gates[..., 0, :])
+    np.multiply(c_prev * f, 1.0 - f, out=d_gates[..., 1, :])
+    np.multiply(i, 1.0 - g * g, out=d_gates[..., 2, :])
+    np.multiply(tanh_c * o, 1.0 - o, out=d_gates[..., 3, :])
     h_to_c = o * (1.0 - tanh_c * tanh_c)
     g_states = _flip_reverse(g_states.reshape(t_max, b, k, hid).transpose(2, 0, 1, 3).copy(),
                              reverse)
-    d_gates = np.empty((k, t_max, b, 4, hid), dtype=acts.dtype)
     dh = np.zeros((k, b, hid), dtype=acts.dtype)
     dc = np.zeros_like(dh)
     w_rec_t = w_rec.transpose(0, 2, 1)
@@ -444,13 +447,14 @@ def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
         dh_t = g_states[:, s] + dh
         dh_new = dh_t * on[:, s]
         dc_new = dc * on[:, s] + dh_new * h_to_c[:, s]
-        np.multiply(dc_new[:, :, None, :], via_c[:, s], out=d_gates[:, s, :, :3])
-        np.multiply(dh_new, via_h[:, s], out=d_gates[:, s, :, 3])
+        d_gates[:, s, :, :3] *= dc_new[:, :, None, :]
+        d_gates[:, s, :, 3] *= dh_new
         dh = np.matmul(d_gates[:, s].reshape(k, b, 4 * hid), w_rec_t) + dh_t * off[:, s]
         dc = dc_new * f[:, s] + dc * off[:, s]
-    # weight gradients sum over rows in time order, as the per-direction products do
+    # weight gradients sum over rows in time order, as the per-direction products do;
+    # backward reads the cache once, so its h_prev is flipped in place
     d_gates = _flip_reverse(d_gates, reverse).reshape(k, t_max * b, 4 * hid)
-    h_prev = _flip_reverse(h_prev.copy(), reverse).reshape(k, t_max * b, hid)
+    h_prev = _flip_reverse(h_prev, reverse).reshape(k, t_max * b, hid)
     return (np.matmul(d_gates, w_in.transpose(0, 2, 1)).sum(axis=0), np.matmul(x.T, d_gates),
             np.matmul(h_prev.transpose(0, 2, 1), d_gates), d_gates.sum(axis=1))
 
@@ -486,30 +490,36 @@ def lstm_scan(x, cells, mask, reverse, context=None):
     return Tensor(states, op="lstm_scan", parents=parents, backward=bwd)
 
 
-def maxpool_forward(states, mask, keep=False):
-    """Max over each row's live timesteps of time-major (T*B, H) states.
-
-    Returns the pooled (B, H) array, each entry taken from the earliest
-    timestep that holds the maximum, and, with `keep`, those timesteps (which
-    `masked_maxpool` backpropagates to), else None. Without `keep` a max
-    reduction gives the values; only a zero maximum, where -0.0 and 0.0 tie,
-    needs the timesteps to pick its sign.
-    """
+def _live_steps(states, mask):
+    """Time-major (T*B, H) states as (T, B, H), MASK_FILL on padded steps."""
     b, t_max = mask.shape
-    filled = np.where(mask.T[:, :, None] > 0, states.reshape(t_max, b, -1), MASK_FILL)
+    return np.where(mask.T[:, :, None] > 0, states.reshape(t_max, b, -1), MASK_FILL)
+
+
+def maxpool_forward(states, mask):
+    """Max over each row's live timesteps of time-major (T*B, H) states -> (B, H).
+
+    Each entry is the value at the earliest timestep holding the maximum, the
+    step `masked_maxpool` sends its gradient to. A max reduction gives those
+    values except for a zero maximum, where -0.0 and 0.0 tie; only then is
+    the earliest step looked up, since an argmax over the time axis is
+    several times slower than the max.
+    """
+    filled = _live_steps(states, mask)
     pooled = filled.max(axis=0)
-    if not keep and pooled.all():
-        return pooled, None
-    first = filled.argmax(axis=0)
-    return np.take_along_axis(filled, first[None], axis=0)[0], first
+    if pooled.all():
+        return pooled
+    return np.take_along_axis(filled, filled.argmax(axis=0)[None], axis=0)[0]
 
 
 def masked_maxpool(states, mask):
-    """Temporal max-pool over live steps as one node; gradient to the argmax."""
+    """Temporal max-pool over live steps as one node; gradient to the earliest
+    timestep holding the maximum."""
     mask = np.asarray(mask)
-    pooled, first = maxpool_forward(states.data, mask, keep=True)
+    pooled = maxpool_forward(states.data, mask)
 
     def bwd(g):
+        first = _live_steps(states.data, mask).argmax(axis=0)
         full = np.zeros((mask.shape[1],) + pooled.shape, dtype=g.dtype)
         np.put_along_axis(full, first[None], g[None], axis=0)
         _accum(states, full.reshape(states.data.shape))

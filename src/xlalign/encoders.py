@@ -138,7 +138,7 @@ def encode_sentences(sentences, vocab, enc):
         _check_ids(batch, enc.vocab_size)
         states, _ = ad.lstm_scan_forward(enc.embeddings[ad.time_major(batch)], w_in, w_rec, bias,
                                          mask, DIRECTIONS)
-        out[rows] = ad.maxpool_forward(states, mask)[0]
+        out[rows] = ad.maxpool_forward(states, mask)
     return out
 
 

@@ -47,8 +47,7 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK)
 
     def encode(self, tokens):
-        get = self.token_to_id.get
-        return [get(t, UNK) for t in tokens]
+        return [self.id_of(t) for t in tokens]
 
     def probability(self, token):
         """Unigram probability p(w); OOV tokens share the pooled UNK mass."""

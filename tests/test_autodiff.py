@@ -239,6 +239,54 @@ def _chained_reference(x_rows, mask, w_in, w_rec, bias, reverse):
     return out.reshape(t_max * b, hid)
 
 
+def _two_d_reference(x, mask, w_in, w_rec, bias, reverse, g):
+    """One LSTM direction and its BPTT written with plain 2-D products, one
+    direction at a time: x (T*B, D) already holds any context columns; g is
+    the gradient of the (T*B, H) states. Returns the states and the gradients
+    of x, w_in, w_rec and bias."""
+    b, t_max = mask.shape
+    hid = w_rec.shape[0]
+
+    def sigmoid(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    gates_in = (x @ w_in).reshape(t_max, b, 4 * hid)
+    live = mask.T[:, :, None] > 0
+    h, c = np.zeros((b, hid)), np.zeros((b, hid))
+    states, h_prev, c_prev, tanh_c = (np.zeros((t_max, b, hid)) for _ in range(4))
+    acts = np.zeros((t_max, b, 4 * hid))
+    steps = range(t_max - 1, -1, -1) if reverse else range(t_max)
+    for t in steps:
+        gates = gates_in[t] + h @ w_rec + bias
+        act = sigmoid(gates)
+        act[:, 2 * hid:3 * hid] = np.tanh(gates[:, 2 * hid:3 * hid])
+        c_new = act[:, hid:2 * hid] * c + act[:, :hid] * act[:, 2 * hid:3 * hid]
+        tc = np.tanh(c_new)
+        acts[t], h_prev[t], c_prev[t], tanh_c[t] = act, h, c, tc
+        h = np.where(live[t], act[:, 3 * hid:] * tc, h)
+        c = np.where(live[t], c_new, c)
+        states[t] = h
+    i, f, gg, o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
+    on = live.astype(float)
+    g = g.reshape(t_max, b, hid)
+    d_gates = np.zeros((t_max, b, 4 * hid))
+    dh, dc = np.zeros((b, hid)), np.zeros((b, hid))
+    for t in reversed(steps):
+        dh_t = g[t] + dh
+        dh_new = dh_t * on[t]
+        dc_new = dc * on[t] + dh_new * (o[t] * (1.0 - tanh_c[t] * tanh_c[t]))
+        d_gates[t] = np.concatenate([dc_new * (gg[t] * i[t] * (1.0 - i[t])),
+                                     dc_new * (c_prev[t] * f[t] * (1.0 - f[t])),
+                                     dc_new * (i[t] * (1.0 - gg[t] * gg[t])),
+                                     dh_new * (tanh_c[t] * o[t] * (1.0 - o[t]))], axis=1)
+        dh = d_gates[t] @ w_rec.T + dh_t * (1.0 - on[t])
+        dc = dc_new * f[t] + dc * (1.0 - on[t])
+    d_gates = d_gates.reshape(t_max * b, 4 * hid)
+    return (states.reshape(t_max * b, hid), d_gates @ w_in.T, x.T @ d_gates,
+            h_prev.reshape(-1, hid).T @ d_gates, d_gates.sum(axis=0))
+
+
 class TestLstmStep:
     """The LSTM step recurrence as `lstm_scan` runs it."""
 
@@ -273,25 +321,36 @@ class TestLstmStep:
             ref = _chained_reference(arrays[0], mask, *arrays[1 + 3 * j:4 + 3 * j], reverse)
             assert np.max(np.abs(states.data[:, 3 * j:3 * j + 3] - ref)) < 1e-12
 
-    def test_stacked_directions_equal_single_directions_bit_for_bit(self, rng):
-        # each direction's states and gradients do not depend on what shares its loop
+    @pytest.mark.parametrize("reverse, context_dim", [((False, True), 0), ((False,), 2)])
+    def test_stacked_scan_equals_two_d_products_bit_for_bit(self, rng, reverse, context_dim):
+        # every direction's states and gradients are the bits of 2-D `@` products
         mask = _mask(5, 2, 4, 1, 5, 3, 3, 2)
-        arrays = _scan_inputs(rng, mask, d=6, hid=4, k=2)
-        g = rng.normal(size=(arrays[0].shape[0], 8))
-
-        def run(leaves, reverse, readout):
-            states = _scan(leaves, mask, reverse)
-            ad.backward(ad.tsum(ad.mul(states, ad.constant(readout))))
-            return states.data
-
-        both = [ad.leaf(a) for a in arrays]
-        stacked = run(both, (False, True), g)
-        for j, reverse in enumerate((False, True)):
-            one = [ad.leaf(arrays[0])] + [ad.leaf(a) for a in arrays[1 + 3 * j:4 + 3 * j]]
-            np.testing.assert_array_equal(run(one, (reverse,), g[:, 4 * j:4 * j + 4]),
-                                          stacked[:, 4 * j:4 * j + 4])
-            for single, joint in zip(one[1:], both[1 + 3 * j:4 + 3 * j]):
-                np.testing.assert_array_equal(single.grad, joint.grad)
+        mask[2, 1] = 0.0
+        k, hid = len(reverse), 4
+        arrays = _scan_inputs(rng, mask, d=6, hid=hid, context_dim=context_dim, k=k)
+        g = rng.normal(size=(arrays[0].shape[0], k * hid))
+        leaves = [ad.leaf(a) for a in arrays]
+        context = leaves[-1] if context_dim else None
+        states = _scan(leaves, mask, reverse, context)
+        ad.backward(ad.tsum(ad.mul(states, ad.constant(g))))
+        x = arrays[0]
+        if context_dim:
+            steps_ctx = np.broadcast_to(arrays[-1], (mask.shape[1],) + arrays[-1].shape)
+            x = np.concatenate([x.reshape(mask.shape[1], mask.shape[0], -1), steps_ctx],
+                               axis=2).reshape(x.shape[0], -1)
+        d_x = 0.0
+        for j, rev in enumerate(reverse):
+            cell = arrays[1 + 3 * j:4 + 3 * j]
+            ref_states, ref_d_x, *ref_d_cell = _two_d_reference(
+                x, mask, *cell, rev, g[:, j * hid:(j + 1) * hid])
+            np.testing.assert_array_equal(states.data[:, j * hid:(j + 1) * hid], ref_states)
+            for leaf, ref in zip(leaves[1 + 3 * j:4 + 3 * j], ref_d_cell):
+                np.testing.assert_array_equal(leaf.grad, ref)
+            d_x = d_x + ref_d_x
+        np.testing.assert_array_equal(leaves[0].grad, d_x[:, :6])
+        if context_dim:
+            np.testing.assert_array_equal(
+                context.grad, d_x[:, 6:].reshape(mask.shape[1], mask.shape[0], -1).sum(axis=0))
 
     def test_inconsistent_params_rejected(self):
         z = ad.constant
@@ -317,23 +376,19 @@ class TestMaskedMaxpool:
         np.testing.assert_array_equal(states.grad, [[1.0], [0.0], [0.0], [1.0], [0.0], [0.0]])
 
     def test_signed_zero_maximum_comes_from_the_earliest_step(self):
-        # -0.0 and 0.0 tie; with or without `keep` the earliest live zero wins, sign included
+        # -0.0 and 0.0 tie; the earliest live zero wins, sign included
         states = np.array([[-0.0], [0.0], [0.0], [-0.0], [-1.0], [-2.0]])
-        mask = np.ones((2, 3))
-        for keep in (False, True):
-            pooled, _ = ad.maxpool_forward(states, mask, keep=keep)
-            np.testing.assert_array_equal(np.signbit(pooled[:, 0]), [True, False])
+        pooled = ad.maxpool_forward(states, np.ones((2, 3)))
+        np.testing.assert_array_equal(np.signbit(pooled[:, 0]), [True, False])
 
     def test_forward_matches_numpy_max_over_live_steps(self, rng):
         mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)
         states = rng.normal(size=(4 * 3, 5))
-        pooled, _ = ad.maxpool_forward(states, mask)
-        kept, _ = ad.maxpool_forward(states, mask, keep=True)
+        pooled = ad.maxpool_forward(states, mask)
         steps = states.reshape(4, 3, 5)
         for row in range(3):
             live = steps[mask[row] > 0, row]
             np.testing.assert_array_equal(pooled[row], live.max(axis=0))
-            np.testing.assert_array_equal(kept[row], live.max(axis=0))
 
 
 class TestContracts:
