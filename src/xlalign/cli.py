@@ -16,13 +16,13 @@ import numpy as np
 from .autodiff import NonFiniteError
 from .cipher import gen_cipher_corpus, gen_cldc_docs, write_corpus_files
 from .config import FRAMEWORKS, ConfigError, load_config, parse_config
-from .evaluation import (batched_embedder, cldc_train_eval, retrieval_accuracy,
-                         write_cldc_csv, write_curve_csv, write_retrieval_csv)
+from .evaluation import (N_CLDC_CLASSES, CLDCReport, CurvePoint, RetrievalReport,
+                         batched_embedder, cldc_train_eval, retrieval_accuracy)
 from .linalg import SvdConvergenceError
 from .mapping import apply_map, load_map
 from .pipeline import (Experiment, curve_points, heldout_embeddings, materialize,
                        run_experiment, write_neighbors)
-from .text import load_word2vec
+from .text import load_word2vec, write_csv
 
 
 def _load_cfg(args):
@@ -37,8 +37,8 @@ def _load_cfg(args):
 def _final_embedders(cfg):
     data = materialize(cfg)
     exp = Experiment(cfg, data)
-    embed_src, embed_tgt = exp.factory(data.train_corpus.pairs[:cfg.splits[-1]])
-    return data, exp, embed_src, embed_tgt
+    embedders, _ = exp.build(data.train_corpus.pairs[:cfg.splits[-1]])
+    return data, exp, embedders
 
 
 def cmd_gen_corpus(args):
@@ -81,18 +81,24 @@ def cmd_curve(args):
     points = curve_points(Experiment(cfg, materialize(cfg)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "curve.csv")
-    write_curve_csv(path, points)
+    write_csv(path, CurvePoint._fields, points)
     print(path)
     return 0
 
 
+def _at_least(flag, value, low):
+    if value < low:
+        raise ConfigError(f"{flag} must be at least {low}, got {value}")
+
+
 def cmd_neighbors(args):
+    _at_least("-k", args.k, 1)
+    _at_least("--queries", args.queries, 1)
     cfg = _load_cfg(args)
-    data, exp, embed_src, embed_tgt = _final_embedders(cfg)
-    x, y = heldout_embeddings(data, embed_src, embed_tgt)
+    data, exp, embedders = _final_embedders(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    print(write_neighbors(os.path.join(cfg.out_dir, "neighbors.txt"), exp, x, y,
-                          queries=args.queries, k=args.k))
+    print(write_neighbors(os.path.join(cfg.out_dir, "neighbors.txt"), exp,
+                          heldout_embeddings(data, embedders), queries=args.queries, k=args.k))
     return 0
 
 
@@ -105,28 +111,28 @@ def cmd_eval_retrieval(args):
     report = retrieval_accuracy(np.asarray(x), np.asarray(y), direction=args.direction)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        write_retrieval_csv(os.path.join(args.out_dir, "retrieval.csv"), [report])
+        write_csv(os.path.join(args.out_dir, "retrieval.csv"), RetrievalReport._fields, [report])
     print(f"{report.direction} accuracy={report.accuracy:.4f} n={report.n_queries}")
     return 0
 
 
 def cmd_eval_cldc(args):
+    # each class needs a document in the training half
+    _at_least("--docs", args.docs, 2 * N_CLDC_CLASSES)
     cfg = _load_cfg(args)
-    data, exp, embed_src, embed_tgt = _final_embedders(cfg)
+    data, exp, embedders = _final_embedders(cfg)
     if data.cipher is None:
         raise ConfigError("eval-cldc needs the synthetic corpus (corpus=cipher)")
     docs = gen_cldc_docs(data.cipher, args.docs, seed=cfg.seed + 40)
     split = args.docs // 2
-    embedders = {exp.other: batched_embedder(embed_src, docs[exp.other]),
-                 exp.pivot: batched_embedder(embed_tgt, docs[exp.pivot])}
-    reports = []
-    for train_lang, test_lang in ((exp.pivot, exp.other), (exp.other, exp.pivot)):
-        reports.append(cldc_train_eval(
-            docs[train_lang][:split], docs[test_lang][split:], embedders,
-            train_lang=train_lang, test_lang=test_lang, seed=cfg.seed + 41))
+    embedders = {lang: batched_embedder(embed, docs[lang]) for lang, embed in embedders.items()}
+    # train on the pool language, test on the query language
+    reports = [cldc_train_eval(docs[train_lang][:split], docs[test_lang][split:], embedders,
+                               train_lang=train_lang, test_lang=test_lang, seed=cfg.seed + 41)
+               for test_lang, train_lang in exp.directions]
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "cldc.csv")
-    write_cldc_csv(path, reports)
+    write_csv(path, CLDCReport._fields, reports)
     for r in reports:
         print(f"{r.train_lang}->{r.test_lang} accuracy={r.accuracy:.4f}")
     return 0

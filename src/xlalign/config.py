@@ -49,12 +49,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
 
-    def pivot_lang(self):
-        return self.languages[0]
-
-    def other_lang(self):
-        return self.languages[1]
-
     def as_lines(self):
         out = []
         for f in fields(self):

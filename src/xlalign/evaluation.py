@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .objectives import mlp_logits, new_mlp
 from .optim import fit
+from .text import ParallelCorpus
 
 # byte budget of one block of similarity rows in retrieval
 BUDGET = 16 * 2**20
@@ -28,8 +29,7 @@ def _normalize_rows(x, side):
     return x / norms[:, None]
 
 
-@dataclass
-class RetrievalReport:
+class RetrievalReport(NamedTuple):  # a row of retrieval.csv
     direction: str
     accuracy: float
     n_queries: int
@@ -122,12 +122,10 @@ def neighbor_report(queries, pools, k=3):
 N_CLDC_CLASSES = 4
 
 
-@dataclass
-class CLDCReport:
+class CLDCReport(NamedTuple):  # a row of cldc.csv
     train_lang: str
     test_lang: str
     accuracy: float
-    n_classes: int = N_CLDC_CLASSES
 
 
 def train_mlp(x, y, n_classes, hidden=64, steps=300, lr=1e-3, seed=0):
@@ -189,8 +187,7 @@ def cldc_train_eval(train_docs, test_docs, embedders, train_lang, test_lang, see
 # accuracy-vs-corpus-size curves
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CurvePoint:
+class CurvePoint(NamedTuple):  # a row of curve.csv
     size: int
     model: str
     direction: str
@@ -202,9 +199,10 @@ def accuracy_curve(model_factory, corpus, sizes, directions, test_pairs, model_t
 
     `sizes` comes from `text.make_splits`; split k trains on the first
     sizes[k] pairs of the corpus. model_factory(train_pairs) must return
-    (embed_src, embed_tgt) callables that map a list of sentences into one
-    shared space. The held-out pairs must be disjoint from every training
-    split (checked by content).
+    {lang: embed} for both corpus languages, each embed mapping a list of
+    sentences into one shared space; each direction is a (query language,
+    pool language) pair. The held-out pairs must be disjoint from every
+    training split (checked by content).
     """
     largest = set(map(_pair_key, corpus.pairs[:sizes[-1]]))
     overlap = [p for p in test_pairs if _pair_key(p) in largest]
@@ -212,18 +210,18 @@ def accuracy_curve(model_factory, corpus, sizes, directions, test_pairs, model_t
         raise ValueError(
             f"test set overlaps a training split ({len(overlap)} shared pairs); "
             "hold the evaluation pairs out of every split")
-
-    test_src = [s for s, _ in test_pairs]
-    test_tgt = [t for _, t in test_pairs]
+    heldout = ParallelCorpus(test_pairs, corpus.src_lang, corpus.tgt_lang).sides()
+    for q_lang, p_lang in directions:
+        if not {q_lang, p_lang} <= heldout.keys():
+            raise ValueError(f"direction {q_lang}>{p_lang} does not match corpus "
+                             f"languages {corpus.src_lang}/{corpus.tgt_lang}")
 
     points = []
     for size in sizes:
-        embed_src, embed_tgt = model_factory(corpus.pairs[:size])
-        x = embed_src(test_src)
-        y = embed_tgt(test_tgt)
+        embedders = model_factory(corpus.pairs[:size])
+        emb = {lang: embedders[lang](sentences) for lang, sentences in heldout.items()}
         for q_lang, p_lang in directions:
-            a, b = _orient(x, y, corpus, q_lang, p_lang)
-            rep = retrieval_accuracy(a, b, direction=f"{q_lang}>{p_lang}")
+            rep = retrieval_accuracy(emb[q_lang], emb[p_lang], direction=f"{q_lang}>{p_lang}")
             points.append(CurvePoint(size, model_tag, rep.direction, rep.accuracy))
     return points
 
@@ -231,33 +229,3 @@ def accuracy_curve(model_factory, corpus, sizes, directions, test_pairs, model_t
 def _pair_key(pair):
     s, t = pair
     return (tuple(s), tuple(t))
-
-
-def _orient(x, y, corpus, query_lang, pool_lang):
-    if (query_lang, pool_lang) == (corpus.src_lang, corpus.tgt_lang):
-        return x, y
-    if (query_lang, pool_lang) == (corpus.tgt_lang, corpus.src_lang):
-        return y, x
-    raise ValueError(f"direction {query_lang}>{pool_lang} does not match corpus "
-                     f"languages {corpus.src_lang}/{corpus.tgt_lang}")
-
-
-def write_curve_csv(path, points):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("size,model,direction,accuracy\n")
-        for p in points:
-            fh.write(f"{p.size},{p.model},{p.direction},{p.accuracy!r}\n")
-
-
-def write_cldc_csv(path, reports):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("train_lang,test_lang,accuracy\n")
-        for r in reports:
-            fh.write(f"{r.train_lang},{r.test_lang},{r.accuracy!r}\n")
-
-
-def write_retrieval_csv(path, reports):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("direction,accuracy,n_queries\n")
-        for r in reports:
-            fh.write(f"{r.direction},{r.accuracy!r},{r.n_queries}\n")

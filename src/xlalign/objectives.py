@@ -26,9 +26,9 @@ from .encoders import (EncoderParams, LSTMParams, _cell, encode_batch, encode_se
                        init_lstm, pad_batch, _check_ids)
 from .optim import fit
 from .rand import Xorshift64Star
-from .text import BOS, EOS, PAD, corrupt
+from .text import BOS, EOS, PAD, corrupt, write_csv
 
-TRACE_HEADER = "step,objective,language_pair,value"
+TRACE_HEADER = ("step", "objective", "language_pair", "value")
 
 
 @dataclass
@@ -47,10 +47,7 @@ class TrainSchedule:
 
 
 def write_trace(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for step, objective, pair, value in rows:
-            fh.write(f"{step},{objective},{pair},{value!r}\n")
+    write_csv(path, TRACE_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ class JointResult:
     trace: list
 
 
-def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, noise):
+def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot, sched, noise):
     """Alternate batch languages round-robin against one shared decoder.
 
     Pivot-language batches run the denoising reconstruction objective, with
@@ -186,18 +183,18 @@ def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot_lang, sched, 
     def one_step(step):
         lang = order[step % len(order)]
         idx = rng.integers(0, len(pairs), size=sched.batch_size)
-        if lang == pivot_lang:
+        if lang == pivot:
             batch = [pivot_sents[i] for i in idx]
             graph = seq2seq_loss(batch, batch, encoders[lang], decoder,
-                                 vocabs[lang], vocabs[pivot_lang],
+                                 vocabs[lang], vocabs[pivot],
                                  denoise=noise, noise_rng=noise_rng)
             objective, pair = "sdae", f"{lang}>{lang}"
         else:
             src = [pairs[i][0] for i in idx]
             tgt = [pairs[i][1] for i in idx]
             graph = seq2seq_loss(src, tgt, encoders[lang], decoder,
-                                 vocabs[lang], vocabs[pivot_lang])
-            objective, pair = "nmt", f"{lang}>{pivot_lang}"
+                                 vocabs[lang], vocabs[pivot])
+            objective, pair = "nmt", f"{lang}>{pivot}"
         # clip-norm summation order: encoder, then decoder
         return (graph.loss, (graph.enc_tensors, graph.dec_tensors),
                 [(step, objective, pair, float(graph.loss.data))])

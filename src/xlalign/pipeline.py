@@ -17,13 +17,13 @@ from .checkpoint import load_checkpoint, parse_metadata, save_checkpoint
 from .cipher import gen_cipher_corpus, write_corpus_files
 from .config import ConfigError
 from .encoders import EncoderParams, encode_sentences, encode_sif_matrix, new_encoder
-from .evaluation import (accuracy_curve, neighbor_report, retrieval_accuracy,
-                         write_curve_csv, write_retrieval_csv)
+from .evaluation import (CurvePoint, RetrievalReport, accuracy_curve, neighbor_report,
+                         retrieval_accuracy)
 from .mapping import fit_orthogonal_map, fit_word_dictionary_map, save_map
 from .objectives import (TrainSchedule, new_decoder, new_head, train_joint_infersent,
                          train_joint_seq2seq, train_transfer, write_trace)
 from .text import (NoiseParams, ParallelCorpus, build_vocab, load_dictionary,
-                   load_parallel, load_word2vec, make_splits)
+                   load_parallel, load_word2vec, make_splits, write_csv)
 
 SEED_PIVOT_ENC, SEED_NEW_ENC, SEED_DECODER, SEED_HEAD = 1, 2, 3, 4
 SEED_PRETRAIN, SEED_TRAIN, SEED_INFERSENT = 10, 11, 12
@@ -39,10 +39,15 @@ class ExperimentData:
     cipher: object | None  # CipherCorpus when corpus=cipher
     tables: dict           # lang -> word-embedding matrix for SIF / ingest
 
+    def heldout(self):
+        """{lang: held-out sentences}, row i of each the translation of the others'."""
+        corpus = self.train_corpus
+        return ParallelCorpus(self.test_pairs, corpus.src_lang, corpus.tgt_lang).sides()
+
 
 def materialize(cfg):
     """Generate or load the corpus, hold out the test tail, build vocabularies."""
-    pivot, other = cfg.pivot_lang(), cfg.other_lang()
+    pivot, other = cfg.languages
     cc = None
     if cfg.corpus == "cipher":
         nli = cfg.nli_size if cfg.framework == "joint_infersent" else 0
@@ -62,18 +67,15 @@ def materialize(cfg):
     except ValueError as exc:
         raise ConfigError(f"splits do not fit the training corpus: {exc}") from exc
 
-    extra = {other: [], pivot: []}
+    sides = train_corpus.sides()
     if cc is not None and cc.nli:
-        for lang in (other, pivot):
-            extra[lang] = cc.nli[lang].premises + cc.nli[lang].hypotheses
-    vocabs = {
-        other: build_vocab(train_corpus.source_sentences() + extra[other], cfg.min_count),
-        pivot: build_vocab(train_corpus.target_sentences() + extra[pivot], cfg.min_count),
-    }
-    tables = {
-        other: _word_table(cfg, vocabs[other], cfg.embeddings_src, cfg.seed + SEED_TABLE_SRC),
-        pivot: _word_table(cfg, vocabs[pivot], cfg.embeddings_tgt, cfg.seed + SEED_TABLE_TGT),
-    }
+        sides = {lang: s + cc.nli[lang].premises + cc.nli[lang].hypotheses
+                 for lang, s in sides.items()}
+    vocabs = {lang: build_vocab(s, cfg.min_count) for lang, s in sides.items()}
+    ingest = {other: (cfg.embeddings_src, SEED_TABLE_SRC),
+              pivot: (cfg.embeddings_tgt, SEED_TABLE_TGT)}
+    tables = {lang: _word_table(cfg, vocabs[lang], path, cfg.seed + offset)
+              for lang, (path, offset) in ingest.items()}
     return ExperimentData(train_corpus, test_pairs, vocabs, cc, tables)
 
 
@@ -108,17 +110,19 @@ def pretrain_sdae(sentences, vocab, cfg, lang, enc_seed):
 # ---------------------------------------------------------------------------
 
 class Experiment:
-    """Builds, per split size, the configured framework's (embed_src, embed_tgt)
-    pair and the artifacts to save, keyed by output file name.
+    """Builds, per split size, the configured framework's {lang: embed} map
+    and the artifacts to save, keyed by output file name.
     """
 
     def __init__(self, cfg, data):
         self.cfg = cfg
         self.data = data
-        self.pivot, self.other = cfg.pivot_lang(), cfg.other_lang()
+        self.pivot, self.other = cfg.languages
+        # the order of every report: (query language, pool language)
+        self.directions = [(self.other, self.pivot), (self.pivot, self.other)]
         self._enc_seed = {self.pivot: SEED_PIVOT_ENC, self.other: SEED_NEW_ENC}
         self._pretrained = {}  # pretrain.<lang>.csv -> (write_trace, trace)
-        self._built = {}       # split size -> ((embed_src, embed_tgt), artifacts)
+        self._built = {}       # split size -> ({lang: embed}, artifacts)
         setups = {"transfer": self._transfer, "joint_seq2seq": self._joint_seq2seq,
                   "joint_infersent": self._joint_infersent,
                   "sentence_map": self._sentence_map, "word_dict_map": self._word_dict_map}
@@ -128,11 +132,8 @@ class Experiment:
         # the returned callable trains and aligns one split
         self._build_split = setups[cfg.framework]()
 
-    def factory(self, train_pairs):
-        return self.build(train_pairs)[0]
-
     def build(self, train_pairs):
-        """((embed_src, embed_tgt), {file name: (writer, object)}) for one split."""
+        """({lang: embed}, {file name: (writer, object)}) for one split."""
         size = len(train_pairs)
         if size not in self._built:
             split = ParallelCorpus(list(train_pairs), self.other, self.pivot)
@@ -149,7 +150,7 @@ class Experiment:
             new_enc = self._new_encoder(self.other)
             result = train_transfer(split, pivot_enc, new_enc, self.data.vocabs[self.other],
                                     self.data.vocabs[self.pivot], self._schedule(SEED_TRAIN))
-            return (self._embed(new_enc), self._embed(pivot_enc)), {
+            return self._embedders([pivot_enc, new_enc]), {
                 f"encoder.{self.pivot}.ckpt": (save_params, pivot_enc),
                 f"encoder.{self.other}.ckpt": (save_params, new_enc),
                 "train.csv": (write_trace, result.trace)}
@@ -159,39 +160,39 @@ class Experiment:
         cfg = self.cfg
 
         def build(split):
-            encoders = self._encoder_pair()
+            encoders = self._new_encoders()
             decoder = new_decoder(len(self.data.vocabs[self.pivot]), cfg.dim, 2 * cfg.hidden,
                                   cfg.hidden, self.pivot, cfg.seed + SEED_DECODER)
             sched = self._schedule(SEED_TRAIN)
-            sched.language_order = [self.pivot, self.other]
+            sched.language_order = list(cfg.languages)
             noise = NoiseParams(cfg.p_del, cfg.p_swap, cfg.seed + SEED_NOISE)
             result = train_joint_seq2seq(split, encoders, decoder, self.data.vocabs,
                                          self.pivot, sched, noise)
-            return self._embed_pair(encoders), {
+            return self._embedders(encoders.values()), {
                 **_encoder_files(encoders), "decoder.ckpt": (save_params, decoder),
                 "train.csv": (write_trace, result.trace)}
         return build
 
     def _joint_infersent(self):
         cfg = self.cfg
-        encoders = self._encoder_pair()
+        encoders = self._new_encoders()
         head = new_head(2 * cfg.hidden, cfg.infersent_hidden, cfg.seed + SEED_HEAD)
         result = train_joint_infersent(self.data.cipher.nli, encoders, head, self.data.vocabs,
                                        self._schedule(SEED_INFERSENT))
-        built = self._embed_pair(encoders), {
+        built = self._embedders(encoders.values()), {
             **_encoder_files(encoders), "head.ckpt": (save_params, head),
             "train.csv": (write_trace, result.trace)}
         return lambda split: built
 
     def _sentence_map(self):
-        embed_src, embed_tgt, encoder_files = self._mono_embedders()
+        mono, encoder_files = self._mono_embedders()
 
         def build(split):
-            m = fit_orthogonal_map(embed_src(split.source_sentences()),
-                                   embed_tgt(split.target_sentences()),
+            sides = split.sides()
+            m = fit_orthogonal_map(mono[self.other](sides[self.other]),
+                                   mono[self.pivot](sides[self.pivot]),
                                    src_space=self.other, tgt_space=self.pivot)
-            return (lambda sentences: embed_src(sentences) @ m.w, embed_tgt), {
-                "map.ckpt": (save_map, m), **encoder_files}
+            return self._mapped(mono, m), {"map.ckpt": (save_map, m), **encoder_files}
         return build
 
     def _word_dict_map(self):
@@ -207,9 +208,7 @@ class Experiment:
             data.vocabs[self.other].id_to_token, data.tables[self.other],
             data.vocabs[self.pivot].id_to_token, data.tables[self.pivot],
             src_space=f"words:{self.other}", tgt_space=f"words:{self.pivot}")
-        embed_src, embed_tgt, _ = self._mono_embedders()
-        built = ((lambda sentences: embed_src(sentences) @ m.w, embed_tgt),
-                 {"map.ckpt": (save_map, m)})
+        built = self._mapped(self._mono_embedders()[0], m), {"map.ckpt": (save_map, m)}
         return lambda split: built
 
     # -- shared pieces -------------------------------------------------------------
@@ -223,34 +222,34 @@ class Experiment:
         return new_encoder(len(self.data.vocabs[lang]), cfg.dim, cfg.hidden, lang,
                            cfg.seed + self._enc_seed[lang])
 
-    def _encoder_pair(self):
-        return {lang: self._new_encoder(lang) for lang in (self.pivot, self.other)}
+    def _new_encoders(self):
+        return {lang: self._new_encoder(lang) for lang in self.cfg.languages}
 
     def _pretrain(self, lang):
-        corpus = self.data.train_corpus
-        sentences = corpus.target_sentences() if lang == self.pivot else corpus.source_sentences()
-        enc, trace = pretrain_sdae(sentences, self.data.vocabs[lang], self.cfg, lang,
-                                   self.cfg.seed + self._enc_seed[lang])
+        enc, trace = pretrain_sdae(self.data.train_corpus.sides()[lang], self.data.vocabs[lang],
+                                   self.cfg, lang, self.cfg.seed + self._enc_seed[lang])
         self._pretrained[f"pretrain.{lang}.csv"] = (write_trace, trace)
         return enc
 
-    def _embed(self, enc):
-        vocab = self.data.vocabs[enc.lang]
-        return lambda sentences: encode_sentences(sentences, vocab, enc)
+    def _embedders(self, encoders):
+        """{enc.lang: embed} for each encoder, embedding a list of sentences."""
+        return {enc.lang: functools.partial(encode_sentences, vocab=self.data.vocabs[enc.lang],
+                                            enc=enc) for enc in encoders}
 
-    def _embed_pair(self, encoders):
-        return self._embed(encoders[self.other]), self._embed(encoders[self.pivot])
+    def _mapped(self, mono, m):
+        """`mono` with the non-pivot embedder sent through the map `m`."""
+        embed = mono[self.other]
+        return {**mono, self.other: lambda sentences: embed(sentences) @ m.w}
 
     def _mono_embedders(self):
-        """Independently trained (embed_src, embed_tgt) and the files of their encoders."""
+        """Independently trained {lang: embed} and the files of their encoders."""
         cfg, data = self.cfg, self.data
         if cfg.encoder == "sif":
-            def sif_fn(lang):
-                table, vocab = data.tables[lang], data.vocabs[lang]
-                return lambda sentences: encode_sif_matrix(sentences, table, vocab, cfg.sif_a)
-            return sif_fn(self.other), sif_fn(self.pivot), {}
-        encoders = {lang: self._pretrain(lang) for lang in (self.pivot, self.other)}
-        return (*self._embed_pair(encoders), _encoder_files(encoders))
+            return {lang: functools.partial(encode_sif_matrix, table=data.tables[lang],
+                                            vocab=data.vocabs[lang], a=cfg.sif_a)
+                    for lang in cfg.languages}, {}
+        encoders = {lang: self._pretrain(lang) for lang in cfg.languages}
+        return self._embedders(encoders.values()), _encoder_files(encoders)
 
 
 def _encoder_files(encoders):
@@ -314,14 +313,13 @@ def run_experiment(cfg):
             produced.append(os.path.relpath(path, cfg.out_dir))
 
     exp = Experiment(cfg, data)
-    write_curve_csv(out("curve.csv"), curve_points(exp))
+    write_csv(out("curve.csv"), CurvePoint._fields, curve_points(exp))
 
-    (embed_src, embed_tgt), artifacts = exp.build(data.train_corpus.pairs[:cfg.splits[-1]])
-    x, y = heldout_embeddings(data, embed_src, embed_tgt)
-    reports = [retrieval_accuracy(x, y, f"{exp.other}>{exp.pivot}"),
-               retrieval_accuracy(y, x, f"{exp.pivot}>{exp.other}")]
-    write_retrieval_csv(out("retrieval.csv"), reports)
-    write_neighbors(out("neighbors.txt"), exp, x, y)
+    embedders, artifacts = exp.build(data.train_corpus.pairs[:cfg.splits[-1]])
+    heldout = heldout_embeddings(data, embedders)
+    write_csv(out("retrieval.csv"), RetrievalReport._fields,
+              [retrieval_accuracy(heldout[q], heldout[p], f"{q}>{p}") for q, p in exp.directions])
+    write_neighbors(out("neighbors.txt"), exp, heldout)
 
     for name, (write, obj) in artifacts.items():
         write(out(name), obj)
@@ -339,27 +337,27 @@ def run_experiment(cfg):
 
 
 def curve_points(exp):
-    """Held-out retrieval accuracy in both directions at every split size."""
+    """Held-out retrieval accuracy in every report direction at every split size."""
     data = exp.data
     sizes = make_splits(len(data.train_corpus), exp.cfg.splits)
-    return accuracy_curve(exp.factory, data.train_corpus, sizes,
-                          [(exp.other, exp.pivot), (exp.pivot, exp.other)],
-                          data.test_pairs, model_tag=exp.cfg.framework)
+    return accuracy_curve(lambda pairs: exp.build(pairs)[0], data.train_corpus, sizes,
+                          exp.directions, data.test_pairs, model_tag=exp.cfg.framework)
 
 
-def heldout_embeddings(data, embed_src, embed_tgt):
-    """(x, y): the held-out source and target sentences, row-aligned."""
-    return (embed_src([s for s, _ in data.test_pairs]),
-            embed_tgt([t for _, t in data.test_pairs]))
+def heldout_embeddings(data, embedders):
+    """{lang: matrix}: each language's held-out sentences, row-aligned."""
+    return {lang: embedders[lang](sentences) for lang, sentences in data.heldout().items()}
 
 
-def write_neighbors(path, exp, x, y, queries=5, k=3):
+def write_neighbors(path, exp, heldout, queries=5, k=3):
     """Write (and return) the nearest-neighbour report of the first held-out
-    source sentences against both held-out pools."""
-    test_src = [" ".join(s) for s, _ in exp.data.test_pairs]
-    test_tgt = [" ".join(t) for _, t in exp.data.test_pairs]
-    report = neighbor_report([(test_src[i], x[i]) for i in range(min(queries, len(test_src)))],
-                             {exp.other: (test_src, x), exp.pivot: (test_tgt, y)}, k=k)
+    non-pivot sentences against each language's held-out pool."""
+    texts = {lang: [" ".join(s) for s in sentences]
+             for lang, sentences in exp.data.heldout().items()}
+    query_texts, query_rows = texts[exp.other], heldout[exp.other]
+    report = neighbor_report([(query_texts[i], query_rows[i])
+                              for i in range(min(queries, len(query_texts)))],
+                             {lang: (texts[lang], heldout[lang]) for lang in heldout}, k=k)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report)
     return report

@@ -145,6 +145,10 @@ class ParallelCorpus:
     def target_sentences(self):
         return [t for _, t in self.pairs]
 
+    def sides(self):
+        """{src_lang: source sentences, tgt_lang: target sentences}."""
+        return {self.src_lang: self.source_sentences(), self.tgt_lang: self.target_sentences()}
+
 
 def load_parallel(src_path, tgt_path, src_lang, tgt_lang):
     """Pair line i of source with line i of target; skip pairs where either
@@ -216,6 +220,15 @@ def save_word2vec(path, words, matrix):
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         for w, row in zip(words, matrix):
             fh.write(w + " " + " ".join(repr(float(v)) for v in row) + "\n")
+
+
+def write_csv(path, header, rows):
+    """A header line of column names, then one line per row; floats are
+    written with repr, so they read back exactly, everything else with str."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def load_dictionary(path):

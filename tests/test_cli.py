@@ -142,10 +142,13 @@ def test_eval_retrieval_from_dumps(tmp_path, capsys, rng):
     assert (out / "retrieval.csv").read_text().splitlines()[1].startswith("lb>la,1.0")
 
 
+SIF_MAP = ("framework=sentence_map\nencoder=sif\ncipher_vocab=40\n"
+           "cipher_sentences=300\ndim=16\nsplits=100,200\ntest_size=60\nseed=4\n")
+
+
 def test_eval_cldc_subcommand(tmp_path, capsys):
     cfg = tmp_path / "map.cfg"
-    cfg.write_text("framework=sentence_map\nencoder=sif\ncipher_vocab=40\n"
-                   "cipher_sentences=300\ndim=16\nsplits=100,200\ntest_size=60\nseed=4\n")
+    cfg.write_text(SIF_MAP)
     out = tmp_path / "out"
     assert main(["eval-cldc", "--config", str(cfg), "--out-dir", str(out),
                  "--docs", "80"]) == 0
@@ -159,22 +162,76 @@ def test_eval_cldc_embeds_each_side_in_one_batched_call(tmp_path, monkeypatch):
     final_embedders = cli._final_embedders
 
     def counting(cfg):
-        data, exp, embed_src, embed_tgt = final_embedders(cfg)
+        data, exp, embedders = final_embedders(cfg)
 
-        def counted(side, embed):
+        def counted(lang, embed):
             def batched(sentences):
-                calls.append((side, len(sentences)))
+                calls.append((lang, len(sentences)))
                 return embed(sentences)
             return batched
-        return data, exp, counted("src", embed_src), counted("tgt", embed_tgt)
+        return data, exp, {lang: counted(lang, embed) for lang, embed in embedders.items()}
     monkeypatch.setattr(cli, "_final_embedders", counting)
     cfg = tmp_path / "map.cfg"
-    cfg.write_text("framework=sentence_map\nencoder=sif\ncipher_vocab=40\n"
-                   "cipher_sentences=300\ndim=16\nsplits=100,200\ntest_size=60\nseed=4\n")
+    cfg.write_text(SIF_MAP)
     assert main(["eval-cldc", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
                  "--docs", "40"]) == 0
-    assert sorted(side for side, _ in calls) == ["src", "tgt"]
+    assert sorted(lang for lang, _ in calls) == ["la", "lb"]
     assert all(n > 40 for _, n in calls)  # every distinct sentence of 40 documents at once
+
+
+@pytest.mark.parametrize("languages", ["la,lb", "lb,la"])
+def test_reports_list_other_to_pivot_first(tmp_path, languages):
+    pivot, other = languages.split(",")
+    forward, backward = f"{other}>{pivot}", f"{pivot}>{other}"
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text(SIF_MAP + f"languages={languages}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert main(["eval-cldc", "--config", str(cfg), "--out-dir", str(out), "--docs", "40"]) == 0
+
+    def rows(name):
+        return [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+    assert [r[0] for r in rows("retrieval.csv")] == [forward, backward]
+    assert [(r[0], r[2]) for r in rows("curve.csv")] == [
+        (size, direction) for size in ("100", "200") for direction in (forward, backward)]
+    assert [r[:2] for r in rows("cldc.csv")] == [[pivot, other], [other, pivot]]
+    queries = (out / "neighbors.txt").read_text().split("\n\n")
+    other_lines = set((out / "corpus" / f"{other}.txt").read_text().splitlines())
+    assert len(queries) == 5
+    for block in queries:
+        lines = block.splitlines()
+        assert lines[0].removeprefix("Query: ") in other_lines
+        assert [line for line in lines if line.startswith("  [")] == ["  [la]", "  [lb]"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["neighbors", "-k", "-1"], "-k"),
+    (["neighbors", "-k", "0"], "-k"),
+    (["neighbors", "--queries", "0"], "--queries"),
+    (["neighbors", "--queries", "-2"], "--queries"),
+    (["eval-cldc", "--docs", "0"], "--docs"),
+    (["eval-cldc", "--docs", "3"], "--docs"),
+    (["eval-cldc", "--docs", "7"], "--docs"),
+], ids=["k-negative", "k-zero", "queries-zero", "queries-negative", "docs-zero", "docs-3",
+        "docs-7"])
+def test_out_of_range_flag_is_validation_error(tmp_path, capsys, args, flag):
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text(SIF_MAP)
+    out = tmp_path / "out"
+    assert main([*args, "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be at least ")
+    assert not out.exists()
+
+
+def test_smallest_accepted_flags_run(tmp_path, capsys):
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text(SIF_MAP)
+    out = tmp_path / "out"
+    assert main(["neighbors", "-k", "1", "--queries", "1", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    assert (out / "neighbors.txt").read_text().count("Query:") == 1
+    assert main(["eval-cldc", "--docs", "8", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert len((out / "cldc.csv").read_text().splitlines()) == 3
 
 
 def test_numeric_failure_exits_2(tmp_path, capsys):

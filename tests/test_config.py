@@ -72,9 +72,8 @@ def test_digest_stable_and_sensitive():
 
 
 def test_languages_pivot_first():
-    cfg = parse_config("languages=en,de")
-    assert cfg.pivot_lang() == "en"
-    assert cfg.other_lang() == "de"
+    pivot, other = parse_config("languages=en,de").languages
+    assert (pivot, other) == ("en", "de")
 
 
 KEYS = sorted(_FIELD_TYPES)

@@ -1,6 +1,7 @@
-"""No test runs the demos or the benchmark's workloads (bench/workloads.py),
-so a public name deleted from xlalign, or a parameter dropped from one of its
-functions, would break them unnoticed. Read each one's syntax tree: every
+"""Only demo 08 is run by a test (tests/test_pipeline.py); the other demos and
+the benchmark's workloads (bench/workloads.py) are not, so a public name
+deleted from xlalign, or a parameter dropped from one of its functions, would
+break them unnoticed. Read each one's syntax tree: every
 name it imports from xlalign, and every attribute it reads off an imported
 xlalign module (such as `ad.backward` or `pipeline.save_encoder`), must
 exist, and every keyword argument of a call to such a name must be one its

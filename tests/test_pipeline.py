@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import xlalign
 from xlalign.checkpoint import load_checkpoint, save_checkpoint
 from xlalign.config import ConfigError, parse_config
 from xlalign.encoders import EncoderParams, encode_sentences, new_encoder
@@ -42,12 +48,12 @@ def test_materialize_rejects_too_small_corpus(tmp_path):
         materialize(cfg)
 
 
-def test_factory_caches_by_size():
+def test_build_caches_by_size():
     cfg = parse_config(TOY)
     data = materialize(cfg)
     exp = Experiment(cfg, data)
-    a = exp.factory(data.train_corpus.pairs[:40])
-    b = exp.factory(data.train_corpus.pairs[:40])
+    a = exp.build(data.train_corpus.pairs[:40])
+    b = exp.build(data.train_corpus.pairs[:40])
     assert a is b
 
 
@@ -136,3 +142,14 @@ def test_word_table_ingests_embedding_file(tmp_path):
     cfg2 = parse_config(TOY + f"embeddings_tgt={path}\n")
     data2 = materialize(cfg2)
     np.testing.assert_array_equal(data2.tables["la"][vocab.token_to_id[word]], custom)
+
+
+def test_pipeline_demo_leaves_no_temporary_directory(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "08_experiment_pipeline.py"
+    env = {**os.environ, "TMPDIR": str(tmp_path),
+           "PYTHONPATH": os.path.dirname(os.path.dirname(xlalign.__file__))}
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert f"files in {tmp_path}{os.sep}xlalign_demo_" in proc.stdout  # it wrote there
+    assert list(tmp_path.glob("xlalign_demo_*")) == []

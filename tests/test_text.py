@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlalign.rand import Xorshift64Star
-from xlalign.evaluation import accuracy_curve
+from xlalign.evaluation import CLDCReport, CurvePoint, RetrievalReport, accuracy_curve
+from xlalign.objectives import TRACE_HEADER
 from xlalign.text import (UNK, NoiseParams, ParallelCorpus, build_vocab,
                           corrupt, load_dictionary, load_parallel, load_word2vec,
-                          make_splits, save_word2vec, sif_weight, tokenize)
+                          make_splits, save_word2vec, sif_weight, tokenize, write_csv)
 
 from test_rand import reference_stream
 
@@ -175,7 +176,7 @@ def curve_training_sets(n, sizes):
 
     def factory(train_pairs):
         seen.append(list(train_pairs))
-        return embed, embed
+        return {"de": embed, "en": embed}
     accuracy_curve(factory, corpus, make_splits(n, sizes), [("de", "en")],
                    [(["held-out"], ["a"]), (["held-out"], ["b"])])
     return corpus, seen
@@ -257,3 +258,23 @@ class TestEmbeddingFiles:
         bad.write_text("a b c\n")
         with pytest.raises(ValueError, match="two words"):
             load_dictionary(bad)
+
+
+def test_write_csv_headers_and_float_round_trip(tmp_path):
+    value = 0.1 + 0.2  # 0.30000000000000004 needs all 17 significant digits
+    reports = {
+        "train.csv": (TRACE_HEADER, (0, "sdae", "la>la", value),
+                      "step,objective,language_pair,value", "0,sdae,la>la,"),
+        "curve.csv": (CurvePoint._fields, CurvePoint(100, "transfer", "lb>la", value),
+                      "size,model,direction,accuracy", "100,transfer,lb>la,"),
+        "retrieval.csv": (RetrievalReport._fields, RetrievalReport("lb>la", value, 50),
+                          "direction,accuracy,n_queries", "lb>la,"),
+        "cldc.csv": (CLDCReport._fields, CLDCReport("la", "lb", np.float64(value)),
+                     "train_lang,test_lang,accuracy", "la,lb,"),
+    }
+    for name, (header, row, header_line, before) in reports.items():
+        write_csv(tmp_path / name, header, [row])
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header_line
+        assert lines[1].startswith(before + "0.30000000000000004")
+        assert float(lines[1][len(before):].split(",")[0]) == value
