@@ -16,12 +16,14 @@ print(tokenize("Don't stop -- it's fine!"))
 # Language "lb" is language "la" under a fixed token cipher, so the gold
 # correspondence is recoverable by construction.
 cc = gen_cipher_corpus(vocab_size=30, n_sentences=80, length_range=(3, 6), seed=1)
-for (src, tgt) in cc.corpus.pairs[:3]:
+# Row i of every language is a translation of row i of the others.
+lb, la = cc.corpus["lb"], cc.corpus["la"]
+for src, tgt in zip(lb[:3], la[:3]):
     print(" ".join(src), " <-> ", " ".join(tgt))
-assert all(apply_cipher(t, cc.cipher) == s for s, t in cc.corpus.pairs)
+assert all(apply_cipher(t, cc.cipher) == s for s, t in zip(lb, la))
 
 # --- vocabulary with frequency bookkeeping ----------------------------------
-vocab = build_vocab(cc.corpus.target_sentences(), min_count=1)
+vocab = build_vocab(la, min_count=1)
 print(f"\n{len(vocab)} ids (4 reserved), {vocab.total_count} tokens total")
 common = max(vocab.token_to_id, key=lambda t: vocab.frequencies[vocab.token_to_id[t]])
 print(f"most frequent token: {common} (p={vocab.probability(common):.3f})")
@@ -32,7 +34,7 @@ for freq in (0, 1, 20, vocab.frequencies[vocab.token_to_id[common]]):
 
 # --- denoising corruption ----------------------------------------------------
 # Adjacent bigrams may swap, tokens may drop; at least one token survives.
-sentence = cc.corpus.target_sentences()[0]
+sentence = la[0]
 noise = NoiseParams(p_del=0.3, p_swap=0.5, seed=8)
 print("\nclean:    ", " ".join(sentence))
 print("corrupted:", " ".join(corrupt(sentence, noise)))

@@ -12,7 +12,7 @@ from xlalign.encoders import encode_sentences, encode_sif, new_encoder
 from xlalign.text import build_vocab
 
 cc = gen_cipher_corpus(vocab_size=30, n_sentences=50, length_range=(3, 7), seed=2)
-sentences = cc.corpus.target_sentences()
+sentences = cc.corpus["la"]
 vocab = build_vocab(sentences, min_count=1)
 
 # --- BiLSTM + max-pool -------------------------------------------------------

@@ -12,14 +12,13 @@ from xlalign.cipher import gen_cipher_corpus
 from xlalign.encoders import encode_sif_matrix
 from xlalign.evaluation import retrieval_accuracy
 from xlalign.mapping import apply_map, fit_orthogonal_map, fit_word_dictionary_map
-from xlalign.text import ParallelCorpus, build_vocab
+from xlalign.text import build_vocab
 
 cc = gen_cipher_corpus(vocab_size=40, n_sentences=700, length_range=(3, 8), seed=11)
-train = ParallelCorpus(cc.corpus.pairs[:500], "lb", "la")
-test = cc.corpus.pairs[500:]
+train, test = cc.corpus[:500], cc.corpus[500:]
 
-vb = build_vocab(train.source_sentences(), 1)
-va = build_vocab(train.target_sentences(), 1)
+vb = build_vocab(train["lb"], 1)
+va = build_vocab(train["la"], 1)
 
 # Near-one-hot word tables: each token owns a coordinate direction, so the two
 # sentence spaces are near-orthogonal to each other until rotated.
@@ -27,13 +26,13 @@ g = np.random.default_rng(7)
 table_b = np.eye(len(vb)) + 0.01 * g.normal(size=(len(vb), len(vb)))
 table_a = np.eye(len(va)) + 0.01 * g.normal(size=(len(va), len(va)))
 
-x_test = encode_sif_matrix([s for s, _ in test], table_b, vb)
-y_test = encode_sif_matrix([t for _, t in test], table_a, va)
+x_test = encode_sif_matrix(test["lb"], table_b, vb)
+y_test = encode_sif_matrix(test["la"], table_a, va)
 print("retrieval before mapping:", retrieval_accuracy(x_test, y_test).accuracy)
 
 # --- fit on the parallel training sentences -----------------------------------
-m = fit_orthogonal_map(encode_sif_matrix(train.source_sentences(), table_b, vb),
-                       encode_sif_matrix(train.target_sentences(), table_a, va),
+m = fit_orthogonal_map(encode_sif_matrix(train["lb"], table_b, vb),
+                       encode_sif_matrix(train["la"], table_a, va),
                        src_space="lb", tgt_space="la")
 print(f"fitted on {m.n_pairs} pairs, residual {m.residual:.2f}, "
       f"orthogonality error {np.max(np.abs(m.w.T @ m.w - np.eye(m.dim))):.1e}")

@@ -18,15 +18,14 @@ from xlalign.text import NoiseParams, ParallelCorpus, build_vocab
 
 D = H = 24
 cc = gen_cipher_corpus(vocab_size=40, n_sentences=700, length_range=(3, 8), seed=5)
-train = ParallelCorpus(cc.corpus.pairs[:500], "lb", "la")
-test = cc.corpus.pairs[500:]
-vb = build_vocab(train.source_sentences(), 1)
-va = build_vocab(train.target_sentences(), 1)
+train, test = cc.corpus[:500], cc.corpus[500:]
+vb = build_vocab(train["lb"], 1)
+va = build_vocab(train["la"], 1)
 
 # --- step 1: pretrain the pivot encoder on monolingual data --------------------
 pivot = new_encoder(len(va), D, H, "la", seed=1)
 throwaway_decoder = new_decoder(len(va), D, 2 * H, H, "la", seed=2)
-mono = ParallelCorpus([(s, s) for s in train.target_sentences()], "la", "la")
+mono = ParallelCorpus(zip(train["la"]), "la")  # a one-language corpus
 train_joint_seq2seq(mono, {"la": pivot}, throwaway_decoder, {"la": va}, "la",
                     TrainSchedule(16, 400, 1e-3, ["la"], seed=3),
                     NoiseParams(0.1, 0.1, 9))
@@ -43,7 +42,7 @@ assert all(np.array_equal(v, pivot_before[k]) for k, v in pivot.named_arrays().i
 print("pivot parameters bit-identical before and after (frozen)")
 
 # --- step 3: held-out translation retrieval ------------------------------------
-x = encode_sentences([s for s, _ in test], vb, new_enc)
-y = encode_sentences([t for _, t in test], va, pivot)
+x = encode_sentences(test["lb"], vb, new_enc)
+y = encode_sentences(test["la"], va, pivot)
 for direction, a, b in (("lb>la", x, y), ("la>lb", y, x)):
     print(f"retrieval {direction}: {retrieval_accuracy(a, b, direction).accuracy:.3f}")

@@ -13,14 +13,12 @@ from xlalign.cipher import gen_cipher_corpus
 from xlalign.encoders import encode_sentences, new_encoder
 from xlalign.evaluation import neighbor_report, retrieval_accuracy
 from xlalign.objectives import TrainSchedule, new_decoder, train_joint_seq2seq
-from xlalign.text import NoiseParams, ParallelCorpus, build_vocab
+from xlalign.text import NoiseParams, build_vocab
 
 D = H = 24
 cc = gen_cipher_corpus(vocab_size=40, n_sentences=900, length_range=(3, 8), seed=5)
-train = ParallelCorpus(cc.corpus.pairs[:800], "lb", "la")
-test = cc.corpus.pairs[800:]
-vocabs = {"lb": build_vocab(train.source_sentences(), 1),
-          "la": build_vocab(train.target_sentences(), 1)}
+train, test = cc.corpus[:800], cc.corpus[800:]
+vocabs = {lang: build_vocab(train[lang], 1) for lang in train.langs}
 
 encoders = {"la": new_encoder(len(vocabs["la"]), D, H, "la", seed=1),
             "lb": new_encoder(len(vocabs["lb"]), D, H, "lb", seed=2)}
@@ -39,13 +37,13 @@ print(f"sdae loss {sdae[0]:.2f} -> {np.mean(sdae[-20:]):.2f}; "
       f"nmt loss {nmt[0]:.2f} -> {np.mean(nmt[-20:]):.2f}")
 
 # --- held-out retrieval through the emergent shared space ----------------------
-x = encode_sentences([s for s, _ in test], vocabs["lb"], encoders["lb"])
-y = encode_sentences([t for _, t in test], vocabs["la"], encoders["la"])
+x = encode_sentences(test["lb"], vocabs["lb"], encoders["lb"])
+y = encode_sentences(test["la"], vocabs["la"], encoders["la"])
 print("retrieval lb>la:", retrieval_accuracy(x, y).accuracy)
 
 # --- qualitative nearest-neighbor inspection -----------------------------------
-texts_b = [" ".join(s) for s, _ in test]
-texts_a = [" ".join(t) for _, t in test]
+texts_b = [" ".join(s) for s in test["lb"]]
+texts_a = [" ".join(t) for t in test["la"]]
 print()
 print(neighbor_report([(texts_b[0], x[0])],
                       {"lb (mono)": (texts_b, x), "la (cross)": (texts_a, y)}, k=3))

@@ -1,9 +1,9 @@
 """Synthetic bilingual corpora with a known perfect alignment.
 
-The second language is a bijective token renaming of the first, so an exact
-cross-lingual correspondence exists by construction and desk-scale runs have
-a recoverable gold standard. Token frequencies follow a 1/(rank+2) curve so
-inverse-frequency weighting has something to bite on.
+The ciphered language is a bijective token renaming of the base language,
+so an exact cross-lingual correspondence exists by construction and
+desk-scale runs have a recoverable gold standard. Token frequencies follow a
+1/(rank+2) curve so inverse-frequency weighting has something to bite on.
 
 Also provides a 3-class inference toy set with deterministic labels:
 hypothesis tokens contained in the premise -> entailment (0), disjoint from
@@ -12,6 +12,8 @@ the premise -> contradiction (1), partial overlap -> neutral (2).
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
 
 from .evaluation import N_CLDC_CLASSES
@@ -24,7 +26,7 @@ ENTAILMENT, CONTRADICTION, NEUTRAL = 0, 1, 2
 
 @dataclass
 class CipherCorpus:
-    corpus: ParallelCorpus      # source = ciphered language "lb", target = base language "la"
+    corpus: ParallelCorpus      # language order: ciphered ("lb"), then base ("la")
     cipher: dict                # base token -> ciphered token
     nli: dict | None            # lang -> NLIDataset, when requested
 
@@ -55,11 +57,12 @@ def _sample_weighted(rng, cumulative):
 
 
 def gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,
-                      nli_size=0, src_lang="lb", tgt_lang="la"):
+                      nli_size=0, langs=("lb", "la")):
     """Base-language sentences plus their token-ciphered translations.
 
-    The ParallelCorpus is oriented ciphered -> base, matching the usual
-    "align the new language to the pivot" direction.
+    `langs` names the corpus languages in order: the ciphered language, then
+    the base language, matching the usual "align the new language to the
+    pivot" direction.
     """
     if vocab_size < 10:
         raise ValueError(f"vocab_size must be >= 10, got {vocab_size}")
@@ -77,27 +80,22 @@ def gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,
     rng.shuffle(perm)
     cipher = {base[i]: f"k{perm[i]:03d}" for i in range(vocab_size)}
 
-    cumulative = []
-    acc = 0.0
-    for i in range(vocab_size):
-        acc += 1.0 / (i + 2)
-        cumulative.append(acc)
+    cumulative = list(itertools.accumulate(1.0 / (i + 2) for i in range(vocab_size)))
 
     def sample_sentence(length):
         return [base[_sample_weighted(rng, cumulative)] for _ in range(length)]
 
-    pairs = []
+    rows = []
     for _ in range(n_sentences):
         sent = sample_sentence(lo + rng.randint(hi - lo + 1))
-        pairs.append((apply_cipher(sent, cipher), sent))
-    corpus = ParallelCorpus(pairs, src_lang, tgt_lang)
+        rows.append((apply_cipher(sent, cipher), sent))
+    corpus = ParallelCorpus(rows, *langs)
 
-    nli = _gen_nli(rng, base, cipher, nli_size, lo, hi, cumulative,
-                   src_lang, tgt_lang) if nli_size else None
+    nli = _gen_nli(rng, base, cipher, nli_size, lo, hi, cumulative, langs) if nli_size else None
     return CipherCorpus(corpus, cipher, nli)
 
 
-def _gen_nli(rng, base, cipher, n, lo, hi, cumulative, src_lang, tgt_lang):
+def _gen_nli(rng, base, cipher, n, lo, hi, cumulative, langs):
     premises, hypotheses, labels = [], [], []
     min_len = max(lo, 4)
     for i in range(n):
@@ -130,7 +128,7 @@ def _gen_nli(rng, base, cipher, n, lo, hi, cumulative, src_lang, tgt_lang):
     base_set = NLIDataset(premises, hypotheses, labels)
     ciphered = NLIDataset([apply_cipher(p, cipher) for p in premises],
                           [apply_cipher(h, cipher) for h in hypotheses], list(labels))
-    return {tgt_lang: base_set, src_lang: ciphered}
+    return dict(zip(langs, (ciphered, base_set)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,8 @@ def gen_cldc_docs(cipher_corpus, n_docs, seed=0):
     band = len(base) // N_CLDC_CLASSES
     if band < 3:
         raise ValueError(f"vocabulary too small for {N_CLDC_CLASSES} topic bands")
-    docs = {cipher_corpus.corpus.tgt_lang: [], cipher_corpus.corpus.src_lang: []}
+    ciphered_lang, base_lang = cipher_corpus.corpus.langs
+    docs = {base_lang: [], ciphered_lang: []}
     for i in range(n_docs):
         label = i % N_CLDC_CLASSES
         vocab_band = base[label * band:(label + 1) * band]
@@ -157,8 +156,8 @@ def gen_cldc_docs(cipher_corpus, n_docs, seed=0):
         for _ in range(2 + rng.randint(3)):
             length = 3 + rng.randint(4)
             doc.append([vocab_band[rng.randint(len(vocab_band))] for _ in range(length)])
-        docs[cipher_corpus.corpus.tgt_lang].append((doc, label))
-        docs[cipher_corpus.corpus.src_lang].append(
+        docs[base_lang].append((doc, label))
+        docs[ciphered_lang].append(
             ([apply_cipher(s, cipher_corpus.cipher) for s in doc], label))
     return docs
 
@@ -168,11 +167,10 @@ def gen_cldc_docs(cipher_corpus, n_docs, seed=0):
 # ---------------------------------------------------------------------------
 
 def write_corpus_files(out_dir, cc):
-    """Write line-aligned sentence files, the token dictionary, and any NLI
-    toy files. Returns the list of paths written.
+    """Write one sentence file per language, in language order and
+    line-aligned, then the token dictionary and any NLI toy files. Returns the
+    list of paths written.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     corpus = cc.corpus
     paths = []
@@ -184,13 +182,14 @@ def write_corpus_files(out_dir, cc):
                 fh.write(line + "\n")
         paths.append(path)
 
-    emit(f"{corpus.src_lang}.txt", (" ".join(s) for s, _ in corpus.pairs))
-    emit(f"{corpus.tgt_lang}.txt", (" ".join(t) for _, t in corpus.pairs))
-    emit(f"dict.{corpus.tgt_lang}-{corpus.src_lang}.txt",
+    for lang, sentences in corpus.items():
+        emit(f"{lang}.txt", (" ".join(s) for s in sentences))
+    ciphered_lang, base_lang = corpus.langs
+    emit(f"dict.{base_lang}-{ciphered_lang}.txt",
          (f"{b} {c}" for b, c in sorted(cc.cipher.items())))
     if cc.nli:
         for lang, data in sorted(cc.nli.items()):
             emit(f"nli.{lang}.premises.txt", (" ".join(p) for p in data.premises))
             emit(f"nli.{lang}.hypotheses.txt", (" ".join(h) for h in data.hypotheses))
-        emit("nli.labels.txt", (str(l) for l in cc.nli[corpus.tgt_lang].labels))
+        emit("nli.labels.txt", (str(l) for l in cc.nli[base_lang].labels))
     return paths

@@ -37,17 +37,14 @@ def _load_cfg(args):
 def _final_embedders(cfg):
     data = materialize(cfg)
     exp = Experiment(cfg, data)
-    embedders, _ = exp.build(data.train_corpus.pairs[:cfg.splits[-1]])
+    embedders, _ = exp.build(cfg.splits[-1])
     return data, exp, embedders
 
 
 def cmd_gen_corpus(args):
-    cc = gen_cipher_corpus(args.vocab_size, args.sentences,
-                           (args.min_len, args.max_len), args.seed,
-                           nli_size=args.nli_size,
-                           src_lang=args.src_lang, tgt_lang=args.tgt_lang)
-    paths = write_corpus_files(args.out_dir, cc)
-    for p in paths:
+    cc = gen_cipher_corpus(args.vocab_size, args.sentences, (args.min_len, args.max_len),
+                           args.seed, nli_size=args.nli_size, langs=(args.src_lang, args.tgt_lang))
+    for p in write_corpus_files(args.out_dir, cc):
         print(p)
     return 0
 
@@ -95,6 +92,8 @@ def cmd_neighbors(args):
     _at_least("-k", args.k, 1)
     _at_least("--queries", args.queries, 1)
     cfg = _load_cfg(args)
+    if args.k > cfg.test_size:
+        raise ConfigError(f"-k {args.k} exceeds the held-out pool (test_size={cfg.test_size})")
     data, exp, embedders = _final_embedders(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     print(write_neighbors(os.path.join(cfg.out_dir, "neighbors.txt"), exp,

@@ -44,7 +44,7 @@ class ExperimentConfig:
     p_swap: float = 0.1
     min_count: int = 1
 
-    splits: tuple = (100, 200, 500, 1000, 2000)
+    splits: tuple = (100, 200, 500, 1000)
     test_size: int = 200
     seed: int = 0
     out_dir: str = "out"

@@ -9,7 +9,6 @@ import numpy as np
 from . import autodiff as ad
 from .objectives import mlp_logits, new_mlp
 from .optim import fit
-from .text import ParallelCorpus
 
 # byte budget of one block of similarity rows in retrieval
 BUDGET = 16 * 2**20
@@ -194,38 +193,32 @@ class CurvePoint(NamedTuple):  # a row of curve.csv
     accuracy: float
 
 
-def accuracy_curve(model_factory, corpus, sizes, directions, test_pairs, model_tag="model"):
-    """Refit per split size and evaluate each direction on held-out pairs.
+def accuracy_curve(model_factory, corpus, sizes, directions, heldout, model_tag="model"):
+    """Refit per split size and evaluate each direction on the held-out rows.
 
-    `sizes` comes from `text.make_splits`; split k trains on the first
-    sizes[k] pairs of the corpus. model_factory(train_pairs) must return
-    {lang: embed} for both corpus languages, each embed mapping a list of
-    sentences into one shared space; each direction is a (query language,
-    pool language) pair. The held-out pairs must be disjoint from every
-    training split (checked by content).
+    `corpus` and `heldout` are row-aligned `ParallelCorpus`es; `sizes` comes
+    from `text.make_splits`, and split k is `corpus[:sizes[k]]`.
+    model_factory(split) must return {lang: embed} for every corpus
+    language, each embed mapping a list of sentences into one shared space;
+    each direction is a (query language, pool language) pair. No training
+    row may repeat a held-out row (checked by content).
     """
-    largest = set(map(_pair_key, corpus.pairs[:sizes[-1]]))
-    overlap = [p for p in test_pairs if _pair_key(p) in largest]
+    largest = corpus[:sizes[-1]]
+    overlap = len(largest) - len(largest.without(heldout))
     if overlap:
         raise ValueError(
-            f"test set overlaps a training split ({len(overlap)} shared pairs); "
-            "hold the evaluation pairs out of every split")
-    heldout = ParallelCorpus(test_pairs, corpus.src_lang, corpus.tgt_lang).sides()
+            f"test set overlaps a training split ({overlap} training rows repeat a held-out row); "
+            "hold the evaluation rows out of every split")
     for q_lang, p_lang in directions:
-        if not {q_lang, p_lang} <= heldout.keys():
+        if not {q_lang, p_lang} <= set(heldout.langs):
             raise ValueError(f"direction {q_lang}>{p_lang} does not match corpus "
-                             f"languages {corpus.src_lang}/{corpus.tgt_lang}")
+                             f"languages {'/'.join(heldout.langs)}")
 
     points = []
     for size in sizes:
-        embedders = model_factory(corpus.pairs[:size])
+        embedders = model_factory(corpus[:size])
         emb = {lang: embedders[lang](sentences) for lang, sentences in heldout.items()}
         for q_lang, p_lang in directions:
             rep = retrieval_accuracy(emb[q_lang], emb[p_lang], direction=f"{q_lang}>{p_lang}")
             points.append(CurvePoint(size, model_tag, rep.direction, rep.accuracy))
     return points
-
-
-def _pair_key(pair):
-    s, t = pair
-    return (tuple(s), tuple(t))

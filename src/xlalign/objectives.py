@@ -163,13 +163,15 @@ class JointResult:
     trace: list
 
 
-def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot, sched, noise):
+def train_joint_seq2seq(corpus, encoders, decoder, vocabs, pivot, sched, noise):
     """Alternate batch languages round-robin against one shared decoder.
 
-    Pivot-language batches run the denoising reconstruction objective, with
-    `noise` (a NoiseParams), on the pivot side of the corpus; every other
-    language runs translation into the pivot. The decoder parameter arrays
-    are updated in place, so a single shared set persists across all steps.
+    Each batch draws rows of `corpus`; a language's encoder reads that
+    language's sentences and the decoder writes the pivot's. Pivot batches
+    run the denoising reconstruction objective, with `noise` (a NoiseParams);
+    every other language runs translation into the pivot. The decoder
+    parameter arrays are updated in place, so a single shared set persists
+    across all steps.
     """
     order = sched.language_order or sorted(encoders)
     for lang in order:
@@ -177,24 +179,16 @@ def train_joint_seq2seq(parallel, encoders, decoder, vocabs, pivot, sched, noise
             raise ValueError(f"no encoder for scheduled language {lang!r}")
     noise_rng = Xorshift64Star(noise.seed ^ 0x5DEECE66D)
     rng = np.random.default_rng(sched.seed)
-    pivot_sents = parallel.target_sentences()
-    pairs = parallel.pairs
+    pivot_sents, pivot_vocab = corpus[pivot], vocabs[pivot]
+    # per scheduled language: sentences, encoder, vocabulary, input noise, objective
+    plan = [(corpus[lang], encoders[lang], vocabs[lang], noise if lang == pivot else None,
+             "sdae" if lang == pivot else "nmt", f"{lang}>{pivot}") for lang in order]
 
     def one_step(step):
-        lang = order[step % len(order)]
-        idx = rng.integers(0, len(pairs), size=sched.batch_size)
-        if lang == pivot:
-            batch = [pivot_sents[i] for i in idx]
-            graph = seq2seq_loss(batch, batch, encoders[lang], decoder,
-                                 vocabs[lang], vocabs[pivot],
-                                 denoise=noise, noise_rng=noise_rng)
-            objective, pair = "sdae", f"{lang}>{lang}"
-        else:
-            src = [pairs[i][0] for i in idx]
-            tgt = [pairs[i][1] for i in idx]
-            graph = seq2seq_loss(src, tgt, encoders[lang], decoder,
-                                 vocabs[lang], vocabs[pivot])
-            objective, pair = "nmt", f"{lang}>{pivot}"
+        sents, enc, vocab, denoise, objective, pair = plan[step % len(plan)]
+        idx = rng.integers(0, len(corpus), size=sched.batch_size)
+        graph = seq2seq_loss([sents[i] for i in idx], [pivot_sents[i] for i in idx], enc,
+                             decoder, vocab, pivot_vocab, denoise=denoise, noise_rng=noise_rng)
         # clip-norm summation order: encoder, then decoder
         return (graph.loss, (graph.enc_tensors, graph.dec_tensors),
                 [(step, objective, pair, float(graph.loss.data))])
@@ -376,25 +370,25 @@ class TransferResult:
     trace: list
 
 
-def train_transfer(parallel, pivot_enc, new_enc, src_vocab, tgt_vocab, sched):
-    """Regress the new encoder's embeddings onto the frozen pivot encoder's
-    embeddings of the parallel translations (L1 loss, Adam).
+def train_transfer(corpus, pivot_enc, new_enc, new_vocab, pivot_vocab, sched):
+    """Regress the new encoder's embeddings of `corpus[new_enc.lang]` onto
+    the frozen pivot encoder's embeddings of the same rows of
+    `corpus[pivot_enc.lang]` (L1 loss, Adam).
 
-    The pivot encoder is never touched; its embeddings of the target side are
-    precomputed once.
+    The pivot encoder is never touched; its embeddings are precomputed once.
     """
     if pivot_enc.output_dim != new_enc.output_dim:
         raise ValueError(
             f"embedding dimension mismatch: pivot {pivot_enc.output_dim} vs new {new_enc.output_dim}")
-    targets = encode_sentences(parallel.target_sentences(), tgt_vocab, pivot_enc)
+    targets = encode_sentences(corpus[pivot_enc.lang], pivot_vocab, pivot_enc)
     rng = np.random.default_rng(sched.seed)
-    src_sents = parallel.source_sentences()
-    pair = f"{parallel.src_lang}>{parallel.tgt_lang}"
+    new_sents = corpus[new_enc.lang]
+    pair = f"{new_enc.lang}>{pivot_enc.lang}"
 
     def one_step(step):
-        idx = rng.integers(0, len(src_sents), size=sched.batch_size)
-        loss, enc_tensors = transfer_l1_loss([src_sents[i] for i in idx], targets[idx],
-                                             new_enc, src_vocab)
+        idx = rng.integers(0, len(new_sents), size=sched.batch_size)
+        loss, enc_tensors = transfer_l1_loss([new_sents[i] for i in idx], targets[idx],
+                                             new_enc, new_vocab)
         return loss, (enc_tensors,), [(step, "transfer_l1", pair, float(loss.data))]
 
     trace = fit([new_enc], sched.steps, sched.lr, one_step)

@@ -34,49 +34,47 @@ SEED_NOISE = 30
 @dataclass
 class ExperimentData:
     train_corpus: ParallelCorpus
-    test_pairs: list
-    vocabs: dict           # lang -> Vocabulary
-    cipher: object | None  # CipherCorpus when corpus=cipher
-    tables: dict           # lang -> word-embedding matrix for SIF / ingest
-
-    def heldout(self):
-        """{lang: held-out sentences}, row i of each the translation of the others'."""
-        corpus = self.train_corpus
-        return ParallelCorpus(self.test_pairs, corpus.src_lang, corpus.tgt_lang).sides()
+    heldout: ParallelCorpus  # the corpus's last test_size rows
+    vocabs: dict             # lang -> Vocabulary
+    cipher: object | None    # CipherCorpus when corpus=cipher
+    tables: dict             # lang -> word-embedding matrix for SIF / ingest
 
 
 def materialize(cfg):
-    """Generate or load the corpus, hold out the test tail, build vocabularies."""
+    """Generate or load the corpus, hold out the test tail, build vocabularies.
+
+    Training rows that repeat a held-out row in every language are dropped,
+    so no split trains on an evaluation row.
+    """
     pivot, other = cfg.languages
     cc = None
     if cfg.corpus == "cipher":
         nli = cfg.nli_size if cfg.framework == "joint_infersent" else 0
         cc = gen_cipher_corpus(cfg.cipher_vocab, cfg.cipher_sentences + cfg.test_size,
                                (cfg.cipher_min_len, cfg.cipher_max_len), cfg.seed,
-                               nli_size=nli, src_lang=other, tgt_lang=pivot)
+                               nli_size=nli, langs=(other, pivot))
         corpus = cc.corpus
     else:
         corpus = load_parallel(cfg.src_path, cfg.tgt_path, other, pivot)
     if len(corpus) <= cfg.test_size:
-        raise ConfigError(f"corpus of {len(corpus)} pairs cannot spare {cfg.test_size} test pairs")
-    train_pairs = corpus.pairs[:-cfg.test_size]
-    test_pairs = corpus.pairs[-cfg.test_size:]
-    train_corpus = ParallelCorpus(train_pairs, other, pivot)
+        raise ConfigError(f"corpus of {len(corpus)} rows cannot spare {cfg.test_size} test rows")
+    heldout = corpus[-cfg.test_size:]
+    train_corpus = corpus[:-cfg.test_size].without(heldout)
     try:
         make_splits(len(train_corpus), cfg.splits)
     except ValueError as exc:
         raise ConfigError(f"splits do not fit the training corpus: {exc}") from exc
 
-    sides = train_corpus.sides()
+    text = dict(train_corpus.items())
     if cc is not None and cc.nli:
-        sides = {lang: s + cc.nli[lang].premises + cc.nli[lang].hypotheses
-                 for lang, s in sides.items()}
-    vocabs = {lang: build_vocab(s, cfg.min_count) for lang, s in sides.items()}
+        text = {lang: s + cc.nli[lang].premises + cc.nli[lang].hypotheses
+                for lang, s in text.items()}
+    vocabs = {lang: build_vocab(s, cfg.min_count) for lang, s in text.items()}
     ingest = {other: (cfg.embeddings_src, SEED_TABLE_SRC),
               pivot: (cfg.embeddings_tgt, SEED_TABLE_TGT)}
     tables = {lang: _word_table(cfg, vocabs[lang], path, cfg.seed + offset)
               for lang, (path, offset) in ingest.items()}
-    return ExperimentData(train_corpus, test_pairs, vocabs, cc, tables)
+    return ExperimentData(train_corpus, heldout, vocabs, cc, tables)
 
 
 def _word_table(cfg, vocab, path, seed):
@@ -91,18 +89,6 @@ def _word_table(cfg, vocab, path, seed):
             if wid is not None:
                 table[wid] = row
     return table
-
-
-def pretrain_sdae(sentences, vocab, cfg, lang, enc_seed):
-    """Monolingual denoising pretraining (reconstruction of the clean input)."""
-    enc = new_encoder(len(vocab), cfg.dim, cfg.hidden, lang, enc_seed)
-    dec = new_decoder(len(vocab), cfg.dim, enc.output_dim, cfg.hidden, lang,
-                      cfg.seed + SEED_DECODER)
-    mono = ParallelCorpus([(s, s) for s in sentences], lang, lang)
-    sched = TrainSchedule(cfg.batch, cfg.pivot_steps, cfg.lr, [lang], cfg.seed + SEED_PRETRAIN)
-    noise = NoiseParams(cfg.p_del, cfg.p_swap, cfg.seed + SEED_NOISE)
-    result = train_joint_seq2seq(mono, {lang: enc}, dec, {lang: vocab}, lang, sched, noise)
-    return enc, result.trace
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +118,11 @@ class Experiment:
         # the returned callable trains and aligns one split
         self._build_split = setups[cfg.framework]()
 
-    def build(self, train_pairs):
-        """({lang: embed}, {file name: (writer, object)}) for one split."""
-        size = len(train_pairs)
+    def build(self, size):
+        """({lang: embed}, {file name: (writer, object)}) for the split of the
+        first `size` training rows."""
         if size not in self._built:
-            split = ParallelCorpus(list(train_pairs), self.other, self.pivot)
-            embedders, artifacts = self._build_split(split)
+            embedders, artifacts = self._build_split(self.data.train_corpus[:size])
             self._built[size] = embedders, {**self._pretrained, **artifacts}
         return self._built[size]
 
@@ -163,8 +148,7 @@ class Experiment:
             encoders = self._new_encoders()
             decoder = new_decoder(len(self.data.vocabs[self.pivot]), cfg.dim, 2 * cfg.hidden,
                                   cfg.hidden, self.pivot, cfg.seed + SEED_DECODER)
-            sched = self._schedule(SEED_TRAIN)
-            sched.language_order = list(cfg.languages)
+            sched = self._schedule(SEED_TRAIN, cfg.languages)
             noise = NoiseParams(cfg.p_del, cfg.p_swap, cfg.seed + SEED_NOISE)
             result = train_joint_seq2seq(split, encoders, decoder, self.data.vocabs,
                                          self.pivot, sched, noise)
@@ -188,9 +172,8 @@ class Experiment:
         mono, encoder_files = self._mono_embedders()
 
         def build(split):
-            sides = split.sides()
-            m = fit_orthogonal_map(mono[self.other](sides[self.other]),
-                                   mono[self.pivot](sides[self.pivot]),
+            m = fit_orthogonal_map(mono[self.other](split[self.other]),
+                                   mono[self.pivot](split[self.pivot]),
                                    src_space=self.other, tgt_space=self.pivot)
             return self._mapped(mono, m), {"map.ckpt": (save_map, m), **encoder_files}
         return build
@@ -213,9 +196,9 @@ class Experiment:
 
     # -- shared pieces -------------------------------------------------------------
 
-    def _schedule(self, seed_offset):
+    def _schedule(self, seed_offset, order=()):
         cfg = self.cfg
-        return TrainSchedule(cfg.batch, cfg.steps, cfg.lr, [], cfg.seed + seed_offset)
+        return TrainSchedule(cfg.batch, cfg.steps, cfg.lr, list(order), cfg.seed + seed_offset)
 
     def _new_encoder(self, lang):
         cfg = self.cfg
@@ -226,8 +209,15 @@ class Experiment:
         return {lang: self._new_encoder(lang) for lang in self.cfg.languages}
 
     def _pretrain(self, lang):
-        enc, trace = pretrain_sdae(self.data.train_corpus.sides()[lang], self.data.vocabs[lang],
-                                   self.cfg, lang, self.cfg.seed + self._enc_seed[lang])
+        """Monolingual denoising pretraining on the training rows of `lang`."""
+        cfg, vocab = self.cfg, self.data.vocabs[lang]
+        enc = self._new_encoder(lang)
+        dec = new_decoder(len(vocab), cfg.dim, enc.output_dim, cfg.hidden, lang,
+                          cfg.seed + SEED_DECODER)
+        mono = ParallelCorpus(zip(self.data.train_corpus[lang]), lang)
+        sched = TrainSchedule(cfg.batch, cfg.pivot_steps, cfg.lr, [lang], cfg.seed + SEED_PRETRAIN)
+        noise = NoiseParams(cfg.p_del, cfg.p_swap, cfg.seed + SEED_NOISE)
+        trace = train_joint_seq2seq(mono, {lang: enc}, dec, {lang: vocab}, lang, sched, noise).trace
         self._pretrained[f"pretrain.{lang}.csv"] = (write_trace, trace)
         return enc
 
@@ -315,7 +305,7 @@ def run_experiment(cfg):
     exp = Experiment(cfg, data)
     write_csv(out("curve.csv"), CurvePoint._fields, curve_points(exp))
 
-    embedders, artifacts = exp.build(data.train_corpus.pairs[:cfg.splits[-1]])
+    embedders, artifacts = exp.build(cfg.splits[-1])
     heldout = heldout_embeddings(data, embedders)
     write_csv(out("retrieval.csv"), RetrievalReport._fields,
               [retrieval_accuracy(heldout[q], heldout[p], f"{q}>{p}") for q, p in exp.directions])
@@ -338,25 +328,22 @@ def run_experiment(cfg):
 
 def curve_points(exp):
     """Held-out retrieval accuracy in every report direction at every split size."""
-    data = exp.data
-    sizes = make_splits(len(data.train_corpus), exp.cfg.splits)
-    return accuracy_curve(lambda pairs: exp.build(pairs)[0], data.train_corpus, sizes,
-                          exp.directions, data.test_pairs, model_tag=exp.cfg.framework)
+    return accuracy_curve(lambda split: exp.build(len(split))[0], exp.data.train_corpus,
+                          exp.cfg.splits, exp.directions, exp.data.heldout,
+                          model_tag=exp.cfg.framework)
 
 
 def heldout_embeddings(data, embedders):
     """{lang: matrix}: each language's held-out sentences, row-aligned."""
-    return {lang: embedders[lang](sentences) for lang, sentences in data.heldout().items()}
+    return {lang: embedders[lang](sentences) for lang, sentences in data.heldout.items()}
 
 
 def write_neighbors(path, exp, heldout, queries=5, k=3):
     """Write (and return) the nearest-neighbour report of the first held-out
     non-pivot sentences against each language's held-out pool."""
     texts = {lang: [" ".join(s) for s in sentences]
-             for lang, sentences in exp.data.heldout().items()}
-    query_texts, query_rows = texts[exp.other], heldout[exp.other]
-    report = neighbor_report([(query_texts[i], query_rows[i])
-                              for i in range(min(queries, len(query_texts)))],
+             for lang, sentences in exp.data.heldout.items()}
+    report = neighbor_report(list(zip(texts[exp.other][:queries], heldout[exp.other][:queries])),
                              {lang: (texts[lang], heldout[lang]) for lang in heldout}, k=k)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report)

@@ -1,4 +1,4 @@
-"""Tokenization, vocabularies, parallel corpora, denoising, SIF weights, splits."""
+"""Tokenization, vocabularies, row-aligned corpora, denoising, SIF weights, splits."""
 
 from __future__ import annotations
 
@@ -129,53 +129,79 @@ def corrupt(tokens, noise, rng=None):
     return [t for t, d in zip(out, drop) if not d]
 
 
-@dataclass
 class ParallelCorpus:
-    pairs: list  # [(source tokens, target tokens), ...]
-    src_lang: str
-    tgt_lang: str
-    skipped: int = 0
+    """Row-aligned sentences in a fixed language order: row i of every
+    language is a translation of row i of the others.
+
+    Built from rows, each a tuple of one token list per language in `langs`
+    order; `ParallelCorpus(zip(sentences), lang)` is a one-language corpus.
+    `len(corpus)` is the row count, `corpus[lang]` that language's sentences
+    and `corpus[a:b]` the corpus of rows a to b. `skipped` counts the rows a
+    loader dropped as empty.
+    """
+
+    def __init__(self, rows, *langs, skipped=0):
+        rows = list(rows)
+        if not langs or len(set(langs)) != len(langs):
+            raise ValueError(f"a corpus needs distinct languages, got {langs}")
+        if set(map(len, rows)) - {len(langs)}:
+            raise ValueError(f"every row needs one sentence per language of {langs}")
+        self.langs, self.skipped, self._n = langs, skipped, len(rows)
+        self._sentences = {lang: [row[j] for row in rows] for j, lang in enumerate(langs)}
 
     def __len__(self):
-        return len(self.pairs)
+        return self._n
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return ParallelCorpus(zip(*(s[key] for s in self._sentences.values())), *self.langs)
+        return self._sentences[key]
+
+    def items(self):
+        return self._sentences.items()
+
+    def rows(self):
+        """Row i as a tuple of its sentences, in language order."""
+        return list(zip(*self._sentences.values()))
+
+    def without(self, other):
+        """The rows that equal no row of `other` in every language."""
+        seen = set(zip(*(map(tuple, other[lang]) for lang in self.langs)))
+        keys = zip(*(map(tuple, s) for s in self._sentences.values()))
+        return ParallelCorpus((r for r, k in zip(self.rows(), keys) if k not in seen), *self.langs)
+
+    # the names the benchmark calls
+    pairs = property(rows)
 
     def source_sentences(self):
-        return [s for s, _ in self.pairs]
+        return self[self.langs[0]]
 
     def target_sentences(self):
-        return [t for _, t in self.pairs]
-
-    def sides(self):
-        """{src_lang: source sentences, tgt_lang: target sentences}."""
-        return {self.src_lang: self.source_sentences(), self.tgt_lang: self.target_sentences()}
+        return self[self.langs[1]]
 
 
 def load_parallel(src_path, tgt_path, src_lang, tgt_lang):
-    """Pair line i of source with line i of target; skip pairs where either
-    side tokenizes to nothing (the skip count is kept on the corpus).
+    """A two-language corpus, (src_lang, tgt_lang) in that order: row i holds
+    line i of each file. Rows where either line tokenizes to nothing are
+    skipped and counted in `skipped`.
     """
-    with open(src_path, encoding="utf-8") as fh:
-        src_lines = fh.read().splitlines()
-    with open(tgt_path, encoding="utf-8") as fh:
-        tgt_lines = fh.read().splitlines()
-    if len(src_lines) != len(tgt_lines):
+    lines = []
+    for path in (src_path, tgt_path):
+        with open(path, encoding="utf-8") as fh:
+            lines.append(fh.read().splitlines())
+    if len(lines[0]) != len(lines[1]):
         raise ValueError(
-            f"line counts differ: {src_path} has {len(src_lines)}, {tgt_path} has {len(tgt_lines)}")
-    pairs, skipped = [], 0
-    for s_line, t_line in zip(src_lines, tgt_lines):
-        s, t = tokenize(s_line), tokenize(t_line)
-        if s and t:
-            pairs.append((s, t))
-        else:
-            skipped += 1
-    if not pairs:
+            f"line counts differ: {src_path} has {len(lines[0])}, {tgt_path} has {len(lines[1])}")
+    tokenized = [(tokenize(s), tokenize(t)) for s, t in zip(*lines)]
+    rows = [row for row in tokenized if all(row)]
+    if not rows:
         raise ValueError("no usable sentence pairs after skipping empties")
-    return ParallelCorpus(pairs, src_lang, tgt_lang, skipped)
+    return ParallelCorpus(rows, src_lang, tgt_lang, skipped=len(tokenized) - len(rows))
 
 
 def make_splits(n, sizes):
-    """The split sizes for a corpus of n pairs, validated: nested prefix
-    splits, split k covering pair indices [0, sizes[k])."""
+    """The split sizes for a corpus of n rows, validated: nested prefix
+    splits, split k covering rows [0, sizes[k])."""
     sizes = list(sizes)
     if not sizes:
         raise ValueError("at least one split size required")

@@ -45,11 +45,8 @@ def report(criterion, detail):
 @pytest.fixture(scope="module")
 def corpus_setup():
     cc = gen_cipher_corpus(60, 2200, (3, 8), seed=5)
-    pairs = cc.corpus.pairs
-    train = ParallelCorpus(pairs[:2000], "lb", "la")
-    test = pairs[2000:]
-    vocabs = {"lb": build_vocab(train.source_sentences(), 1),
-              "la": build_vocab(train.target_sentences(), 1)}
+    train, test = cc.corpus[:2000], cc.corpus[2000:]
+    vocabs = {lang: build_vocab(train[lang], 1) for lang in train.langs}
     return train, test, vocabs
 
 
@@ -59,7 +56,7 @@ def pivot_encoder(corpus_setup):
     t0 = time.monotonic()
     enc = new_encoder(len(vocabs["la"]), D, H, "la", seed=1)
     dec = new_decoder(len(vocabs["la"]), D, 2 * H, H, "la", seed=2)
-    mono = ParallelCorpus([(t, t) for t in train.target_sentences()], "la", "la")
+    mono = ParallelCorpus(zip(train["la"]), "la")
     train_joint_seq2seq(mono, {"la": enc}, dec, {"la": vocabs["la"]}, "la",
                         TrainSchedule(BATCH, 800, 1e-3, ["la"], seed=3),
                         NoiseParams(0.1, 0.1, 9))
@@ -67,8 +64,8 @@ def pivot_encoder(corpus_setup):
 
 
 def _retrieval(test, enc_b, enc_a, vocabs):
-    x = encode_sentences([s for s, _ in test], vocabs["lb"], enc_b)
-    y = encode_sentences([t for _, t in test], vocabs["la"], enc_a)
+    x = encode_sentences(test["lb"], vocabs["lb"], enc_b)
+    y = encode_sentences(test["la"], vocabs["la"], enc_a)
     return retrieval_accuracy(x, y).accuracy, x, y
 
 
@@ -312,7 +309,7 @@ def test_criterion_7_data_efficiency_ordering(corpus_setup, pivot_encoder,
                                               transfer_run, joint_run):
     train, test, vocabs = corpus_setup
     pivot, _ = pivot_encoder
-    split = ParallelCorpus(train.pairs[:200], "lb", "la")
+    split = train[:200]
 
     new_enc = new_encoder(len(vocabs["lb"]), D, H, "lb", seed=4)
     train_transfer(split, pivot, new_enc, vocabs["lb"], vocabs["la"],
@@ -341,19 +338,18 @@ def test_criterion_7_data_efficiency_ordering(corpus_setup, pivot_encoder,
 
 def test_criterion_8_sentence_mapping_beats_no_alignment():
     cc = gen_cipher_corpus(40, 700, (3, 8), seed=11)
-    train = ParallelCorpus(cc.corpus.pairs[:500], "lb", "la")
-    test = cc.corpus.pairs[500:]
-    vb = build_vocab(train.source_sentences(), 1)
-    va = build_vocab(train.target_sentences(), 1)
+    train, test = cc.corpus[:500], cc.corpus[500:]
+    vb = build_vocab(train["lb"], 1)
+    va = build_vocab(train["la"], 1)
     g = np.random.default_rng(7)
     # near-one-hot word spaces: mutually near-orthogonal until mapped
     table_b = np.eye(len(vb)) + 0.01 * g.normal(size=(len(vb), len(vb)))
     table_a = np.eye(len(va)) + 0.01 * g.normal(size=(len(va), len(va)))
-    x_test = encode_sif_matrix([s for s, _ in test], table_b, vb)
-    y_test = encode_sif_matrix([t for _, t in test], table_a, va)
+    x_test = encode_sif_matrix(test["lb"], table_b, vb)
+    y_test = encode_sif_matrix(test["la"], table_a, va)
     unmapped = retrieval_accuracy(x_test, y_test).accuracy
-    m = fit_orthogonal_map(encode_sif_matrix(train.source_sentences(), table_b, vb),
-                           encode_sif_matrix(train.target_sentences(), table_a, va))
+    m = fit_orthogonal_map(encode_sif_matrix(train["lb"], table_b, vb),
+                           encode_sif_matrix(train["la"], table_a, va))
     mapped = retrieval_accuracy(apply_map(x_test, m), y_test).accuracy
     assert unmapped <= 0.1
     assert mapped >= 0.7

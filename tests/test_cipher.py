@@ -8,15 +8,15 @@ class TestCipher:
     def test_double_application_with_inverse_is_identity(self):
         cc = gen_cipher_corpus(20, 30, (3, 6), seed=1)
         inverse = {v: k for k, v in cc.cipher.items()}
-        for src, tgt in cc.corpus.pairs:
+        for src, tgt in cc.corpus.rows():
             assert apply_cipher(src, inverse) == tgt
             assert apply_cipher(tgt, cc.cipher) == src
 
     def test_cardinality_and_nonempty(self):
         cc = gen_cipher_corpus(15, 100, (2, 5), seed=2)
         assert len(cc.corpus) == 100
-        assert all(s and t for s, t in cc.corpus.pairs)
-        assert all(2 <= len(t) <= 5 for _, t in cc.corpus.pairs)
+        assert all(s and t for s, t in cc.corpus.rows())
+        assert all(2 <= len(t) <= 5 for t in cc.corpus["la"])
 
     def test_seeded_generation_reproducible(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -29,7 +29,7 @@ class TestCipher:
     def test_different_seeds_differ(self):
         a = gen_cipher_corpus(25, 60, (3, 7), seed=1)
         b = gen_cipher_corpus(25, 60, (3, 7), seed=2)
-        assert a.corpus.pairs != b.corpus.pairs
+        assert a.corpus.rows() != b.corpus.rows()
 
     def test_cipher_is_bijection(self):
         cc = gen_cipher_corpus(30, 5, (3, 4), seed=3)

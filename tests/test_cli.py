@@ -234,6 +234,17 @@ def test_smallest_accepted_flags_run(tmp_path, capsys):
     assert len((out / "cldc.csv").read_text().splitlines()) == 3
 
 
+def test_k_above_heldout_pool_is_validation_error(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text(SIF_MAP)  # test_size=60
+    out = tmp_path / "out"
+    assert main(["neighbors", "-k", "60", "--queries", "1", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    monkeypatch.setattr(cli, "materialize", lambda cfg: pytest.fail("trained before the -k check"))
+    assert main(["neighbors", "-k", "61", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: -k 61 exceeds the held-out pool (test_size=60)\n"
+
+
 def test_numeric_failure_exits_2(tmp_path, capsys):
     x = np.zeros((4, 3))  # zero-norm rows make the cosine undefined
     src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"

@@ -15,7 +15,7 @@ from xlalign.config import (_FIELD_TYPES, ENCODER_KINDS, FRAMEWORKS, ConfigError
 def test_defaults_are_valid():
     cfg = parse_config("")
     assert cfg.framework == "transfer"
-    assert cfg.splits == (100, 200, 500, 1000, 2000)
+    assert cfg.splits == (100, 200, 500, 1000)
 
 
 def test_parse_and_override():

@@ -258,12 +258,11 @@ class TestCldc:
 
 
 class TestCurve:
-    def _toy_corpus(self, n=12):
-        pairs = [([f"s{i}"], [f"t{i}"]) for i in range(n)]
-        return ParallelCorpus(pairs, "de", "en")
+    def _toy_corpus(self, lo=0, hi=12):
+        return ParallelCorpus([([f"s{i}"], [f"t{i}"]) for i in range(lo, hi)], "de", "en")
 
     def _identity_factory(self, dim=4):
-        def factory(train_pairs):
+        def factory(split):
             def embed_by_index(sentences):
                 # same vector for s<i> and t<i>: a perfect alignment
                 out = np.zeros((len(sentences), dim))
@@ -278,9 +277,8 @@ class TestCurve:
     def test_cardinality(self):
         corpus = self._toy_corpus()
         sizes = make_splits(len(corpus), [2, 5])
-        test_pairs = [([f"s{i}"], [f"t{i}"]) for i in range(20, 24)]
         points = accuracy_curve(self._identity_factory(), corpus, sizes,
-                                [("de", "en"), ("en", "de")], test_pairs)
+                                [("de", "en"), ("en", "de")], self._toy_corpus(20, 24))
         assert len(points) == 2 * 2
         assert {p.size for p in points} == {2, 5}
 
@@ -289,14 +287,13 @@ class TestCurve:
         sizes = make_splits(len(corpus), [2, 5])
         with pytest.raises(ValueError, match="overlaps"):
             accuracy_curve(self._identity_factory(), corpus, sizes,
-                           [("de", "en")], corpus.pairs[:2])
+                           [("de", "en")], corpus[:2])
 
     def test_identity_model_is_perfect_at_every_size(self):
         corpus = self._toy_corpus()
         sizes = make_splits(len(corpus), [2, 5, 9])
-        test_pairs = [([f"s{i}"], [f"t{i}"]) for i in range(50, 60)]
         points = accuracy_curve(self._identity_factory(), corpus, sizes,
-                                [("de", "en")], test_pairs)
+                                [("de", "en")], self._toy_corpus(50, 60))
         assert all(p.accuracy == 1.0 for p in points)
 
     def test_unknown_direction_rejected(self):
@@ -304,7 +301,7 @@ class TestCurve:
         sizes = make_splits(len(corpus), [2])
         with pytest.raises(ValueError, match="direction"):
             accuracy_curve(self._identity_factory(), corpus, sizes,
-                           [("fr", "en")], [(["s90"], ["t90"]), (["s91"], ["t91"])])
+                           [("fr", "en")], self._toy_corpus(90, 92))
 
     def test_csv_format(self, tmp_path):
         points = [CurvePoint(100, "transfer", "de>en", 0.5)]

@@ -8,24 +8,23 @@ from xlalign.text import build_vocab
 
 
 def _setup():
-    pairs = gen_cipher_corpus(30, 40, (3, 8), seed=3).corpus.pairs
-    vb = build_vocab([s for s, _ in pairs], 1)
-    va = build_vocab([t for _, t in pairs], 1)
+    corpus = gen_cipher_corpus(30, 40, (3, 8), seed=3).corpus
+    vb = build_vocab(corpus["lb"], 1)
+    va = build_vocab(corpus["la"], 1)
     enc = new_encoder(len(vb), 8, 8, "lb", seed=1)
     dec = new_decoder(len(va), 8, 16, 8, "la", seed=2)
-    return pairs, vb, va, enc, dec
+    return corpus, vb, va, enc, dec
 
 
 def test_seq2seq_loss_at_batch_16_builds_at_most_32_nodes():
-    pairs, vb, va, enc, dec = _setup()
-    graph = seq2seq_loss([s for s, _ in pairs[:16]], [t for _, t in pairs[:16]],
-                         enc, dec, vb, va)
+    corpus, vb, va, enc, dec = _setup()
+    graph = seq2seq_loss(corpus["lb"][:16], corpus["la"][:16], enc, dec, vb, va)
     assert len(ad.topo_order(graph.loss)) <= 32
 
 
 def test_encode_batch_runs_both_directions_in_one_scan_node():
-    pairs, vb, _, enc, _ = _setup()
-    ids, mask, _ = pad_batch([vb.encode(s) for s, _ in pairs[:16]])
+    corpus, vb, _, enc, _ = _setup()
+    ids, mask, _ = pad_batch([vb.encode(s) for s in corpus["lb"][:16]])
     ops = [node.op for node in ad.topo_order(encode_batch(ids, mask, ad.ParamSet(enc)))]
     assert ops.count("lstm_scan") == 1
     assert ops.count("masked_maxpool") == 1
@@ -33,7 +32,7 @@ def test_encode_batch_runs_both_directions_in_one_scan_node():
 
 
 def test_encode_sentences_constructs_no_tensor(monkeypatch):
-    pairs, vb, _, enc, _ = _setup()
+    corpus, vb, _, enc, _ = _setup()
     made = []
     init = ad.Tensor.__init__
 
@@ -41,6 +40,6 @@ def test_encode_sentences_constructs_no_tensor(monkeypatch):
         made.append(kwargs.get("op", "leaf"))
         init(self, *args, **kwargs)
     monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
-    out = encode_sentences([s for s, _ in pairs], vb, enc)
-    assert out.shape == (len(pairs), enc.output_dim)
+    out = encode_sentences(corpus["lb"], vb, enc)
+    assert out.shape == (len(corpus), enc.output_dim)
     assert made == []

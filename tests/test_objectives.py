@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xlalign import autodiff as ad
+from xlalign import objectives
 from xlalign.cipher import gen_cipher_corpus
 from xlalign.encoders import LSTMParams, encode_sentences, new_encoder
 from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule, decode_ce_sum,
@@ -115,8 +116,8 @@ class TestJointSeq2Seq:
     def _corpus(self, n=40, vocab_size=20, seed=5):
         cc = gen_cipher_corpus(vocab_size, n, (3, 6), seed=seed)
         split = cc.corpus
-        vb = build_vocab(split.source_sentences(), 1)
-        va = build_vocab(split.target_sentences(), 1)
+        vb = build_vocab(split["lb"], 1)
+        va = build_vocab(split["la"], 1)
         return split, va, vb
 
     def _models(self, va, vb, dh=8):
@@ -173,6 +174,31 @@ class TestJointSeq2Seq:
                                  TrainSchedule(4, 10, 1e-3, ["la", "lb"], seed=7),
                                  NoiseParams(seed=7)).trace
         assert t1 == t2
+
+    def test_each_language_reads_its_own_rows(self, monkeypatch):
+        base = gen_cipher_corpus(20, 40, (3, 6), seed=5).corpus
+        lc = [["c" + t[1:] for t in s] for s in base["la"]]  # a second renaming of la
+        corpus = ParallelCorpus(zip(base["lb"], lc, base["la"]), "lb", "lc", "la")
+        vocabs = {lang: build_vocab(corpus[lang], 1) for lang in corpus.langs}
+        encs = {lang: new_encoder(len(vocabs[lang]), 8, 8, lang, seed=21 + i)
+                for i, lang in enumerate(corpus.langs)}
+        dec = new_decoder(len(vocabs["la"]), 8, 16, 8, "la", seed=23)
+        calls = []
+        real = objectives.seq2seq_loss
+
+        def spy(inputs, targets, enc, *args, **kwargs):
+            calls.append((enc.lang, inputs, targets))
+            return real(inputs, targets, enc, *args, **kwargs)
+        monkeypatch.setattr(objectives, "seq2seq_loss", spy)
+        train_joint_seq2seq(corpus, encs, dec, vocabs, "la",
+                            TrainSchedule(4, 6, 1e-3, ["la", "lb", "lc"], seed=1),
+                            NoiseParams(seed=1))
+        assert [lang for lang, _, _ in calls] == ["la", "lb", "lc"] * 2
+        # every batch row is one corpus row: the language's sentence, then the pivot's
+        rows = {lang: set(zip(map(tuple, corpus[lang]), map(tuple, corpus["la"])))
+                for lang in corpus.langs}
+        for lang, inputs, targets in calls:
+            assert set(zip(map(tuple, inputs), map(tuple, targets))) <= rows[lang], lang
 
     def test_trace_csv_format(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -282,10 +308,10 @@ class TestTransfer:
 
     def test_fixed_point_is_noop(self):
         corpus = self._pair_corpus()
-        vocab = build_vocab(corpus.target_sentences(), 1)
+        vocab = build_vocab(corpus["la"], 1)
         pivot = new_encoder(len(vocab), 6, 5, "la", seed=2)
         clone = copy.deepcopy(pivot)
-        same = ParallelCorpus([(t, t) for t in corpus.target_sentences()], "la", "la")
+        same = ParallelCorpus(zip(corpus["la"]), "la")  # new and pivot encoder read la
         res = train_transfer(same, pivot, clone, vocab, vocab,
                              TrainSchedule(4, 5, 1e-3, [], seed=3))
         assert all(v == 0.0 for _, _, _, v in res.trace)
@@ -294,8 +320,8 @@ class TestTransfer:
 
     def test_pivot_parameters_bit_identical(self, tmp_path):
         corpus = self._pair_corpus()
-        va = build_vocab(corpus.target_sentences(), 1)
-        vb = build_vocab(corpus.source_sentences(), 1)
+        va = build_vocab(corpus["la"], 1)
+        vb = build_vocab(corpus["lb"], 1)
         pivot = new_encoder(len(va), 6, 5, "la", seed=2)
         before = {k: v.copy() for k, v in pivot.named_arrays().items()}
         new = new_encoder(len(vb), 6, 5, "lb", seed=4)
@@ -305,8 +331,8 @@ class TestTransfer:
 
     def test_new_encoder_actually_moves(self):
         corpus = self._pair_corpus()
-        va = build_vocab(corpus.target_sentences(), 1)
-        vb = build_vocab(corpus.source_sentences(), 1)
+        va = build_vocab(corpus["la"], 1)
+        vb = build_vocab(corpus["lb"], 1)
         pivot = new_encoder(len(va), 6, 5, "la", seed=2)
         new = new_encoder(len(vb), 6, 5, "lb", seed=4)
         before = {k: v.copy() for k, v in new.named_arrays().items()}
@@ -316,8 +342,8 @@ class TestTransfer:
 
     def test_dimension_mismatch_rejected(self):
         corpus = self._pair_corpus()
-        va = build_vocab(corpus.target_sentences(), 1)
-        vb = build_vocab(corpus.source_sentences(), 1)
+        va = build_vocab(corpus["la"], 1)
+        vb = build_vocab(corpus["lb"], 1)
         pivot = new_encoder(len(va), 6, 5, "la", seed=2)
         new = new_encoder(len(vb), 6, 4, "lb", seed=4)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -326,8 +352,8 @@ class TestTransfer:
     def test_converges_on_cipher_corpus(self):
         cc = gen_cipher_corpus(40, 500, (3, 8), seed=31)
         corpus = cc.corpus
-        va = build_vocab(corpus.target_sentences(), 1)
-        vb = build_vocab(corpus.source_sentences(), 1)
+        va = build_vocab(corpus["la"], 1)
+        vb = build_vocab(corpus["lb"], 1)
         pivot = new_encoder(len(va), 16, 16, "la", seed=2)
         new = new_encoder(len(vb), 16, 16, "lb", seed=4)
         res = train_transfer(corpus, pivot, new, vb, va,
@@ -337,8 +363,8 @@ class TestTransfer:
 
     def test_deterministic_trace(self):
         corpus = self._pair_corpus()
-        va = build_vocab(corpus.target_sentences(), 1)
-        vb = build_vocab(corpus.source_sentences(), 1)
+        va = build_vocab(corpus["la"], 1)
+        vb = build_vocab(corpus["lb"], 1)
         pivot = new_encoder(len(va), 6, 5, "la", seed=2)
         traces = []
         for _ in range(2):

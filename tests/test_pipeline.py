@@ -8,6 +8,7 @@ import pytest
 
 import xlalign
 from xlalign.checkpoint import load_checkpoint, save_checkpoint
+from xlalign.cli import main
 from xlalign.config import ConfigError, parse_config
 from xlalign.encoders import EncoderParams, encode_sentences, new_encoder
 from xlalign.objectives import ClassifierHead, DecoderParams, new_decoder, new_head
@@ -30,13 +31,40 @@ seed=3
 """
 
 
+def _row_keys(corpus):
+    return [tuple(tuple(s) for s in row) for row in corpus.rows()]
+
+
 def test_materialize_holds_out_test_tail():
     cfg = parse_config(TOY)
     data = materialize(cfg)
     assert len(data.train_corpus) == 200
-    assert len(data.test_pairs) == 50
-    train_keys = {(tuple(s), tuple(t)) for s, t in data.train_corpus.pairs}
-    assert all((tuple(s), tuple(t)) not in train_keys for s, t in data.test_pairs)
+    assert len(data.heldout) == 50
+    assert data.heldout.rows() == data.cipher.corpus.rows()[-50:]
+    assert not set(_row_keys(data.heldout)) & set(_row_keys(data.train_corpus))
+
+
+def test_training_rows_repeating_a_heldout_row_are_dropped(tmp_path, capsys):
+    # at seed 7 a row of the default 1200-row training corpus repeats a held-out row
+    args = ["--set", "framework=sentence_map", "--set", "encoder=sif",
+            "--set", "splits=100,200,500,1000", "--set", "seed=7"]
+    assert main(["run", *args, "--out-dir", str(tmp_path)]) == 0
+    data = materialize(parse_config("", [a for a in args if a != "--set"]))
+    assert len(data.heldout) == 200
+    assert len(data.train_corpus) == 1199
+    assert not set(_row_keys(data.heldout)) & set(_row_keys(data.train_corpus))
+
+
+def _readme_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("text", [_readme_config(), ""], ids=["readme", "defaults"])
+def test_documented_and_default_configs_materialize(text):
+    cfg = parse_config(text)
+    data = materialize(cfg)
+    assert len(data.train_corpus) >= cfg.splits[-1]
 
 
 def test_materialize_rejects_too_small_corpus(tmp_path):
@@ -52,8 +80,8 @@ def test_build_caches_by_size():
     cfg = parse_config(TOY)
     data = materialize(cfg)
     exp = Experiment(cfg, data)
-    a = exp.build(data.train_corpus.pairs[:40])
-    b = exp.build(data.train_corpus.pairs[:40])
+    a = exp.build(40)
+    b = exp.build(40)
     assert a is b
 
 

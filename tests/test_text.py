@@ -149,8 +149,8 @@ class TestParallel:
         tgt = self._write(tmp_path, "b.txt", ["a house", "two", "three dogs bark"])
         corpus = load_parallel(src, tgt, "de", "en")
         assert len(corpus) == 3
-        assert corpus.pairs[0] == (["ein", "haus"], ["a", "house"])
-        assert (corpus.src_lang, corpus.tgt_lang) == ("de", "en")
+        assert corpus.rows()[0] == (["ein", "haus"], ["a", "house"])
+        assert corpus.langs == ("de", "en")
 
     def test_line_count_mismatch(self, tmp_path):
         src = self._write(tmp_path, "a.txt", ["x", "y", "z"])
@@ -166,19 +166,65 @@ class TestParallel:
         assert corpus.skipped == 1
 
 
+class TestCorpus:
+    ROWS = [(["a0"], ["b0"], ["c0"]), (["a1"], ["b1"], ["c1"]), (["a2"], ["b2"], ["c2"])]
+
+    def test_rows_align_across_languages(self):
+        corpus = ParallelCorpus(self.ROWS, "la", "lb", "lc")
+        assert len(corpus) == 3 and corpus.langs == ("la", "lb", "lc")
+        assert corpus["lb"] == [["b0"], ["b1"], ["b2"]]
+        assert [lang for lang, _ in corpus.items()] == ["la", "lb", "lc"]
+        tail = corpus[1:]
+        assert tail.langs == corpus.langs and tail.rows() == self.ROWS[1:]
+
+    def test_one_language_corpus(self):
+        corpus = ParallelCorpus(zip([["x"], ["y", "z"]]), "la")
+        assert len(corpus) == 2 and corpus["la"] == [["x"], ["y", "z"]]
+        assert len(corpus[:0]) == 0
+
+    def test_without_drops_rows_equal_in_every_language(self):
+        corpus = ParallelCorpus(self.ROWS, "la", "lb", "lc")
+        other = ParallelCorpus([(["a0"], ["b0"], ["c0"]), (["a1"], ["b1"], ["c9"])],
+                               "la", "lb", "lc")
+        assert corpus.without(other).rows() == self.ROWS[1:]
+
+    @pytest.mark.parametrize("rows, langs, message", [
+        ([(["a"], ["a"])], ("la", "la"), "distinct languages"),
+        ([], (), "distinct languages"),
+        ([(["a"], ["b"]), (["c"],)], ("la", "lb"), "one sentence per language"),
+    ], ids=["repeated-language", "no-language", "short-row"])
+    def test_malformed_corpus_rejected(self, rows, langs, message):
+        with pytest.raises(ValueError, match=message):
+            ParallelCorpus(rows, *langs)
+
+    def test_unknown_language_named(self):
+        with pytest.raises(KeyError, match="fr"):
+            ParallelCorpus([(["a"], ["b"])], "la", "lb")["fr"]
+
+    def test_benchmark_bindings(self):
+        """`pairs`, `source_sentences` and `target_sentences` keep the pair-list view."""
+        from xlalign.cipher import gen_cipher_corpus
+
+        cc = gen_cipher_corpus(20, 6, (2, 4), seed=1)
+        for corpus in (cc.corpus, ParallelCorpus(cc.corpus.pairs[:4], "lb", "la")):
+            assert corpus.pairs == list(zip(corpus["lb"], corpus["la"]))
+            assert corpus.source_sentences() == corpus["lb"]
+            assert corpus.target_sentences() == corpus["la"]
+
+
 def curve_training_sets(n, sizes):
-    """The training pairs `accuracy_curve` hands its model factory, split by split."""
+    """The training rows `accuracy_curve` hands its model factory, split by split."""
     corpus = ParallelCorpus([([f"s{i}"], [f"t{i}"]) for i in range(n)], "de", "en")
     seen = []
 
     def embed(sentences):
         return np.eye(len(sentences)) + 1.0
 
-    def factory(train_pairs):
-        seen.append(list(train_pairs))
+    def factory(split):
+        seen.append(split.rows())
         return {"de": embed, "en": embed}
     accuracy_curve(factory, corpus, make_splits(n, sizes), [("de", "en")],
-                   [(["held-out"], ["a"]), (["held-out"], ["b"])])
+                   ParallelCorpus([(["held-out"], ["a"]), (["held-out"], ["b"])], "de", "en"))
     return corpus, seen
 
 
@@ -186,7 +232,7 @@ class TestSplits:
     def test_prefix_rule(self):
         assert make_splits(10, (2, 5)) == [2, 5]
         corpus, seen = curve_training_sets(10, [2, 5])
-        assert seen == [corpus.pairs[:2], corpus.pairs[:5]]
+        assert seen == [corpus.rows()[:2], corpus.rows()[:5]]
 
     def test_not_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
