@@ -12,6 +12,7 @@ the premise -> contradiction (1), partial overlap -> neutral (2).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from dataclasses import dataclass
@@ -45,15 +46,8 @@ def nli_label(premise, hypothesis):
 
 
 def _sample_weighted(rng, cumulative):
-    u = rng.uniform() * cumulative[-1]
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cumulative[mid] < u:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    """The first index whose cumulative weight reaches a uniform draw."""
+    return bisect.bisect_left(cumulative, rng.uniform() * cumulative[-1])
 
 
 def gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,

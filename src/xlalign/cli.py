@@ -20,8 +20,7 @@ from .evaluation import (N_CLDC_CLASSES, CLDCReport, CurvePoint, RetrievalReport
                          batched_embedder, cldc_train_eval, retrieval_accuracy)
 from .linalg import SvdConvergenceError
 from .mapping import apply_map, load_map
-from .pipeline import (Experiment, curve_points, heldout_embeddings, materialize,
-                       run_experiment, write_neighbors)
+from .pipeline import Experiment, evaluate_splits, materialize, run_experiment, write_neighbors
 from .text import load_word2vec, write_csv
 
 
@@ -34,6 +33,11 @@ def _load_cfg(args):
     return parse_config("", overrides)
 
 
+def _at_least(flag, value, low):
+    if value < low:
+        raise ConfigError(f"{flag} must be at least {low}, got {value}")
+
+
 def _final_embedders(cfg):
     data = materialize(cfg)
     exp = Experiment(cfg, data)
@@ -42,8 +46,13 @@ def _final_embedders(cfg):
 
 
 def cmd_gen_corpus(args):
-    cc = gen_cipher_corpus(args.vocab_size, args.sentences, (args.min_len, args.max_len),
-                           args.seed, nli_size=args.nli_size, langs=(args.src_lang, args.tgt_lang))
+    _at_least("--nli-size", args.nli_size, 0)
+    try:
+        cc = gen_cipher_corpus(args.vocab_size, args.sentences, (args.min_len, args.max_len),
+                               args.seed, nli_size=args.nli_size,
+                               langs=(args.src_lang, args.tgt_lang))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for p in write_corpus_files(args.out_dir, cc):
         print(p)
     return 0
@@ -75,17 +84,12 @@ def cmd_run(args):
 
 def cmd_curve(args):
     cfg = _load_cfg(args)
-    points = curve_points(Experiment(cfg, materialize(cfg)))
+    points, _ = evaluate_splits(Experiment(cfg, materialize(cfg)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "curve.csv")
     write_csv(path, CurvePoint._fields, points)
     print(path)
     return 0
-
-
-def _at_least(flag, value, low):
-    if value < low:
-        raise ConfigError(f"{flag} must be at least {low}, got {value}")
 
 
 def cmd_neighbors(args):
@@ -94,10 +98,11 @@ def cmd_neighbors(args):
     cfg = _load_cfg(args)
     if args.k > cfg.test_size:
         raise ConfigError(f"-k {args.k} exceeds the held-out pool (test_size={cfg.test_size})")
-    data, exp, embedders = _final_embedders(cfg)
+    exp = Experiment(cfg, materialize(cfg))
+    _, heldout, _ = exp.evaluate(cfg.splits[-1])
     os.makedirs(cfg.out_dir, exist_ok=True)
-    print(write_neighbors(os.path.join(cfg.out_dir, "neighbors.txt"), exp,
-                          heldout_embeddings(data, embedders), queries=args.queries, k=args.k))
+    print(write_neighbors(os.path.join(cfg.out_dir, "neighbors.txt"), exp, heldout,
+                          queries=args.queries, k=args.k))
     return 0
 
 
@@ -119,9 +124,9 @@ def cmd_eval_cldc(args):
     # each class needs a document in the training half
     _at_least("--docs", args.docs, 2 * N_CLDC_CLASSES)
     cfg = _load_cfg(args)
-    data, exp, embedders = _final_embedders(cfg)
-    if data.cipher is None:
+    if cfg.corpus != "cipher":
         raise ConfigError("eval-cldc needs the synthetic corpus (corpus=cipher)")
+    data, exp, embedders = _final_embedders(cfg)
     docs = gen_cldc_docs(data.cipher, args.docs, seed=cfg.seed + 40)
     split = args.docs // 2
     embedders = {lang: batched_embedder(embed, docs[lang]) for lang, embed in embedders.items()}

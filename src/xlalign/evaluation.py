@@ -1,4 +1,4 @@
-"""Evaluation harness: translation retrieval, neighbor reports, CLDC, curves."""
+"""Evaluation harness: translation retrieval, neighbor reports, CLDC."""
 
 from __future__ import annotations
 
@@ -32,6 +32,13 @@ class RetrievalReport(NamedTuple):  # a row of retrieval.csv
     direction: str
     accuracy: float
     n_queries: int
+
+
+class CurvePoint(NamedTuple):  # a row of curve.csv
+    size: int
+    model: str
+    direction: str
+    accuracy: float
 
 
 def _similarity_blocks(xs, ys):
@@ -180,45 +187,3 @@ def cldc_train_eval(train_docs, test_docs, embedders, train_lang, test_lang, see
     clf = train_mlp(train_x, train_y, N_CLDC_CLASSES, seed=seed)
     accuracy = float((clf.predict(test_x) == test_y).mean())
     return CLDCReport(train_lang, test_lang, accuracy)
-
-
-# ---------------------------------------------------------------------------
-# accuracy-vs-corpus-size curves
-# ---------------------------------------------------------------------------
-
-class CurvePoint(NamedTuple):  # a row of curve.csv
-    size: int
-    model: str
-    direction: str
-    accuracy: float
-
-
-def accuracy_curve(model_factory, corpus, sizes, directions, heldout, model_tag="model"):
-    """Refit per split size and evaluate each direction on the held-out rows.
-
-    `corpus` and `heldout` are row-aligned `ParallelCorpus`es; `sizes` comes
-    from `text.make_splits`, and split k is `corpus[:sizes[k]]`.
-    model_factory(split) must return {lang: embed} for every corpus
-    language, each embed mapping a list of sentences into one shared space;
-    each direction is a (query language, pool language) pair. No training
-    row may repeat a held-out row (checked by content).
-    """
-    largest = corpus[:sizes[-1]]
-    overlap = len(largest) - len(largest.without(heldout))
-    if overlap:
-        raise ValueError(
-            f"test set overlaps a training split ({overlap} training rows repeat a held-out row); "
-            "hold the evaluation rows out of every split")
-    for q_lang, p_lang in directions:
-        if not {q_lang, p_lang} <= set(heldout.langs):
-            raise ValueError(f"direction {q_lang}>{p_lang} does not match corpus "
-                             f"languages {'/'.join(heldout.langs)}")
-
-    points = []
-    for size in sizes:
-        embedders = model_factory(corpus[:size])
-        emb = {lang: embedders[lang](sentences) for lang, sentences in heldout.items()}
-        for q_lang, p_lang in directions:
-            rep = retrieval_accuracy(emb[q_lang], emb[p_lang], direction=f"{q_lang}>{p_lang}")
-            points.append(CurvePoint(size, model_tag, rep.direction, rep.accuracy))
-    return points

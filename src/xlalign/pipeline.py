@@ -17,8 +17,7 @@ from .checkpoint import load_checkpoint, parse_metadata, save_checkpoint
 from .cipher import gen_cipher_corpus, write_corpus_files
 from .config import ConfigError
 from .encoders import EncoderParams, encode_sentences, encode_sif_matrix, new_encoder
-from .evaluation import (CurvePoint, RetrievalReport, accuracy_curve, neighbor_report,
-                         retrieval_accuracy)
+from .evaluation import CurvePoint, RetrievalReport, neighbor_report, retrieval_accuracy
 from .mapping import fit_orthogonal_map, fit_word_dictionary_map, save_map
 from .objectives import (TrainSchedule, new_decoder, new_head, train_joint_infersent,
                          train_joint_seq2seq, train_transfer, write_trace)
@@ -96,8 +95,8 @@ def _word_table(cfg, vocab, path, seed):
 # ---------------------------------------------------------------------------
 
 class Experiment:
-    """Builds, per split size, the configured framework's {lang: embed} map
-    and the artifacts to save, keyed by output file name.
+    """Builds and evaluates, per split size, the configured framework's
+    {lang: embed} map and the artifacts to save, keyed by output file name.
     """
 
     def __init__(self, cfg, data):
@@ -108,7 +107,6 @@ class Experiment:
         self.directions = [(self.other, self.pivot), (self.pivot, self.other)]
         self._enc_seed = {self.pivot: SEED_PIVOT_ENC, self.other: SEED_NEW_ENC}
         self._pretrained = {}  # pretrain.<lang>.csv -> (write_trace, trace)
-        self._built = {}       # split size -> ({lang: embed}, artifacts)
         setups = {"transfer": self._transfer, "joint_seq2seq": self._joint_seq2seq,
                   "joint_infersent": self._joint_infersent,
                   "sentence_map": self._sentence_map, "word_dict_map": self._word_dict_map}
@@ -121,10 +119,20 @@ class Experiment:
     def build(self, size):
         """({lang: embed}, {file name: (writer, object)}) for the split of the
         first `size` training rows."""
-        if size not in self._built:
-            embedders, artifacts = self._build_split(self.data.train_corpus[:size])
-            self._built[size] = embedders, {**self._pretrained, **artifacts}
-        return self._built[size]
+        embedders, artifacts = self._build_split(self.data.train_corpus[:size])
+        return embedders, {**self._pretrained, **artifacts}
+
+    def evaluate(self, size):
+        """Build the split of the first `size` training rows, embed each
+        language's held-out rows once and score every report direction.
+
+        Returns (artifacts, {lang: held-out matrix}, [RetrievalReport per direction]).
+        """
+        embedders, artifacts = self.build(size)
+        heldout = {lang: embedders[lang](sentences) for lang, sentences in self.data.heldout.items()}
+        reports = [retrieval_accuracy(heldout[q], heldout[p], f"{q}>{p}")
+                   for q, p in self.directions]
+        return artifacts, heldout, reports
 
     # -- frameworks ----------------------------------------------------------------
 
@@ -303,12 +311,9 @@ def run_experiment(cfg):
             produced.append(os.path.relpath(path, cfg.out_dir))
 
     exp = Experiment(cfg, data)
-    write_csv(out("curve.csv"), CurvePoint._fields, curve_points(exp))
-
-    embedders, artifacts = exp.build(cfg.splits[-1])
-    heldout = heldout_embeddings(data, embedders)
-    write_csv(out("retrieval.csv"), RetrievalReport._fields,
-              [retrieval_accuracy(heldout[q], heldout[p], f"{q}>{p}") for q, p in exp.directions])
+    points, (artifacts, heldout, reports) = evaluate_splits(exp)
+    write_csv(out("curve.csv"), CurvePoint._fields, points)
+    write_csv(out("retrieval.csv"), RetrievalReport._fields, reports)
     write_neighbors(out("neighbors.txt"), exp, heldout)
 
     for name, (write, obj) in artifacts.items():
@@ -326,16 +331,15 @@ def run_experiment(cfg):
     return produced
 
 
-def curve_points(exp):
-    """Held-out retrieval accuracy in every report direction at every split size."""
-    return accuracy_curve(lambda split: exp.build(len(split))[0], exp.data.train_corpus,
-                          exp.cfg.splits, exp.directions, exp.data.heldout,
-                          model_tag=exp.cfg.framework)
-
-
-def heldout_embeddings(data, embedders):
-    """{lang: matrix}: each language's held-out sentences, row-aligned."""
-    return {lang: embedders[lang](sentences) for lang, sentences in data.heldout.items()}
+def evaluate_splits(exp):
+    """Evaluate every configured split in order, keeping only the last
+    split's result: (the `curve.csv` rows, the last split's `evaluate` result).
+    """
+    points = []
+    for size in exp.cfg.splits:
+        artifacts, heldout, reports = exp.evaluate(size)
+        points += [CurvePoint(size, exp.cfg.framework, r.direction, r.accuracy) for r in reports]
+    return points, (artifacts, heldout, reports)
 
 
 def write_neighbors(path, exp, heldout, queries=5, k=3):

@@ -136,17 +136,16 @@ class ParallelCorpus:
     Built from rows, each a tuple of one token list per language in `langs`
     order; `ParallelCorpus(zip(sentences), lang)` is a one-language corpus.
     `len(corpus)` is the row count, `corpus[lang]` that language's sentences
-    and `corpus[a:b]` the corpus of rows a to b. `skipped` counts the rows a
-    loader dropped as empty.
+    and `corpus[a:b]` the corpus of rows a to b.
     """
 
-    def __init__(self, rows, *langs, skipped=0):
+    def __init__(self, rows, *langs):
         rows = list(rows)
         if not langs or len(set(langs)) != len(langs):
             raise ValueError(f"a corpus needs distinct languages, got {langs}")
         if set(map(len, rows)) - {len(langs)}:
             raise ValueError(f"every row needs one sentence per language of {langs}")
-        self.langs, self.skipped, self._n = langs, skipped, len(rows)
+        self.langs, self._n = langs, len(rows)
         self._sentences = {lang: [row[j] for row in rows] for j, lang in enumerate(langs)}
 
     def __len__(self):
@@ -183,7 +182,7 @@ class ParallelCorpus:
 def load_parallel(src_path, tgt_path, src_lang, tgt_lang):
     """A two-language corpus, (src_lang, tgt_lang) in that order: row i holds
     line i of each file. Rows where either line tokenizes to nothing are
-    skipped and counted in `skipped`.
+    skipped.
     """
     lines = []
     for path in (src_path, tgt_path):
@@ -192,11 +191,10 @@ def load_parallel(src_path, tgt_path, src_lang, tgt_lang):
     if len(lines[0]) != len(lines[1]):
         raise ValueError(
             f"line counts differ: {src_path} has {len(lines[0])}, {tgt_path} has {len(lines[1])}")
-    tokenized = [(tokenize(s), tokenize(t)) for s, t in zip(*lines)]
-    rows = [row for row in tokenized if all(row)]
+    rows = [row for row in zip(*(map(tokenize, side) for side in lines)) if all(row)]
     if not rows:
         raise ValueError("no usable sentence pairs after skipping empties")
-    return ParallelCorpus(rows, src_lang, tgt_lang, skipped=len(tokenized) - len(rows))
+    return ParallelCorpus(rows, src_lang, tgt_lang)
 
 
 def make_splits(n, sizes):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from xlalign.text import save_word2vec
+from xlalign.config import parse_config
+from xlalign.pipeline import Experiment, ExperimentData
+from xlalign.text import ParallelCorpus, build_vocab, save_word2vec
 
 
 def finite_difference_grads(f, arrays, h=1e-5):
@@ -32,6 +34,36 @@ def finite_difference_grads(f, arrays, h=1e-5):
 def write_dump(path, matrix):
     """A word2vec-format dump of the rows of `matrix`, each named by its index."""
     save_word2vec(path, [str(i) for i in range(len(matrix))], matrix)
+
+
+def toy_experiment(n, splits, test_size=4, dim=4):
+    """An `Experiment` over de/en rows `s<i>`/`t<i>` (pivot en), training rows
+    0..n-1 and held-out rows n..n+test_size-1, whose split builder is a spy:
+    every split embeds s<i> and t<i> alike, a perfect alignment, and `seen`
+    collects the rows each built split trains on."""
+    cfg = parse_config("framework=sentence_map\nencoder=sif\nlanguages=en,de\n"
+                       f"splits={','.join(map(str, splits))}\ntest_size={test_size}")
+
+    def rows(lo, hi):
+        return ParallelCorpus([([f"s{i}"], [f"t{i}"]) for i in range(lo, hi)], "de", "en")
+    vocabs = {lang: build_vocab(s, 1) for lang, s in rows(0, n).items()}
+    tables = {lang: np.ones((len(v), dim)) for lang, v in vocabs.items()}
+    exp = Experiment(cfg, ExperimentData(rows(0, n), rows(n, n + test_size), vocabs, None, tables))
+
+    def embed_by_index(sentences):
+        out = np.zeros((len(sentences), dim))
+        for i, s in enumerate(sentences):
+            idx = int(s[0][1:])
+            out[i, idx % dim] = 1.0
+            out[i] += 0.01 * np.arange(dim) * idx
+        return out
+    seen = []
+
+    def build_split(split):
+        seen.append(split.rows())
+        return {"de": embed_by_index, "en": embed_by_index}, {}
+    exp._build_split = build_split
+    return exp, seen
 
 
 def max_relative_error(a, b, floor=1e-4):

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
-from xlalign.cipher import (apply_cipher, gen_cipher_corpus, gen_cldc_docs, nli_label,
-                            write_corpus_files)
+from xlalign.cipher import (_sample_weighted, apply_cipher, gen_cipher_corpus, gen_cldc_docs,
+                            nli_label, write_corpus_files)
 
 
 class TestCipher:
@@ -11,6 +14,25 @@ class TestCipher:
         for src, tgt in cc.corpus.rows():
             assert apply_cipher(src, inverse) == tgt
             assert apply_cipher(tgt, cc.cipher) == src
+
+    def test_generated_corpus_keeps_its_bytes(self):
+        """Rows, cipher and NLI sets of one seed keep their exact bytes."""
+        cc = gen_cipher_corpus(60, 2000, (3, 8), seed=5, nli_size=60)
+        payload = json.dumps({
+            "rows": cc.corpus.rows(), "langs": cc.corpus.langs,
+            "cipher": sorted(cc.cipher.items()),
+            "nli": {lang: [d.premises, d.hypotheses, d.labels] for lang, d in sorted(cc.nli.items())}})
+        assert hashlib.sha256(payload.encode()).hexdigest() == \
+            "548447c9f0c6af507f726b654c1dac0f28f492eca36682cb55e45715324fc709"
+
+    @pytest.mark.parametrize("u", [0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 1.0 - 2**-53])
+    def test_weighted_sample_is_the_first_index_reaching_the_draw(self, u):
+        class Fixed:
+            def uniform(self):
+                return u
+        cumulative = [1.0, 2.0, 3.0, 4.0]  # u = 0.25, 0.5, 0.75 land exactly on a weight
+        first = next(i for i, c in enumerate(cumulative) if c >= u * cumulative[-1])
+        assert _sample_weighted(Fixed(), cumulative) == first
 
     def test_cardinality_and_nonempty(self):
         cc = gen_cipher_corpus(15, 100, (2, 5), seed=2)

@@ -52,6 +52,22 @@ def test_gen_corpus_writes_files(tmp_path, capsys):
     assert (out / "nli.labels.txt").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--vocab-size", "5"], "vocab_size must be >= 10"),
+    (["--src-lang", "la", "--tgt-lang", "la"], "distinct languages"),
+    (["--min-len", "5", "--max-len", "3"], "degenerate length range"),
+    (["--sentences", "0"], "n_sentences must be >= 1"),
+    (["--nli-size", "10", "--vocab-size", "10"], "NLI generation needs"),
+    (["--nli-size", "-1"], "--nli-size must be at least 0"),
+], ids=["vocab-5", "same-languages", "min-above-max", "sentences-0", "nli-vocab-10", "nli-negative"])
+def test_bad_gen_corpus_flag_is_validation_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out-dir", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_run_smoke_produces_curve_csv(toy_cfg, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", toy_cfg, "--out-dir", str(out)]) == 0
@@ -243,6 +259,17 @@ def test_k_above_heldout_pool_is_validation_error(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli, "materialize", lambda cfg: pytest.fail("trained before the -k check"))
     assert main(["neighbors", "-k", "61", "--config", str(cfg), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "error: -k 61 exceeds the held-out pool (test_size=60)\n"
+
+
+def test_eval_cldc_on_files_corpus_is_validation_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "materialize", lambda cfg: pytest.fail("trained before the corpus check"))
+    cfg = tmp_path / "files.cfg"
+    cfg.write_text("framework=sentence_map\nencoder=sif\ncorpus=files\n"
+                   f"src_path={tmp_path / 'lb.txt'}\ntgt_path={tmp_path / 'la.txt'}\n")
+    out = tmp_path / "out"
+    assert main(["eval-cldc", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: eval-cldc needs the synthetic corpus (corpus=cipher)\n"
+    assert not out.exists()
 
 
 def test_numeric_failure_exits_2(tmp_path, capsys):

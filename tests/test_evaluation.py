@@ -6,12 +6,12 @@ import pytest
 
 from xlalign import evaluation
 from xlalign.cli import main
-from xlalign.evaluation import (CurvePoint, accuracy_curve, cldc_train_eval,
-                                nearest_neighbors, neighbor_report,
+from xlalign.evaluation import (CurvePoint, cldc_train_eval, nearest_neighbors, neighbor_report,
                                 retrieval_accuracy, train_mlp)
-from xlalign.text import ParallelCorpus, make_splits, write_csv
+from xlalign.pipeline import evaluate_splits
+from xlalign.text import write_csv
 
-from conftest import write_dump
+from conftest import toy_experiment, write_dump
 from test_mapping import random_orthogonal
 
 
@@ -258,54 +258,25 @@ class TestCldc:
 
 
 class TestCurve:
-    def _toy_corpus(self, lo=0, hi=12):
-        return ParallelCorpus([([f"s{i}"], [f"t{i}"]) for i in range(lo, hi)], "de", "en")
-
-    def _identity_factory(self, dim=4):
-        def factory(split):
-            def embed_by_index(sentences):
-                # same vector for s<i> and t<i>: a perfect alignment
-                out = np.zeros((len(sentences), dim))
-                for i, s in enumerate(sentences):
-                    idx = int(s[0][1:])
-                    out[i, idx % dim] = 1.0
-                    out[i] += 0.01 * np.arange(dim) * idx
-                return out
-            return {"de": embed_by_index, "en": embed_by_index}
-        return factory
-
     def test_cardinality(self):
-        corpus = self._toy_corpus()
-        sizes = make_splits(len(corpus), [2, 5])
-        points = accuracy_curve(self._identity_factory(), corpus, sizes,
-                                [("de", "en"), ("en", "de")], self._toy_corpus(20, 24))
+        exp, _ = toy_experiment(12, [2, 5])
+        points, (_, heldout, reports) = evaluate_splits(exp)
         assert len(points) == 2 * 2
         assert {p.size for p in points} == {2, 5}
-
-    def test_overlapping_test_set_rejected(self):
-        corpus = self._toy_corpus()
-        sizes = make_splits(len(corpus), [2, 5])
-        with pytest.raises(ValueError, match="overlaps"):
-            accuracy_curve(self._identity_factory(), corpus, sizes,
-                           [("de", "en")], corpus[:2])
+        assert {lang: m.shape for lang, m in heldout.items()} == {"de": (4, 4), "en": (4, 4)}
+        assert [(r.direction, r.n_queries) for r in reports] == [("de>en", 4), ("en>de", 4)]
 
     def test_identity_model_is_perfect_at_every_size(self):
-        corpus = self._toy_corpus()
-        sizes = make_splits(len(corpus), [2, 5, 9])
-        points = accuracy_curve(self._identity_factory(), corpus, sizes,
-                                [("de", "en")], self._toy_corpus(50, 60))
+        exp, _ = toy_experiment(12, [2, 5, 9], test_size=10)
+        points, _ = evaluate_splits(exp)
+        assert len(points) == 3 * 2
         assert all(p.accuracy == 1.0 for p in points)
 
-    def test_unknown_direction_rejected(self):
-        corpus = self._toy_corpus()
-        sizes = make_splits(len(corpus), [2])
-        with pytest.raises(ValueError, match="direction"):
-            accuracy_curve(self._identity_factory(), corpus, sizes,
-                           [("fr", "en")], self._toy_corpus(90, 92))
-
     def test_csv_format(self, tmp_path):
-        points = [CurvePoint(100, "transfer", "de>en", 0.5)]
+        points, _ = evaluate_splits(toy_experiment(12, [2, 5])[0])
         path = tmp_path / "curve.csv"
         write_csv(path, CurvePoint._fields, points)
-        assert path.read_text().splitlines() == ["size,model,direction,accuracy",
-                                                 "100,transfer,de>en,0.5"]
+        assert path.read_text().splitlines() == [
+            "size,model,direction,accuracy",
+            "2,sentence_map,de>en,1.0", "2,sentence_map,en>de,1.0",
+            "5,sentence_map,de>en,1.0", "5,sentence_map,en>de,1.0"]

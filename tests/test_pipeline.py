@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import xlalign
+from xlalign import pipeline
 from xlalign.checkpoint import load_checkpoint, save_checkpoint
 from xlalign.cli import main
 from xlalign.config import ConfigError, parse_config
-from xlalign.encoders import EncoderParams, encode_sentences, new_encoder
+from xlalign.encoders import EncoderParams, encode_sentences, encode_sif_matrix, new_encoder
 from xlalign.objectives import ClassifierHead, DecoderParams, new_decoder, new_head
-from xlalign.pipeline import (Experiment, load_encoder, load_params, materialize,
-                              save_encoder, save_params)
+from xlalign.pipeline import load_encoder, load_params, materialize, save_encoder, save_params
 from xlalign.text import build_vocab
 
 TOY = """
@@ -76,13 +76,25 @@ def test_materialize_rejects_too_small_corpus(tmp_path):
         materialize(cfg)
 
 
-def test_build_caches_by_size():
-    cfg = parse_config(TOY)
-    data = materialize(cfg)
-    exp = Experiment(cfg, data)
-    a = exp.build(40)
-    b = exp.build(40)
-    assert a is b
+SIF_MAP = ("framework=sentence_map\nencoder=sif\ncipher_vocab=40\n"
+           "cipher_sentences=300\ndim=16\nsplits=100,200\ntest_size=60\nseed=4\n")
+
+
+@pytest.mark.parametrize("command, evaluated_splits", [("run", 2), ("curve", 2), ("neighbors", 1)])
+def test_heldout_rows_are_embedded_once_per_evaluated_split(tmp_path, monkeypatch, command,
+                                                            evaluated_splits):
+    embedded = []
+
+    def recording(sentences, **kwargs):
+        embedded.append(sentences)
+        return encode_sif_matrix(sentences, **kwargs)
+    monkeypatch.setattr(pipeline, "encode_sif_matrix", recording)
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text(SIF_MAP)
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    heldout = materialize(parse_config(SIF_MAP)).heldout
+    assert {lang: sum(s == sentences for s in embedded) for lang, sentences in heldout.items()} \
+        == {"la": evaluated_splits, "lb": evaluated_splits}
 
 
 PARAM_SETS = {

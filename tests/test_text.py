@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlalign.rand import Xorshift64Star
-from xlalign.evaluation import CLDCReport, CurvePoint, RetrievalReport, accuracy_curve
+from xlalign.evaluation import CLDCReport, CurvePoint, RetrievalReport
 from xlalign.objectives import TRACE_HEADER
+from xlalign.pipeline import evaluate_splits
 from xlalign.text import (UNK, NoiseParams, ParallelCorpus, build_vocab,
                           corrupt, load_dictionary, load_parallel, load_word2vec,
                           make_splits, save_word2vec, sif_weight, tokenize, write_csv)
 
+from conftest import toy_experiment
 from test_rand import reference_stream
 
 
@@ -158,12 +160,11 @@ class TestParallel:
         with pytest.raises(ValueError, match="3.*4"):
             load_parallel(src, tgt, "de", "en")
 
-    def test_empty_line_skipped_and_counted(self, tmp_path):
+    def test_empty_line_skipped(self, tmp_path):
         src = self._write(tmp_path, "a.txt", ["eins", "", "drei"])
         tgt = self._write(tmp_path, "b.txt", ["one", "two", "three"])
         corpus = load_parallel(src, tgt, "de", "en")
-        assert len(corpus) == 2
-        assert corpus.skipped == 1
+        assert corpus.rows() == [(["eins"], ["one"]), (["drei"], ["three"])]
 
 
 class TestCorpus:
@@ -213,19 +214,10 @@ class TestCorpus:
 
 
 def curve_training_sets(n, sizes):
-    """The training rows `accuracy_curve` hands its model factory, split by split."""
-    corpus = ParallelCorpus([([f"s{i}"], [f"t{i}"]) for i in range(n)], "de", "en")
-    seen = []
-
-    def embed(sentences):
-        return np.eye(len(sentences)) + 1.0
-
-    def factory(split):
-        seen.append(split.rows())
-        return {"de": embed, "en": embed}
-    accuracy_curve(factory, corpus, make_splits(n, sizes), [("de", "en")],
-                   ParallelCorpus([(["held-out"], ["a"]), (["held-out"], ["b"])], "de", "en"))
-    return corpus, seen
+    """The training rows each split of an evaluated curve is built from, in order."""
+    exp, seen = toy_experiment(n, make_splits(n, sizes))
+    evaluate_splits(exp)
+    return exp.data.train_corpus, seen
 
 
 class TestSplits:
