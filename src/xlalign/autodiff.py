@@ -8,7 +8,10 @@ implicit DAG (each Tensor records its op name, parent nodes and a backward closu
 ``backward`` walks the graph once in reverse topological order.
 
 Conventions:
-  * arrays are row-major, float64 by default (float32 accepted for speed);
+  * arrays are row-major; parameters and activations are ``DTYPE`` (float32),
+    the one dtype of training and encoding. A ``Tensor`` keeps float32 and
+    float64 data as they are, so a graph over float64 leaves runs in float64
+    (the finite-difference checks do);
   * every node's value (leaves, fused-op outputs, the loss) is checked for
     NaN/Inf and rejected with ``NonFiniteError``, and so is every gradient
     ``backward`` delivers to a leaf; a scan's per-step intermediates are not
@@ -26,6 +29,7 @@ import typing
 
 import numpy as np
 
+DTYPE = np.float32  # of every parameter and activation; no setting changes it
 MASK_FILL = -1e30  # stands in for -inf in masked max-pooling; finite on purpose
 
 
@@ -234,18 +238,6 @@ def matmul(a, b):
     return Tensor(a.data @ b.data, op="matmul", parents=(a, b), backward=bwd)
 
 
-def _sigmoid(z):
-    """Logistic function of an array; exp(-|z|) never overflows. Equal bit for bit
-    to `where(z >= 0, 1 / (1 + e), e / (1 + e))` with e = exp(-|z|)."""
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    d = 1.0 + e
-    np.copyto(e, 1.0, where=z >= 0)
-    e /= d
-    return e
-
-
 def tanh(a):
     out = np.tanh(a.data)
 
@@ -386,10 +378,19 @@ def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=Fa
     if context is not None:
         steps_ctx = np.broadcast_to(context, (t_max,) + context.shape)
         x = np.concatenate([x.reshape(t_max, b, -1), steps_ctx], axis=2).reshape(t_max * b, -1)
-    gates_in = _flip_reverse(np.matmul(x, w_in).reshape(k, t_max, b, 4 * hid), reverse)
+    # σ(z) = ½ + ½·tanh(z/2). Before the loop the bias joins the input gates, and
+    # the i, f and o columns of those and of a copy of w_rec are halved (exactly:
+    # a power of two); a step is then one tanh over all 4H columns and the affine
+    # map act·half + shift, ½·t + ½ on i, f and o and t itself on g
+    gates_in = np.matmul(x, w_in)
+    gates_in += bias[:, None, :]
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=gates_in.dtype), hid)
+    gates_in *= half
+    gates_in = _flip_reverse(gates_in.reshape(k, t_max, b, 4 * hid), reverse)
+    w_rec_half = w_rec * half
+    shift = 1.0 - half
     live = _flip_reverse(np.repeat((mask.T > 0)[None, :, :, None], k, axis=0), reverse)
     all_live = live.all(axis=(0, 2, 3)).tolist()
-    bias = bias[:, None, :]
     h = np.zeros((k, b, hid), dtype=gates_in.dtype)
     c = np.zeros_like(h)
     states = np.empty((k, t_max, b, hid), dtype=h.dtype)
@@ -397,11 +398,11 @@ def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=Fa
         acts = np.empty_like(gates_in)
         h_prev, c_prev, tanh_c = (np.empty_like(states) for _ in range(3))
     for i in range(t_max):
-        gates = np.matmul(h, w_rec)
-        gates += gates_in[:, i]
-        gates += bias
-        act = _sigmoid(gates)
-        np.tanh(gates[..., 2 * hid:3 * hid], out=act[..., 2 * hid:3 * hid])
+        act = np.matmul(h, w_rec_half)
+        act += gates_in[:, i]
+        np.tanh(act, out=act)
+        act *= half
+        act += shift
         c_new = act[..., hid:2 * hid] * c + act[..., :hid] * act[..., 2 * hid:3 * hid]
         tc = np.tanh(c_new)
         if keep:
@@ -427,6 +428,7 @@ def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
     """
     x, live, acts, h_prev, c_prev, tanh_c = cache
     k, t_max, b, hid = h_prev.shape
+    all_live = live.all(axis=(0, 2, 3)).tolist()
     on = live.astype(acts.dtype)
     off = 1.0 - on
     i, f, g, o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
@@ -445,12 +447,17 @@ def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
     w_rec_t = w_rec.transpose(0, 2, 1)
     for s in range(t_max - 1, -1, -1):
         dh_t = g_states[:, s] + dh
-        dh_new = dh_t * on[:, s]
-        dc_new = dc * on[:, s] + dh_new * h_to_c[:, s]
+        # a step on which every row is live skips the products with `on` and `off`
+        dh_new = dh_t if all_live[s] else dh_t * on[:, s]
+        dc_new = (dc if all_live[s] else dc * on[:, s]) + dh_new * h_to_c[:, s]
         d_gates[:, s, :, :3] *= dc_new[:, :, None, :]
         d_gates[:, s, :, 3] *= dh_new
-        dh = np.matmul(d_gates[:, s].reshape(k, b, 4 * hid), w_rec_t) + dh_t * off[:, s]
-        dc = dc_new * f[:, s] + dc * off[:, s]
+        dh = np.matmul(d_gates[:, s].reshape(k, b, 4 * hid), w_rec_t)
+        if all_live[s]:
+            dc = dc_new * f[:, s]
+        else:
+            dh += dh_t * off[:, s]
+            dc = dc_new * f[:, s] + dc * off[:, s]
     # weight gradients sum over rows in time order, as the per-direction products do;
     # backward reads the cache once, so its h_prev is flipped in place
     d_gates = _flip_reverse(d_gates, reverse).reshape(k, t_max * b, 4 * hid)

@@ -7,8 +7,9 @@ Layout::
     <name> <ndim> <dim1> ... <dimk>
     <value> <value> ...          (exactly prod(dims) values, any line wrapping)
 
-Values are written with repr precision so they round-trip exactly in float64
-(and a fortiori within 32-bit precision).
+Values are written with repr precision, so float32 and float64 values both
+round-trip exactly; the loader returns float64 arrays, and a float32 value
+comes back as the float64 of equal value.
 """
 
 from __future__ import annotations

@@ -39,13 +39,13 @@ class LSTMParams:
 
 
 def init_lstm(input_dim, hidden, rng):
-    """Uniform in [-1/sqrt(H), 1/sqrt(H)]; forget-gate bias starts at 1.0."""
+    """Uniform in [-1/sqrt(H), 1/sqrt(H)]; forget-gate bias starts at 1.0. In `ad.DTYPE`."""
     bound = 1.0 / np.sqrt(hidden)
     w_in = rng.uniform(-bound, bound, size=(input_dim, 4 * hidden))
     w_rec = rng.uniform(-bound, bound, size=(hidden, 4 * hidden))
-    bias = np.zeros(4 * hidden)
+    bias = np.zeros(4 * hidden, dtype=ad.DTYPE)
     bias[hidden:2 * hidden] = 1.0
-    return LSTMParams(w_in, w_rec, bias)
+    return LSTMParams(w_in.astype(ad.DTYPE), w_rec.astype(ad.DTYPE), bias)
 
 
 @dataclass
@@ -78,7 +78,7 @@ class EncoderParams(ad.Params):
 def new_encoder(vocab_size, dim, hidden, lang, seed):
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
-    emb = rng.uniform(-bound, bound, size=(vocab_size, dim))
+    emb = rng.uniform(-bound, bound, size=(vocab_size, dim)).astype(ad.DTYPE)
     return EncoderParams(emb, init_lstm(dim, hidden, rng), init_lstm(dim, hidden, rng), lang)
 
 
@@ -117,7 +117,8 @@ def _cell(tensors, name):
 
 
 def encode_sentences(sentences, vocab, enc):
-    """Encode token sequences to a (n, 2H) array; forward only, builds no graph.
+    """Encode token sequences to a (n, 2H) array of the encoder's dtype; forward
+    only, builds no graph.
 
     Sentences are encoded in order of length, in batches of `BATCH` rows, so
     a batch pads little; the rows come back in input order. A trailing
@@ -131,7 +132,7 @@ def encode_sentences(sentences, vocab, enc):
         del bounds[-2]
     w_in, w_rec, bias = (np.array([getattr(enc.fwd, n), getattr(enc.bwd, n)])
                          for n in ("w_in", "w_rec", "bias"))
-    out = np.empty((len(ids), enc.output_dim))
+    out = np.empty((len(ids), enc.output_dim), dtype=enc.embeddings.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
         rows = order[lo:hi]
         batch, mask, _ = pad_batch([ids[i] for i in rows])

@@ -135,8 +135,9 @@ class CLDCReport(NamedTuple):  # a row of cldc.csv
 
 
 def train_mlp(x, y, n_classes, hidden=64, steps=300, lr=1e-3, seed=0):
-    """Full-batch Adam on a one-hidden-layer tanh MLP; returns its `ClassifierHead`."""
-    x = ad.constant(np.asarray(x, dtype=np.float64))
+    """Full-batch Adam on a one-hidden-layer tanh MLP, in `ad.DTYPE`; returns its
+    `ClassifierHead`."""
+    x = ad.constant(np.asarray(x, dtype=ad.DTYPE))
     y = np.asarray(y, dtype=np.int64)
     head = new_mlp(x.shape[1], hidden, n_classes, seed)
 

@@ -75,7 +75,8 @@ def new_decoder(vocab_size, dim, sentence_dim, hidden, lang, seed):
     emb = rng.uniform(-bound, bound, size=(vocab_size, dim))
     cell = init_lstm(dim + sentence_dim, hidden, rng)
     w_out = rng.uniform(-1.0 / np.sqrt(hidden), 1.0 / np.sqrt(hidden), size=(hidden, vocab_size))
-    return DecoderParams(emb, cell, w_out, np.zeros(vocab_size), lang)
+    return DecoderParams(emb.astype(ad.DTYPE), cell, w_out.astype(ad.DTYPE),
+                         np.zeros(vocab_size, dtype=ad.DTYPE), lang)
 
 
 def teacher_forcing_arrays(target_ids):
@@ -222,7 +223,8 @@ def new_mlp(in_dim, hidden, n_classes, seed):
     rng = np.random.default_rng(seed)
     w1 = rng.uniform(-1, 1, size=(in_dim, hidden)) / np.sqrt(in_dim)
     w2 = rng.uniform(-1, 1, size=(hidden, n_classes)) / np.sqrt(hidden)
-    return ClassifierHead(w1, np.zeros(hidden), w2, np.zeros(n_classes))
+    return ClassifierHead(w1.astype(ad.DTYPE), np.zeros(hidden, dtype=ad.DTYPE),
+                          w2.astype(ad.DTYPE), np.zeros(n_classes, dtype=ad.DTYPE))
 
 
 def new_head(sentence_dim, hidden=128, seed=0):

@@ -21,7 +21,7 @@ def clip_global_norm(grads, max_norm):
         raise ad.NonFiniteError(f"non-finite global gradient norm {total}")
     if total <= max_norm or total == 0.0:
         return grads
-    factor = max_norm / total
+    factor = float(max_norm / total)  # a python float keeps each gradient's dtype
     return {name: g * factor for name, g in grads.items()}
 
 

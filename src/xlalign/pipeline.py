@@ -268,9 +268,11 @@ def save_params(path, params):
 
 
 def load_params(path, cls):
-    """The `cls` that `save_params` wrote to `path`. Tensor names other than
-    the class's, or a missing metadata key, are a ValueError naming the file."""
+    """The `cls` that `save_params` wrote to `path`, its arrays in `ad.DTYPE`
+    (a float64 checkpoint loads rounded). Tensor names other than the class's,
+    or a missing metadata key, are a ValueError naming the file."""
     tensors, comments = load_checkpoint(path)
+    tensors = {name: arr.astype(ad.DTYPE) for name, arr in tensors.items()}
     metadata = parse_metadata(path, comments)
     table = [(f"{cls.kind}.{name}", tensors) if is_array else (name, metadata)
              for name, _, is_array in ad.name_table(cls)]

@@ -1,10 +1,12 @@
 """Shared test helpers: finite differences and scalar reference models."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from xlalign import autodiff as ad
 from xlalign.config import parse_config
 from xlalign.pipeline import Experiment, ExperimentData
 from xlalign.text import ParallelCorpus, build_vocab, save_word2vec
@@ -29,6 +31,15 @@ def finite_difference_grads(f, arrays, h=1e-5):
             gflat[i] = (hi - lo) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def as_float64(params):
+    """A float64 copy of a parameter set, for the float64-precision oracles:
+    training and encoding run in the dtype of the parameters they are given."""
+    cls = type(params)
+    values = (operator.attrgetter(path)(params) for _, path, _ in ad.name_table(cls))
+    return ad.build_params(cls, (v.astype(np.float64) if isinstance(v, np.ndarray) else v
+                                 for v in values))
 
 
 def write_dump(path, matrix):

@@ -246,21 +246,18 @@ def _two_d_reference(x, mask, w_in, w_rec, bias, reverse, g):
     of x, w_in, w_rec and bias."""
     b, t_max = mask.shape
     hid = w_rec.shape[0]
-
-    def sigmoid(z):
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    gates_in = (x @ w_in).reshape(t_max, b, 4 * hid)
+    # σ(z) = ½ + ½·tanh(z/2) on i, f, o: halve their pre-activation, then one
+    # tanh over every gate and the affine map (½, ½, 1, ½)·a + (½, ½, 0, ½)
+    half = np.repeat([0.5, 0.5, 1.0, 0.5], hid)
+    gates_in = ((x @ w_in + bias) * half).reshape(t_max, b, 4 * hid)
+    w_half = w_rec * half
     live = mask.T[:, :, None] > 0
     h, c = np.zeros((b, hid)), np.zeros((b, hid))
     states, h_prev, c_prev, tanh_c = (np.zeros((t_max, b, hid)) for _ in range(4))
     acts = np.zeros((t_max, b, 4 * hid))
     steps = range(t_max - 1, -1, -1) if reverse else range(t_max)
     for t in steps:
-        gates = gates_in[t] + h @ w_rec + bias
-        act = sigmoid(gates)
-        act[:, 2 * hid:3 * hid] = np.tanh(gates[:, 2 * hid:3 * hid])
+        act = np.tanh(h @ w_half + gates_in[t]) * half + (1.0 - half)
         c_new = act[:, hid:2 * hid] * c + act[:, :hid] * act[:, 2 * hid:3 * hid]
         tc = np.tanh(c_new)
         acts[t], h_prev[t], c_prev[t], tanh_c[t] = act, h, c, tc

@@ -9,7 +9,7 @@ from xlalign.encoders import (BATCH, encode_batch, encode_sentences, encode_sif,
                               encode_sif_matrix, new_encoder, pad_batch)
 from xlalign.text import RESERVED, Vocabulary, build_vocab, sif_weight
 
-from conftest import encode_reference, lstm_step_reference
+from conftest import as_float64, encode_reference, lstm_step_reference
 
 
 @pytest.fixture
@@ -30,6 +30,7 @@ def encode_ids(ids, enc):
 
 class TestBiLstmMaxpool:
     def test_single_token_is_concat_of_both_directions(self, enc):
+        enc = as_float64(enc)  # the scalar reference is float64
         emb = encode_ids([5], enc)
         x = enc.embeddings[5]
         h_f, _ = lstm_step_reference(x, np.zeros(4), np.zeros(4),
@@ -43,6 +44,7 @@ class TestBiLstmMaxpool:
         assert enc.output_dim == 8
 
     def test_matches_scalar_reference(self, enc):
+        enc = as_float64(enc)  # the scalar reference is float64
         ids = [2, 7, 4]
         emb = encode_ids(ids, enc)
         assert np.max(np.abs(emb - encode_reference(ids, enc))) < 1e-12
@@ -57,6 +59,7 @@ class TestBiLstmMaxpool:
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
     def test_mixed_length_batch_matches_reference(self, enc):
+        enc = as_float64(enc)  # the scalar reference is float64
         sents = [[4, 5, 6, 7, 8, 9], [10], [11, 4, 5], [6, 11], [7, 7, 7, 7, 7]]
         ids, mask, _ = pad_batch(sents)
         batched = encode_batch(ids, mask, ParamSet(enc, trainable=False)).data
@@ -69,6 +72,7 @@ class TestBiLstmMaxpool:
 
     def test_maxpool_dominance(self, enc):
         # every output coordinate equals some timestep's concatenated state
+        enc = as_float64(enc)  # the scalar reference is float64
         ids = [3, 1, 4, 1, 5]
         emb = encode_ids(ids, enc)
         states = []

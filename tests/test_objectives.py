@@ -13,7 +13,7 @@ from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule, decode
                                 train_joint_seq2seq, train_transfer, write_trace)
 from xlalign.text import BOS, EOS, NoiseParams, ParallelCorpus, build_vocab
 
-from conftest import encode_reference, lstm_step_reference
+from conftest import as_float64, encode_reference, lstm_step_reference
 
 
 @pytest.fixture
@@ -46,6 +46,7 @@ def seq2seq_loss_oracle(inputs, targets, enc, dec, src_vocab, tgt_vocab):
 class TestSeq2SeqLoss:
     def test_matches_per_token_ce_oracle(self, small_setup):
         vocab, enc, dec = small_setup
+        enc, dec = as_float64(enc), as_float64(dec)  # oracles in float64
         inputs = [["w1", "w2", "w3"], ["w4", "w5"]]
         targets = [["w2", "w3"], ["w4", "w5", "w6"]]
         graph = seq2seq_loss(inputs, targets, enc, dec, vocab, vocab)
@@ -68,6 +69,7 @@ class TestSeq2SeqLoss:
 
     def test_zero_projection_gives_log_v(self, small_setup):
         vocab, enc, dec = small_setup
+        enc, dec = as_float64(enc), as_float64(dec)  # oracles in float64
         dec.w_out[...] = 0.0
         dec.b_out[...] = 0.0
         graph = seq2seq_loss([["w1", "w2"]], [["w3", "w4"]], enc, dec, vocab, vocab)
@@ -75,6 +77,7 @@ class TestSeq2SeqLoss:
 
     def test_uniform_logits_log_v_for_any_batch(self, small_setup, rng):
         vocab, enc, dec = small_setup
+        enc, dec = as_float64(enc), as_float64(dec)  # oracles in float64
         dec.w_out[...] = 0.0
         dec.b_out[...] = 0.0
         words = [w for w in vocab.id_to_token[4:]]
