@@ -428,7 +428,6 @@ def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
     """
     x, live, acts, h_prev, c_prev, tanh_c = cache
     k, t_max, b, hid = h_prev.shape
-    all_live = live.all(axis=(0, 2, 3)).tolist()
     on = live.astype(acts.dtype)
     off = 1.0 - on
     i, f, g, o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
@@ -447,17 +446,12 @@ def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
     w_rec_t = w_rec.transpose(0, 2, 1)
     for s in range(t_max - 1, -1, -1):
         dh_t = g_states[:, s] + dh
-        # a step on which every row is live skips the products with `on` and `off`
-        dh_new = dh_t if all_live[s] else dh_t * on[:, s]
-        dc_new = (dc if all_live[s] else dc * on[:, s]) + dh_new * h_to_c[:, s]
+        dh_new = dh_t * on[:, s]
+        dc_new = dc * on[:, s] + dh_new * h_to_c[:, s]
         d_gates[:, s, :, :3] *= dc_new[:, :, None, :]
         d_gates[:, s, :, 3] *= dh_new
-        dh = np.matmul(d_gates[:, s].reshape(k, b, 4 * hid), w_rec_t)
-        if all_live[s]:
-            dc = dc_new * f[:, s]
-        else:
-            dh += dh_t * off[:, s]
-            dc = dc_new * f[:, s] + dc * off[:, s]
+        dh = np.matmul(d_gates[:, s].reshape(k, b, 4 * hid), w_rec_t) + dh_t * off[:, s]
+        dc = dc_new * f[:, s] + dc * off[:, s]
     # weight gradients sum over rows in time order, as the per-direction products do;
     # backward reads the cache once, so its h_prev is flipped in place
     d_gates = _flip_reverse(d_gates, reverse).reshape(k, t_max * b, 4 * hid)

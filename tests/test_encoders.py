@@ -49,6 +49,16 @@ class TestBiLstmMaxpool:
         emb = encode_ids(ids, enc)
         assert np.max(np.abs(emb - encode_reference(ids, enc))) < 1e-12
 
+    def test_float32_matches_scalar_reference(self, enc):
+        # the float32 kernels production runs, against the float64 scalar
+        # reference of the same (exactly widened) parameters
+        sents = [[4, 5, 6, 7, 8, 9], [10], [11, 4, 5], [6, 11], [7, 7, 7, 7, 7]]
+        ids, mask, _ = pad_batch(sents)
+        batched = encode_batch(ids, mask, ParamSet(enc, trainable=False)).data
+        assert batched.dtype == np.float32
+        for i, s in enumerate(sents):
+            assert np.max(np.abs(batched[i] - encode_reference(s, as_float64(enc)))) < 1e-6
+
     def test_batched_equals_single(self, enc):
         # padding must not leak into shorter sentences' embeddings
         sents = [[1, 2, 3, 4, 5], [6], [7, 8], [9, 10, 11, 1, 2]]

@@ -13,7 +13,8 @@ from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule, decode
                                 train_joint_seq2seq, train_transfer, write_trace)
 from xlalign.text import BOS, EOS, NoiseParams, ParallelCorpus, build_vocab
 
-from conftest import as_float64, encode_reference, lstm_step_reference
+from conftest import (as_float64, encode_reference, lstm_step_reference,
+                      max_relative_error)
 
 
 @pytest.fixture
@@ -52,6 +53,29 @@ class TestSeq2SeqLoss:
         graph = seq2seq_loss(inputs, targets, enc, dec, vocab, vocab)
         oracle = seq2seq_loss_oracle(inputs, targets, enc, dec, vocab, vocab)
         assert abs(float(graph.loss.data) - oracle) < 1e-10
+
+    def test_float32_matches_ce_oracle_and_float64_gradients(self, small_setup):
+        # the float32 forward and backward production runs, against the float64
+        # oracle and the float64 graph (which criterion 1 checks by finite
+        # differences) on the same, exactly widened parameters
+        vocab, enc, dec = small_setup
+        enc64, dec64 = as_float64(enc), as_float64(dec)
+        inputs = [["w1", "w2", "w3"], ["w4", "w5"]]
+        targets = [["w2", "w3"], ["w4", "w5", "w6"]]
+        graph = seq2seq_loss(inputs, targets, enc, dec, vocab, vocab)
+        graph64 = seq2seq_loss(inputs, targets, enc64, dec64, vocab, vocab)
+        oracle = seq2seq_loss_oracle(inputs, targets, enc64, dec64, vocab, vocab)
+        assert graph.loss.data.dtype == np.float32
+        assert abs(float(graph.loss.data) - oracle) < 1e-6 * oracle
+        ad.backward(graph.loss)
+        ad.backward(graph64.loss)
+        for ps, ps64 in ((graph.enc_tensors, graph64.enc_tensors),
+                         (graph.dec_tensors, graph64.dec_tensors)):
+            grads, grads64 = ps.gradients(), ps64.gradients()
+            assert grads.keys() == grads64.keys()
+            for name, g in grads.items():
+                assert g.dtype == np.float32
+                assert max_relative_error(g, grads64[name]) < 1e-4, name
 
     def test_single_class_vocabulary_gives_zero_loss(self, small_setup):
         vocab, enc, _ = small_setup
