@@ -7,9 +7,12 @@ Layout::
     <name> <ndim> <dim1> ... <dimk>
     <value> <value> ...          (exactly prod(dims) values, any line wrapping)
 
-Values are written with repr precision, so float32 and float64 values both
-round-trip exactly; the loader returns float64 arrays, and a float32 value
-comes back as the float64 of equal value.
+A float32 array's values are written with nine significant digits
+('%.9g'), the fewest that always read back to the same float32; any other
+array's values are written as the repr of their float64 value, which reads
+back exactly. The loader returns float64 arrays: a float32 value comes back
+as the float64 nearest its nine digits, which rounds to the saved float32,
+and a value of an older checkpoint, written as a repr, comes back exactly.
 """
 
 from __future__ import annotations
@@ -48,12 +51,10 @@ def _write(fh, tensors, comments):
         arr = np.asarray(arr)
         dims = " ".join(str(d) for d in arr.shape)
         fh.write(f"{name} {arr.ndim}{' ' + dims if dims else ''}\n")
-        flat = arr.reshape(-1)
-        if arr.ndim == 2:
-            for row in arr:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        else:
-            fh.write(" ".join(repr(float(v)) for v in flat) + "\n")
+        fmt = "%.9g" if arr.dtype == np.float32 else "%r"
+        values = np.asarray(arr, dtype=np.float64)  # exact for float32
+        for row in (values if arr.ndim == 2 else [values.reshape(-1)]):
+            fh.write(" ".join(fmt % v for v in row.tolist()) + "\n")
 
 
 def load_checkpoint(path):

@@ -14,7 +14,9 @@ from .optim import fit
 BUDGET = 16 * 2**20
 
 
-def _normalize_rows(x, side):
+def _row_norms(x, side):
+    """x as float64 and its row norms. A row whose norm is zero or not finite
+    is a ValueError naming the side and the row."""
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         norms = np.sqrt((x * x).sum(axis=1))
@@ -25,6 +27,11 @@ def _normalize_rows(x, side):
     bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
         raise ValueError(f"zero-norm embedding at {side} row {int(bad[0])}: cosine undefined")
+    return x, norms
+
+
+def _normalize_rows(x, side):
+    x, norms = _row_norms(x, side)
     return x / norms[:, None]
 
 
@@ -43,21 +50,43 @@ class CurvePoint(NamedTuple):  # a row of curve.csv
 
 def _similarity_blocks(xs, ys):
     """Yield (start, block) over the cosine rows of consecutive query runs:
-    block[r] holds the similarities of query start + r to the whole pool.
+    block[r] holds the similarities of query start + r to the whole pool,
+    in the dtype of the rows.
 
     Each block is a view of one buffer of at most BUDGET bytes (one row if a
     row alone is larger), so memory stays bounded whatever the pool size;
     the buffer is overwritten by the next block, so use a block before
-    asking for the next. A pool of up to 1448 rows fits in one block, which
-    is the single GEMM of the unblocked product.
+    asking for the next. A pool of up to 2048 float32 rows (1448 float64
+    rows) fits in one block, which is the single GEMM of the unblocked
+    product.
     """
     n_queries, n = xs.shape[0], ys.shape[0]
-    rows = max(1, BUDGET // (8 * n))
-    buf = np.empty((min(rows, n_queries), n))
+    dtype = np.result_type(xs, ys)
+    rows = max(1, BUDGET // (dtype.itemsize * n))
+    buf = np.empty((min(rows, n_queries), n), dtype)
     for start in range(0, n_queries, rows):
         block = buf[:min(rows, n_queries - start)]
         np.matmul(xs[start:start + len(block)], ys.T, out=block)
         yield start, block
+
+
+def _screen_margin(d):
+    """How far apart two float32 cosines of d-wide rows must be for their
+    float64 cosines to be ordered the same way.
+
+    Let u = 2⁻²⁴ and γ_k = k·u / (1 − k·u). Rounding the float64 unit rows
+    a, b to float32 moves each entry by at most u times itself (by 2⁻¹⁵⁰ at
+    most below float32's normal range, which the slack below absorbs), so by
+    Cauchy–Schwarz |â·b̂ − a·b| ≤ 2u + u². The float32 dot product of the d
+    terms adds at most γ_d·|â|·|b̂| ≤ γ_d·(1 + u)², in any summation order.
+    Together that is at most γ_{d+2}. The float64 cosine that decides
+    differs from a·b by about d·2⁻⁵³, and |a|, |b| from 1 by less, both far
+    below the u that γ_{d+3} adds to γ_{d+2}. So every float32 cosine lies
+    within γ_{d+3} of its float64 cosine, and a gap wider than twice that
+    orders the two the same way in float64.
+    """
+    k = (d + 3) * 2.0**-24
+    return 2 * k / (1 - k) if k < 0.5 else np.inf
 
 
 def retrieval_accuracy(src, tgt, direction="src>tgt"):
@@ -66,17 +95,39 @@ def retrieval_accuracy(src, tgt, direction="src>tgt"):
     Ties break toward the lowest index. Row i of src must be the translation
     of row i of tgt. Exact in memory bounded by BUDGET: each query's whole
     similarity row is scored within one block.
+
+    The blocks are scored in float32. A query whose gold cosine and best
+    other cosine are further apart than `_screen_margin` is decided there;
+    any other query is decided in float64 over the pool rows within the
+    margin of its gold cosine, gold included.
     """
-    xs = _normalize_rows(src, "source")
-    ys = _normalize_rows(tgt, "target")
-    if xs.shape != ys.shape:
-        raise ValueError(f"paired matrices must share shape, got {xs.shape} and {ys.shape}")
-    if xs.shape[0] < 2:
+    x, x_norms = _row_norms(src, "source")
+    y, y_norms = _row_norms(tgt, "target")
+    if x.shape != y.shape:
+        raise ValueError(f"paired matrices must share shape, got {x.shape} and {y.shape}")
+    if x.shape[0] < 2:
         raise ValueError("retrieval needs at least two pairs")
+    # float32 unit rows: each entry is the float32 rounding of the float64 one
+    xs = np.divide(x, x_norms[:, None], out=np.empty(x.shape, np.float32), casting="same_kind")
+    ys = np.divide(y, y_norms[:, None], out=np.empty(y.shape, np.float32), casting="same_kind")
+    margin = _screen_margin(x.shape[1])
     hits = 0
     for start, block in _similarity_blocks(xs, ys):
-        hits += int((block.argmax(axis=1) == np.arange(start, start + len(block))).sum())
-    return RetrievalReport(direction, hits / xs.shape[0], xs.shape[0])
+        diagonal = np.arange(len(block)), np.arange(start, start + len(block))
+        gold = block[diagonal].astype(np.float64)
+        block[diagonal] = -np.inf
+        gap = gold - block.max(axis=1)
+        hits += int((gap > margin).sum())
+        for r in np.nonzero(np.abs(gap) <= margin)[0]:
+            i = start + r
+            near = block[r] >= gold[r] - margin
+            near[i] = True
+            cols = np.flatnonzero(near)
+            # every row is reduced the same way, so identical pool rows tie
+            # exactly and argmax keeps the lowest index
+            sims = (y[cols] / y_norms[cols, None] * (x[i] / x_norms[i])).sum(axis=1)
+            hits += int(cols[sims.argmax()] == i)
+    return RetrievalReport(direction, hits / x.shape[0], x.shape[0])
 
 
 def nearest_neighbors(query, pool, texts, k):
@@ -89,13 +140,10 @@ def nearest_neighbors(query, pool, texts, k):
 
 def _ranked_neighbors(query, pool_n, texts, k):
     """nearest_neighbors over a pool whose rows are already unit-normalised."""
-    q = np.asarray(query, dtype=np.float64)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ValueError("zero-norm query embedding: cosine undefined")
+    q = _normalize_rows(np.reshape(query, (1, -1)), "query")[0]
     if k > pool_n.shape[0]:
         raise ValueError(f"k={k} exceeds pool size {pool_n.shape[0]}")
-    sims = pool_n @ (q / qn)
+    sims = pool_n @ q
     # stable sort on negated sims keeps the lowest index first among ties
     order = np.argsort(-sims, kind="stable")[:k]
     return [(texts[i], float(sims[i])) for i in order]

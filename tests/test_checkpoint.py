@@ -20,11 +20,25 @@ def test_round_trip_exact_float64(tmp_path, rng):
 
 
 def test_round_trip_float32_within_precision(tmp_path, rng):
-    arr = rng.normal(size=(4, 4)).astype(np.float32)
-    path = tmp_path / "f32.ckpt"
-    save_checkpoint(path, {"w": arr})
-    loaded, _ = load_checkpoint(path)
-    np.testing.assert_array_equal(loaded["w"].astype(np.float32), arr)
+    """Nine digits bring every finite float32 back bit for bit, and the
+    17-digit repr text of earlier versions still loads to the same values."""
+    f32 = np.finfo(np.float32)
+    special = np.array([-0.0, 0.1, f32.smallest_subnormal, -3 * f32.smallest_subnormal,
+                        f32.smallest_normal, f32.max, -f32.max], dtype=np.float32)
+    bits = rng.integers(0, 2**32, size=5000, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    tensors = {"w": np.concatenate([special, bits[np.isfinite(bits)]]),
+               "m": rng.normal(size=(40, 25)).astype(np.float32)}
+    new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+    save_checkpoint(new, tensors)
+    # the repr text of each value's float64 widening, as earlier versions wrote it
+    old.write_text(HEADER + "\n" + "".join(
+        f"{name} {a.ndim} {' '.join(map(str, a.shape))}\n"
+        f"{' '.join(repr(float(v)) for v in a.reshape(-1))}\n" for name, a in tensors.items()))
+    assert new.read_text().splitlines()[2].split()[:2] == ["-0", "0.100000001"]
+    for path in (new, old):
+        loaded, _ = load_checkpoint(path)
+        for name, a in tensors.items():
+            assert loaded[name].astype(np.float32).tobytes() == a.tobytes()
 
 
 def test_comments_round_trip(tmp_path):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlalign import evaluation
 from xlalign.cli import main
@@ -36,6 +38,14 @@ def brute_force_retrieval(src, tgt):
     return hits / n, argmaxes
 
 
+def unit_row_retrieval(src, tgt):
+    """Float64 oracle that reduces every unit-row cosine the same way, as
+    retrieval_accuracy's float64 decisions do, so identical pool rows tie
+    exactly; ties go to the lowest index."""
+    xn, yn = (a / np.sqrt((a * a).sum(axis=1))[:, None] for a in (src, tgt))
+    return float(np.mean([np.argmax((yn * q).sum(axis=1)) == i for i, q in enumerate(xn)]))
+
+
 def sign_rows(g, n, d=32, nnz=4):
     """Rows of `nnz` entries ±1 and zeros elsewhere. Their cosines are
     multiples of 1/nnz, exact in every summation order, so equal rows tie
@@ -52,7 +62,7 @@ BLOCK_ROWS = 45  # 300 queries: six blocks of 45 and a last one of 30
 
 @pytest.fixture
 def small_budget(monkeypatch):
-    monkeypatch.setattr(evaluation, "BUDGET", 8 * POOL * BLOCK_ROWS)
+    monkeypatch.setattr(evaluation, "BUDGET", 4 * POOL * BLOCK_ROWS)  # float32 cells
 
 
 def tied_pairs(seed):
@@ -64,6 +74,19 @@ def tied_pairs(seed):
         tgt[b] = tgt[a]
     src = tgt.copy()
     src[::7] = sign_rows(g, len(src[::7]))
+    return src, tgt
+
+
+def near_tie_pairs(seed, n=40, d=8, eps=1e-4):
+    """Pairs whose queries each tie with a planted rival far closer than the
+    float32 screen can tell. Rows 2k and 2k+1 of tgt are a base row v and
+    v + eps·e, in an order drawn per k, and both queries are v: the query
+    whose gold is v itself wins in float64, the other loses to v."""
+    g = np.random.default_rng(seed)
+    src = np.repeat(g.normal(size=(n // 2, d)), 2, axis=0)
+    tgt = src.copy()
+    perturbed = 2 * np.arange(n // 2) + g.integers(0, 2, size=n // 2)
+    tgt[perturbed] += eps * g.normal(size=(n // 2, d))
     return src, tgt
 
 
@@ -114,7 +137,7 @@ class TestRetrieval:
             retrieval_accuracy(x, x)
 
     def test_small_budget_spans_blocks(self, small_budget):
-        xs = ys = np.ones((POOL, 4))
+        xs = ys = np.ones((POOL, 4), dtype=np.float32)
         sizes = [len(block) for _, block in evaluation._similarity_blocks(xs, ys)]
         assert sizes == [BLOCK_ROWS] * 6 + [POOL - 6 * BLOCK_ROWS]
 
@@ -125,6 +148,50 @@ class TestRetrieval:
         noisy = g.normal(size=(POOL, 6))
         for a, b in ((src, tgt), (tgt, src), (noisy, noisy + 0.8 * g.normal(size=(POOL, 6)))):
             assert retrieval_accuracy(a, b).accuracy == brute_force_retrieval(a, b)[0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_ties_are_decided_in_float64(self, seed):
+        src, tgt = near_tie_pairs(seed)
+        xn, yn = (a / np.linalg.norm(a, axis=1)[:, None] for a in (src, tgt))
+        gaps = np.abs((xn * yn).sum(axis=1) - (xn * yn[np.arange(len(xn)) ^ 1]).sum(axis=1))
+        assert gaps.max() < evaluation._screen_margin(src.shape[1])
+        assert gaps.min() > 1e-12
+        report = retrieval_accuracy(src, tgt)
+        assert report.accuracy == 0.5 == unit_row_retrieval(src, tgt)
+
+    def test_duplicate_rows_across_float32_block_cuts_tie_to_the_lowest_index(self, small_budget):
+        g = np.random.default_rng(4)
+        tgt = g.normal(size=(POOL, 16))
+        for a, b in ((44, 45), (89, 90)):
+            tgt[b] = tgt[a]
+        src = tgt + 1e-3 * g.normal(size=tgt.shape)
+        assert [start for start, _ in evaluation._similarity_blocks(
+            src.astype(np.float32), tgt.astype(np.float32))][1:3] == [45, 90]
+        # query 45's gold ties with row 44, query 90's with row 89
+        assert retrieval_accuracy(src, tgt).accuracy == (POOL - 2) / POOL
+        # queries 44 and 45 are one row, so one of them misses; so do 89 and 90
+        assert retrieval_accuracy(tgt, src).accuracy == (POOL - 2) / POOL
+
+    @given(st.integers(2, 30), st.integers(1, 6), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_float64_oracle_on_planted_ties(self, n, d, tie_exp, seed):
+        g = np.random.default_rng(seed)
+        base = g.integers(-2, 3, size=(n, d)).astype(float)
+        base[~base.any(axis=1), 0] = 1.0
+        tgt = base[g.integers(0, n, size=n)]  # exact duplicate rows
+        tgt[g.random(n) < 0.5] += 10.0 ** -tie_exp * g.normal(size=d)  # near ties
+        src = np.where(g.random((n, 1)) < 0.5, tgt, base)
+        assert retrieval_accuracy(src, tgt).accuracy == unit_row_retrieval(src, tgt)
+        assert retrieval_accuracy(tgt, src).accuracy == unit_row_retrieval(tgt, src)
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 4001, 20000])
+    def test_float32_blocks_stay_within_budget(self, small_budget, n):
+        xs = ys = np.ones((n, 3), dtype=np.float32)
+        blocks = [(start, block.dtype, block.nbytes)
+                  for start, block in evaluation._similarity_blocks(xs, ys)]
+        assert all(dtype == np.float32 for _, dtype, _ in blocks)
+        assert all(nbytes <= max(evaluation.BUDGET, 4 * n) for _, _, nbytes in blocks)
+        assert blocks[0][0] == 0 and sum(nbytes for *_, nbytes in blocks) == 4 * n * n
 
     def test_memory_is_bounded_by_the_block_budget(self, rng):
         x, y = rng.normal(size=(4000, 32)), rng.normal(size=(4000, 32))
