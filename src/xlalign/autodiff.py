@@ -15,7 +15,10 @@ Conventions:
   * every node's value (leaves, fused-op outputs, the loss) is checked for
     NaN/Inf and rejected with ``NonFiniteError``, and so is every gradient
     ``backward`` delivers to a leaf; a scan's per-step intermediates are not
-    checked one by one, a non-finite one surfaces in its outputs or gradients;
+    checked one by one, a non-finite one surfaces in its outputs or gradients.
+    A `ParamSet`'s parameter leaves are the exception: `optim.fit` checks the
+    parameters once before its first step, and a non-finite one surfaces in
+    the first op output that reads it;
   * tensors are immutable values once created — build a fresh graph per
     training step and call ``backward`` once per graph.
 """
@@ -115,17 +118,28 @@ class Params:
         return {name: get(self) for name, get in getters}
 
 
+def _parameter(array, trainable):
+    """A leaf over a parameter array, without the NaN/Inf scan of `leaf` and
+    `constant`: `optim.fit` checks its parameters once before step 0, and every
+    op output that reads a parameter is still checked."""
+    t = object.__new__(Tensor)
+    t.data, t.op, t.parents, t.requires_grad, t.grad, t._backward = (
+        array, "leaf", (), trainable, None, None)
+    return t
+
+
 class ParamSet:
     """Graph-side view of a parameter set, wrapped once per step.
 
     `params` is a `Params`; its tensors are looked up by name without the prefix,
     and `gradients()` keys carry it, matching the optimizer's name -> array dict.
+    Its arrays are wrapped as they are, unscanned (see `_parameter`).
     """
 
     def __init__(self, params, trainable=True):
-        wrap = leaf if trainable else constant
         self.prefix = params.prefix
-        self.tensors = {name: wrap(a) for name, a in params.named_arrays(self.prefix).items()}
+        self.tensors = {name: _parameter(a, trainable)
+                        for name, a in params.named_arrays(self.prefix).items()}
 
     def __getitem__(self, name):
         return self.tensors[self.prefix + name]
@@ -341,16 +355,17 @@ def time_major(a):
 
 
 # A scan runs a stack of k LSTM directions in one time loop. Inside it, and in
-# its cache, a per-direction array is (k, T, ...) in loop order: loop step i is
-# time step i of a forward direction and time step T-1-i of a reverse one.
+# its cache, a per-direction array is (T, k, ...) in loop order: loop step i is
+# time step i of a forward direction and time step T-1-i of a reverse one, and
+# one step's rows for every direction are one contiguous slice.
 
-def _flip_reverse(a, reverse):
-    """Flip, in place, the time axis of each reverse direction of the (k, T, ...)
-    array `a`: time order to loop order and back. Returns `a`."""
+def _flip_into(dst, src, reverse):
+    """dst[:, j] = src[:, j] for each direction j, with the time axis (axis 0)
+    of each reverse direction flipped: time order to loop order and back.
+    Returns `dst`."""
     for j, rev in enumerate(reverse):
-        if rev:
-            a[j] = a[j, ::-1].copy()
-    return a
+        dst[:, j] = src[::-1, j] if rev else src[:, j]
+    return dst
 
 
 def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=False):
@@ -364,6 +379,15 @@ def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=Fa
     `lstm_scan` backpropagates through (else None). The graph op, the decoder
     and inference all run this one function. Each direction's products are
     the BLAS calls a 2-D `@` makes, so its bits do not depend on k.
+
+    The cache is (x, live, acts, h_prev, c_prev, tanh_c), x context-extended
+    and the rest in loop order, time first: live (T, k, B, H) bool, acts
+    (T, k, B, 4H) the gate activations, and h_prev, c_prev, tanh_c (T, k, B, H).
+    h_prev and c_prev are the first T rows of (T+1, k, B, H) state stacks whose
+    row 0 is the zero start, so each step reads its state as a view and writes
+    its products into the next row with `out=`; a partly padded step carries
+    a dead row's state through with `np.copyto(..., where=dead)`. Without
+    `keep`, every step reuses one row of acts and tanh_c and two rows of c.
     """
     b, t_max = mask.shape
     k, hid = w_rec.shape[:2]
@@ -382,82 +406,123 @@ def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=Fa
     # the i, f and o columns of those and of a copy of w_rec are halved (exactly:
     # a power of two); a step is then one tanh over all 4H columns and the affine
     # map act·half + shift, ½·t + ½ on i, f and o and t itself on g
-    gates_in = np.matmul(x, w_in)
-    gates_in += bias[:, None, :]
-    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=gates_in.dtype), hid)
-    gates_in *= half
-    gates_in = _flip_reverse(gates_in.reshape(k, t_max, b, 4 * hid), reverse)
+    dtype = np.result_type(x, w_in)
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hid)
+    gates = np.empty((t_max * b, 4 * hid), dtype=dtype)
+    gates_in = np.empty((t_max, k, b, 4 * hid), dtype=dtype)
+    dead = np.empty((t_max, k, b, hid), dtype=bool)
+    dead_steps = ~(mask.T > 0)[:, :, None]
+    for j, rev in enumerate(reverse):
+        loop_order = slice(None, None, -1 if rev else 1)
+        np.matmul(x, w_in[j], out=gates)
+        gates += bias[j]
+        gates *= half
+        gates_in[:, j] = gates.reshape(t_max, b, 4 * hid)[loop_order]
+        dead[:, j] = dead_steps[loop_order]
+    del gates  # peak memory: freed before the loop's buffers are made
     w_rec_half = w_rec * half
+    half = np.repeat(half[None], k * b, axis=0).reshape(k, b, 4 * hid)
     shift = 1.0 - half
-    live = _flip_reverse(np.repeat((mask.T > 0)[None, :, :, None], k, axis=0), reverse)
-    all_live = live.all(axis=(0, 2, 3)).tolist()
-    h = np.zeros((k, b, hid), dtype=gates_in.dtype)
-    c = np.zeros_like(h)
-    states = np.empty((k, t_max, b, hid), dtype=h.dtype)
-    if keep:
-        acts = np.empty_like(gates_in)
-        h_prev, c_prev, tanh_c = (np.empty_like(states) for _ in range(3))
+    partial = dead.any(axis=(1, 2, 3)).tolist()
+    # step i works in row i % rows of acts and tanh_c and reads row i % (rows + 1)
+    # of cs: the whole cache with `keep`, else one reused row and two c rows
+    rows = t_max if keep else 1
+    acts = np.empty((rows, k, b, 4 * hid), dtype=dtype)
+    tanh_c = np.empty((rows, k, b, hid), dtype=dtype)
+    cs = np.zeros((rows + 1, k, b, hid), dtype=dtype)
+    hs = np.zeros((t_max + 1, k, b, hid), dtype=dtype)
+    gate_i, gate_f, gate_g, gate_o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
     for i in range(t_max):
-        act = np.matmul(h, w_rec_half)
-        act += gates_in[:, i]
+        r = i % rows
+        act, tc = acts[r], tanh_c[r]
+        c_prev, c_new = cs[i % (rows + 1)], cs[(i + 1) % (rows + 1)]
+        np.matmul(hs[i], w_rec_half, out=act)
+        act += gates_in[i]
         np.tanh(act, out=act)
         act *= half
         act += shift
-        c_new = act[..., hid:2 * hid] * c + act[..., :hid] * act[..., 2 * hid:3 * hid]
-        tc = np.tanh(c_new)
-        if keep:
-            acts[:, i], h_prev[:, i], c_prev[:, i], tanh_c[:, i] = act, h, c, tc
-        h_new = act[..., 3 * hid:] * tc
-        if all_live[i]:
-            h, c = h_new, c_new
-        else:
-            h = np.where(live[:, i], h_new, h)
-            c = np.where(live[:, i], c_new, c)
-        states[:, i] = h
-    cache = (x, live, acts, h_prev, c_prev, tanh_c) if keep else None
-    states = _flip_reverse(states, reverse).transpose(1, 2, 0, 3)
+        np.multiply(gate_f[r], c_prev, out=c_new)
+        c_new += np.multiply(gate_i[r], gate_g[r], out=tc)  # i·g, then tanh(c)
+        np.tanh(c_new, out=tc)
+        np.multiply(gate_o[r], tc, out=hs[i + 1])
+        if partial[i]:
+            np.copyto(hs[i + 1], hs[i], where=dead[i])
+            np.copyto(c_new, c_prev, where=dead[i])
+    cache = (x, ~dead, acts, hs[:-1], cs[:-1], tanh_c) if keep else None
+    del gates_in, acts, tanh_c, cs  # freed before the output copy, unless cached
+    states = np.empty((t_max, b, k, hid), dtype=dtype)
+    _flip_into(states.swapaxes(1, 2), hs[1:], reverse)
     return states.reshape(t_max * b, k * hid), cache
 
 
-def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
+def _gate_gradients(g_states, cache, w_rec, reverse):
     """Backpropagation through time for `lstm_scan_forward`, every direction in
-    one loop.
-
-    Returns the gradient of the (context-extended) input rows, summed over the
-    directions, and the stacked gradients of w_in, w_rec and bias.
-    """
-    x, live, acts, h_prev, c_prev, tanh_c = cache
-    k, t_max, b, hid = h_prev.shape
-    on = live.astype(acts.dtype)
-    off = 1.0 - on
+    one loop over its cache: the gradient of each step's gate inputs, given
+    the gradient of the (T*B, k*H) states. Returns (T, k, B, 4H) in loop order."""
+    _, live, acts, h_prev, c_prev, tanh_c = cache
+    t_max, k, b, hid = h_prev.shape
     i, f, g, o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
     # d_gates starts as the gate-input gradients per unit of d c_new (i, f, g)
-    # and of d h_new (o); each loop step scales its own slice by those two
-    d_gates = np.empty((k, t_max, b, 4, hid), dtype=acts.dtype)
-    np.multiply(g * i, 1.0 - i, out=d_gates[..., 0, :])
-    np.multiply(c_prev * f, 1.0 - f, out=d_gates[..., 1, :])
+    # and of d h_new (o); each loop step scales its own slice by those two.
+    # On i, f and o that is (p·a)·(1 − a) with partners p = g, c_prev and
+    # tanh(c), computed over all 4H columns at once rather than gate by gate
+    gated = acts.reshape(t_max, k, b, 4, hid)
+    d_gates = np.subtract(1.0, gated)
+    partner = np.empty_like(d_gates)
+    partner[..., 0, :], partner[..., 1, :], partner[..., 3, :] = g, c_prev, tanh_c
+    partner[..., 2, :] = 0.0
+    partner *= gated
+    d_gates *= partner
+    del partner  # peak memory: freed before the loop's arrays are made
     np.multiply(i, 1.0 - g * g, out=d_gates[..., 2, :])
-    np.multiply(tanh_c * o, 1.0 - o, out=d_gates[..., 3, :])
     h_to_c = o * (1.0 - tanh_c * tanh_c)
-    g_states = _flip_reverse(g_states.reshape(t_max, b, k, hid).transpose(2, 0, 1, 3).copy(),
-                             reverse)
+    on = live.astype(acts.dtype)
+    off = 1.0 - on
+    d_states = _flip_into(np.empty_like(h_prev),
+                          g_states.reshape(t_max, b, k, hid).swapaxes(1, 2), reverse)
     dh = np.zeros((k, b, hid), dtype=acts.dtype)
     dc = np.zeros_like(dh)
     w_rec_t = w_rec.transpose(0, 2, 1)
+    d_ifg, d_o = d_gates[..., :3, :], d_gates[..., 3, :]
+    d_gates = d_gates.reshape(t_max, k, b, 4 * hid)
     for s in range(t_max - 1, -1, -1):
-        dh_t = g_states[:, s] + dh
-        dh_new = dh_t * on[:, s]
-        dc_new = dc * on[:, s] + dh_new * h_to_c[:, s]
-        d_gates[:, s, :, :3] *= dc_new[:, :, None, :]
-        d_gates[:, s, :, 3] *= dh_new
-        dh = np.matmul(d_gates[:, s].reshape(k, b, 4 * hid), w_rec_t) + dh_t * off[:, s]
-        dc = dc_new * f[:, s] + dc * off[:, s]
-    # weight gradients sum over rows in time order, as the per-direction products do;
-    # backward reads the cache once, so its h_prev is flipped in place
-    d_gates = _flip_reverse(d_gates, reverse).reshape(k, t_max * b, 4 * hid)
-    h_prev = _flip_reverse(h_prev, reverse).reshape(k, t_max * b, hid)
-    return (np.matmul(d_gates, w_in.transpose(0, 2, 1)).sum(axis=0), np.matmul(x.T, d_gates),
-            np.matmul(h_prev.transpose(0, 2, 1), d_gates), d_gates.sum(axis=1))
+        dh_t = d_states[s]
+        dh_t += dh
+        on_s = on[s]
+        dh_new = dh_t * on_s
+        dc_new = dc * on_s
+        dc_new += dh_new * h_to_c[s]
+        d_ifg[s] *= dc_new[:, :, None]
+        d_o[s] *= dh_new
+        dh = np.matmul(d_gates[s], w_rec_t)
+        dh += dh_t * off[s]
+        dc *= off[s]
+        dc += dc_new * f[s]
+    return d_gates
+
+
+def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
+    """The gradients of a `lstm_scan_forward` call with `keep`, from its cache.
+
+    Returns the gradient of the (context-extended) input rows, summed over the
+    directions, and per direction the gradients of its w_in, w_rec and bias:
+    2-D products over the direction's rows in time order (a copy, unless the
+    direction is the only one and runs forward). The input gradient sums the
+    directions' products onto zeros, as a sum over k does.
+    """
+    x, h_prev = cache[0], cache[3]
+    d_gates = _gate_gradients(g_states, cache, w_rec, reverse)
+    t_max, k, b, hid = h_prev.shape
+    d_in = np.zeros((t_max * b, x.shape[1]), dtype=d_gates.dtype)
+    d_cells = []
+    for j, rev in enumerate(reverse):
+        time_order = slice(None, None, -1 if rev else 1)
+        d_rows = np.ascontiguousarray(d_gates[time_order, j]).reshape(t_max * b, 4 * hid)
+        h_rows = np.ascontiguousarray(h_prev[time_order, j]).reshape(t_max * b, hid)
+        d_in += d_rows @ w_in[j].T
+        d_cells.append((x.T @ d_rows, h_rows.T @ d_rows, d_rows.sum(axis=0)))
+        del d_rows, h_rows  # peak memory: freed before the next direction's copies
+    return d_in, d_cells
 
 
 def lstm_scan(x, cells, mask, reverse, context=None):
@@ -480,14 +545,16 @@ def lstm_scan(x, cells, mask, reverse, context=None):
     parents = (x, *(t for cell in cells for t in cell)) + (() if context is None else (context,))
 
     def bwd(g):
-        d_in, *d_cells = _lstm_scan_backward(g, cache, stacked(0), stacked(1), reverse)
+        nonlocal cache
+        d_in, d_cells = _lstm_scan_backward(g, cache, stacked(0), stacked(1), reverse)
+        cache = None  # backward runs once per graph: free the cache for the scans after it
         d = x.data.shape[1]
         _accum(x, d_in[:, :d])
         if context is not None:
             _accum(context, d_in[:, d:].reshape(mask.shape[1], mask.shape[0], -1).sum(axis=0))
-        for j, cell in enumerate(cells):
-            for t, d_t in zip(cell, d_cells):
-                _accum(t, d_t[j])
+        for cell, grads in zip(cells, d_cells):
+            for t, d_t in zip(cell, grads):
+                _accum(t, d_t)
     return Tensor(states, op="lstm_scan", parents=parents, backward=bwd)
 
 
@@ -515,13 +582,15 @@ def maxpool_forward(states, mask):
 
 def masked_maxpool(states, mask):
     """Temporal max-pool over live steps as one node; gradient to the earliest
-    timestep holding the maximum."""
+    timestep holding the maximum. The forward takes that step's argmax, which
+    its backward needs, so the masked states are filled once."""
     mask = np.asarray(mask)
-    pooled = maxpool_forward(states.data, mask)
+    filled = _live_steps(states.data, mask)
+    first = filled.argmax(axis=0)[None]
 
     def bwd(g):
-        first = _live_steps(states.data, mask).argmax(axis=0)
-        full = np.zeros((mask.shape[1],) + pooled.shape, dtype=g.dtype)
-        np.put_along_axis(full, first[None], g[None], axis=0)
+        full = np.zeros((mask.shape[1],) + g.shape, dtype=g.dtype)
+        np.put_along_axis(full, first, g[None], axis=0)
         _accum(states, full.reshape(states.data.shape))
-    return Tensor(pooled, op="masked_maxpool", parents=(states,), backward=bwd)
+    return Tensor(np.take_along_axis(filled, first, axis=0)[0], op="masked_maxpool",
+                  parents=(states,), backward=bwd)

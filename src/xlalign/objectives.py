@@ -17,6 +17,7 @@ deterministic functions of (seed, data, schedule).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,19 +84,20 @@ def teacher_forcing_arrays(target_ids):
     """Build decoder input/target/mask arrays for a batch of target sentences.
 
     Step k predicts target token k from [BOS, y_1, .., y_{k-1}]; the final
-    step predicts EOS.
+    step predicts EOS. Like `pad_batch`, the tokens are placed in one pass,
+    with no loop over rows.
     """
-    k_max = max(len(s) + 1 for s in target_ids)
-    dec_in = np.full((len(target_ids), k_max), PAD, dtype=np.int64)
-    targets = np.full((len(target_ids), k_max), PAD, dtype=np.int64)
-    mask = np.zeros((len(target_ids), k_max))
-    for i, seq in enumerate(target_ids):
-        row_in = [BOS] + list(seq)
-        row_tgt = list(seq) + [EOS]
-        dec_in[i, :len(row_in)] = row_in
-        targets[i, :len(row_tgt)] = row_tgt
-        mask[i, :len(row_tgt)] = 1.0
-    return dec_in, targets, mask
+    n = np.array([len(s) for s in target_ids])
+    steps = np.arange(n.max() + 1)
+    tokens = np.fromiter(itertools.chain.from_iterable(target_ids), np.int64, n.sum())
+    dec_in = np.full((len(n), len(steps)), PAD, dtype=np.int64)
+    targets = np.full_like(dec_in, PAD)
+    inner = steps < n[:, None]  # y_1..y_n: steps 0..n-1 of targets, 1..n of dec_in
+    targets[inner] = tokens
+    targets[np.arange(len(n)), n] = EOS
+    dec_in[:, 0] = BOS
+    dec_in[:, 1:][inner[:, :-1]] = tokens
+    return dec_in, targets, (steps <= n[:, None]).astype(np.float64)
 
 
 def decode_ce_sum(sent_emb, dec_tensors, dec_in, targets, mask):

@@ -72,16 +72,26 @@ def fit(parts, steps, lr, step):
     `step(i)` samples batch i and builds its loss graph; it returns the scalar
     loss, the `ParamSet`s that hold the gradients in clip-norm summation order
     (one may repeat) and the trace rows it logs. Returns every trace row.
+
+    The parameters are checked for NaN/Inf once, before step 0; after that a
+    finite clipped gradient keeps them finite. A `NonFiniteError` raised in
+    step i is raised again with "step i: " before its message.
     """
     opt = Adam(lr)
     params = optimizer_params(*parts)
+    for name, p in params.items():
+        if not np.all(np.isfinite(p)):
+            raise ad.NonFiniteError(f"non-finite values in parameter {name!r} before step 0")
     trace = []
     for i in range(steps):
-        loss, param_sets, rows = step(i)
-        ad.backward(loss)
-        grads = {}
-        for tensors in param_sets:
-            grads.update(tensors.gradients())
-        opt.apply(params, grads)
+        try:
+            loss, param_sets, rows = step(i)
+            ad.backward(loss)
+            grads = {}
+            for tensors in param_sets:
+                grads.update(tensors.gradients())
+            opt.apply(params, grads)
+        except ad.NonFiniteError as exc:
+            raise ad.NonFiniteError(f"step {i}: {exc}") from exc
         trace.extend(rows)
     return trace

@@ -349,6 +349,28 @@ class TestLstmStep:
             np.testing.assert_array_equal(
                 context.grad, d_x[:, 6:].reshape(mask.shape[1], mask.shape[0], -1).sum(axis=0))
 
+    @pytest.mark.parametrize("reverse, mask, context_dim", [
+        ((False,), _mask(3, 1, 2), 0),
+        ((False, True), np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]]), 0),
+        ((True, False), _mask(5, 2, 4, 1, 3), 0),
+        ((False,), _mask(2, 4, 1), 3),
+    ], ids=["padded", "gapped", "stacked", "context"])
+    def test_inference_states_equal_training_states_bit_for_bit(self, rng, reverse, mask,
+                                                                 context_dim):
+        # keep=False reuses one row of gate buffers; keep=True fills the cache
+        k = len(reverse)
+        arrays = [a.astype(ad.DTYPE) for a in
+                  _scan_inputs(rng, mask, d=5, hid=4, context_dim=context_dim, k=k)]
+        w_in, w_rec, bias = (np.array(arrays[1 + n:1 + 3 * k:3]) for n in range(3))
+        context = arrays[-1] if context_dim else None
+        trained, cache = ad.lstm_scan_forward(arrays[0], w_in, w_rec, bias, mask, reverse,
+                                              context, keep=True)
+        inferred, none = ad.lstm_scan_forward(arrays[0], w_in, w_rec, bias, mask, reverse,
+                                              context)
+        assert cache is not None and none is None
+        assert inferred.dtype == trained.dtype == ad.DTYPE
+        assert inferred.tobytes() == trained.tobytes()
+
     def test_inconsistent_params_rejected(self):
         z = ad.constant
         with pytest.raises(ValueError, match="LSTM"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import xlalign
-from xlalign import cli
+from xlalign import cli, optim
 from xlalign.checkpoint import save_checkpoint
 from xlalign.cli import main
 from xlalign.mapping import AlignmentMap, save_map
@@ -369,6 +369,24 @@ def test_map_that_apply_map_cannot_invert_fails_without_traceback(tmp_path, rng)
     assert proc.returncode == 2
     assert "bad.ckpt: W is not orthogonal" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_numeric_failure_in_training_names_the_step_and_the_op(toy_cfg, tmp_path, monkeypatch,
+                                                                 capsys):
+    # a NaN written into a parameter after the second Adam update (as an
+    # overflowing update would) fails step 2's forward pass at the scan
+    apply, updates = optim.Adam.apply, []
+
+    def poisoned(self, params, grads):
+        apply(self, params, grads)
+        updates.append(1)
+        if len(updates) == 2:
+            next(a for name, a in params.items() if name.endswith("fwd.w_rec"))[0, 0] = np.nan
+    monkeypatch.setattr(optim.Adam, "apply", poisoned)
+    assert main(["run", "--config", toy_cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure: step 2: non-finite values in tensor produced by op 'lstm_scan'" in err
+    assert "Traceback" not in err
 
 
 def test_non_finite_dump_fails_without_traceback(tmp_path, rng):

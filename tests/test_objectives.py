@@ -11,7 +11,8 @@ from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule, decode
                                 infersent_classify, new_decoder, new_head,
                                 pair_features, seq2seq_loss, train_joint_infersent,
                                 train_joint_seq2seq, train_transfer, write_trace)
-from xlalign.text import BOS, EOS, NoiseParams, ParallelCorpus, build_vocab
+from xlalign.optim import fit
+from xlalign.text import BOS, EOS, PAD, NoiseParams, ParallelCorpus, build_vocab
 
 from conftest import (as_float64, encode_reference, lstm_step_reference,
                       max_relative_error)
@@ -42,6 +43,68 @@ def seq2seq_loss_oracle(inputs, targets, enc, dec, src_vocab, tgt_vocab):
             total += float(np.log(np.exp(z).sum()) - z[ti])
             count += 1
     return total / count
+
+
+def teacher_forcing_loop(target_ids):
+    """The row-by-row reference for `objectives.teacher_forcing_arrays`."""
+    k_max = max(len(s) + 1 for s in target_ids)
+    dec_in = np.full((len(target_ids), k_max), PAD, dtype=np.int64)
+    targets = np.full((len(target_ids), k_max), PAD, dtype=np.int64)
+    mask = np.zeros((len(target_ids), k_max))
+    for i, seq in enumerate(target_ids):
+        row_in = [BOS] + list(seq)
+        row_tgt = list(seq) + [EOS]
+        dec_in[i, :len(row_in)] = row_in
+        targets[i, :len(row_tgt)] = row_tgt
+        mask[i, :len(row_tgt)] = 1.0
+    return dec_in, targets, mask
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_teacher_forcing_arrays_match_the_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    lengths = [1] + rng.integers(1, 9, size=int(rng.integers(0, 20))).tolist()
+    batch = [rng.integers(4, 50, size=n).tolist() for n in rng.permutation(lengths)]
+    for got, want in zip(objectives.teacher_forcing_arrays(batch), teacher_forcing_loop(batch)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class TestNonFiniteParameters:
+    """Parameters are checked once, before step 0; a NaN planted later surfaces
+    in the first op output that reads it, in the step that reads it."""
+
+    INPUTS = [["w1", "w2", "w3"], ["w4", "w5"]]
+
+    @staticmethod
+    def _fit(vocab, enc, dec, plant, steps=4, at=2):
+        def step(i):
+            if i == at:
+                plant()
+            graph = seq2seq_loss(TestNonFiniteParameters.INPUTS, TestNonFiniteParameters.INPUTS,
+                                 enc, dec, vocab, vocab)
+            return graph.loss, (graph.enc_tensors, graph.dec_tensors), []
+        return fit([enc, dec], steps, 1e-3, step)
+
+    @pytest.mark.parametrize("planted, op", [
+        (lambda vocab, enc, dec: (enc.fwd.w_rec, (0, 0)), "lstm_scan"),
+        (lambda vocab, enc, dec: (dec.w_out, (0, 0)), "matmul"),
+        (lambda vocab, enc, dec: (enc.embeddings, (vocab.encode(["w4"])[0], 1)), "gather"),
+    ], ids=["w_rec", "w_out", "embedding_row"])
+    def test_nan_planted_mid_training_fails_that_step(self, small_setup, planted, op):
+        vocab, enc, dec = small_setup
+        array, index = planted(vocab, enc, dec)
+
+        def plant():
+            array[index] = np.nan
+        with pytest.raises(ad.NonFiniteError, match=rf"^step 2: .*op '{op}'"):
+            self._fit(vocab, enc, dec, plant)
+
+    def test_nan_before_training_is_named_before_step_0(self, small_setup):
+        vocab, enc, dec = small_setup
+        dec.cell.w_rec[1, 2] = np.inf
+        with pytest.raises(ad.NonFiniteError, match=r"parameter 'dec\.cell\.w_rec' before step 0"):
+            self._fit(vocab, enc, dec, lambda: None)
 
 
 class TestSeq2SeqLoss:
