@@ -18,7 +18,8 @@ Conventions:
     checked one by one, a non-finite one surfaces in its outputs or gradients.
     A `ParamSet`'s parameter leaves are the exception: `optim.fit` checks the
     parameters once before its first step, and a non-finite one surfaces in
-    the first op output that reads it;
+    the first op output that reads it; their gradients are checked by the
+    global-norm clip of the `fit` step that made them;
   * tensors are immutable values once created — build a fresh graph per
     training step and call ``backward`` once per graph.
 """
@@ -48,7 +49,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, op="leaf", parents=(), backward=None):
         data = np.asarray(data)  # float32 stays float32; any other dtype becomes float64
         self.data = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NonFiniteError(f"non-finite values in tensor produced by op '{op}'")
         self.op = op
         self.parents = parents
@@ -119,12 +120,14 @@ class Params:
 
 
 def _parameter(array, trainable):
-    """A leaf over a parameter array, without the NaN/Inf scan of `leaf` and
-    `constant`: `optim.fit` checks its parameters once before step 0, and every
-    op output that reads a parameter is still checked."""
+    """A leaf over a parameter array, op "parameter", without the NaN/Inf scans
+    of `leaf` and `constant`: `optim.fit` checks its parameters once before
+    step 0 and every op output that reads a parameter is still checked, and
+    `fit`'s global-norm clip rejects a non-finite gradient, so `backward`
+    does not scan it either."""
     t = object.__new__(Tensor)
     t.data, t.op, t.parents, t.requires_grad, t.grad, t._backward = (
-        array, "leaf", (), trainable, None, None)
+        array, "parameter", (), trainable, None, None)
     return t
 
 
@@ -186,7 +189,8 @@ def topo_order(root):
 def backward(loss):
     """Populate .grad for every grad-requiring node reachable from `loss`.
 
-    `loss` must be scalar. Call once per graph.
+    `loss` must be scalar. Call once per graph. The gradient of every `leaf`
+    is checked for NaN/Inf; a `ParamSet` parameter's is left to `optim.fit`.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -196,7 +200,7 @@ def backward(loss):
         if node.grad is not None and node._backward is not None:
             node._backward(node.grad)
     for node in order:
-        if node._backward is None and node.grad is not None and not np.all(np.isfinite(node.grad)):
+        if node.op == "leaf" and node.grad is not None and not np.isfinite(node.grad).all():
             raise NonFiniteError(f"non-finite gradient for a leaf of shape {node.data.shape}")
     return loss
 
@@ -282,7 +286,12 @@ def concat(tensors, axis=-1):
 
 
 def gather_rows(table, ids):
-    """Rows `ids` of a 2-D table; gradient scatter-adds into the table."""
+    """Rows `ids` of a 2-D table; gradient scatter-adds into the table.
+
+    The scatter is one 1-D `np.add.at` over the flat element indices
+    id·width + column, in row-major order: each element receives the same
+    additions in the same order as a 2-D `np.add.at` over the rows makes
+    them, so the bits agree, at well under half its cost."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError(f"row index out of range for table with {table.data.shape[0]} rows")
@@ -290,7 +299,9 @@ def gather_rows(table, ids):
     def bwd(g):
         if table.requires_grad:
             full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
+            width = full.shape[1]
+            np.add.at(full.reshape(-1), (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1),
+                      g.reshape(-1))
             _accum(table, full)
     return Tensor(table.data[ids], op="gather", parents=(table,), backward=bwd)
 
@@ -402,25 +413,27 @@ def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=Fa
     if context is not None:
         steps_ctx = np.broadcast_to(context, (t_max,) + context.shape)
         x = np.concatenate([x.reshape(t_max, b, -1), steps_ctx], axis=2).reshape(t_max * b, -1)
-    # σ(z) = ½ + ½·tanh(z/2). Before the loop the bias joins the input gates, and
-    # the i, f and o columns of those and of a copy of w_rec are halved (exactly:
-    # a power of two); a step is then one tanh over all 4H columns and the affine
-    # map act·half + shift, ½·t + ½ on i, f and o and t itself on g
+    # σ(z) = ½ + ½·tanh(z/2). The i, f and o columns of copies of w_in, w_rec and
+    # the bias are halved (exactly: a power of two, so each product and sum is
+    # the halved one), and the bias joins the input gates before they are
+    # copied into loop order (an add into the strided loop-order slice is
+    # slower than the add and the copy); a step is then one tanh over all 4H
+    # columns and the affine map act·half + shift, ½·t + ½ on i, f and o and t
+    # itself on g
     dtype = np.result_type(x, w_in)
     half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hid)
+    w_in_half, w_rec_half, bias_half = w_in * half, w_rec * half, bias * half
     gates = np.empty((t_max * b, 4 * hid), dtype=dtype)
     gates_in = np.empty((t_max, k, b, 4 * hid), dtype=dtype)
     dead = np.empty((t_max, k, b, hid), dtype=bool)
     dead_steps = ~(mask.T > 0)[:, :, None]
     for j, rev in enumerate(reverse):
         loop_order = slice(None, None, -1 if rev else 1)
-        np.matmul(x, w_in[j], out=gates)
-        gates += bias[j]
-        gates *= half
+        np.matmul(x, w_in_half[j], out=gates)
+        gates += bias_half[j]
         gates_in[:, j] = gates.reshape(t_max, b, 4 * hid)[loop_order]
         dead[:, j] = dead_steps[loop_order]
     del gates  # peak memory: freed before the loop's buffers are made
-    w_rec_half = w_rec * half
     half = np.repeat(half[None], k * b, axis=0).reshape(k, b, 4 * hid)
     shift = 1.0 - half
     partial = dead.any(axis=(1, 2, 3)).tolist()
@@ -564,20 +577,27 @@ def _live_steps(states, mask):
     return np.where(mask.T[:, :, None] > 0, states.reshape(t_max, b, -1), MASK_FILL)
 
 
+def _pooled(filled, first=None):
+    """Max over axis 0 of masked (T, B, H) steps: each entry is the value at the
+    earliest step holding the maximum, `first` (argmax, taken here if None).
+    A max reduction gives those values except for a zero maximum, where -0.0
+    and 0.0 tie; only then is the earliest step looked up."""
+    pooled = filled.max(axis=0)
+    if pooled.all():
+        return pooled
+    first = filled.argmax(axis=0)[None] if first is None else first
+    return np.take_along_axis(filled, first, axis=0)[0]
+
+
 def maxpool_forward(states, mask):
     """Max over each row's live timesteps of time-major (T*B, H) states -> (B, H).
 
     Each entry is the value at the earliest timestep holding the maximum, the
-    step `masked_maxpool` sends its gradient to. A max reduction gives those
-    values except for a zero maximum, where -0.0 and 0.0 tie; only then is
-    the earliest step looked up, since an argmax over the time axis is
-    several times slower than the max.
+    step `masked_maxpool` sends its gradient to (see `_pooled`; an argmax over
+    the time axis is several times slower than the max, so inference takes
+    one only for a zero maximum).
     """
-    filled = _live_steps(states, mask)
-    pooled = filled.max(axis=0)
-    if pooled.all():
-        return pooled
-    return np.take_along_axis(filled, filled.argmax(axis=0)[None], axis=0)[0]
+    return _pooled(_live_steps(states, mask))
 
 
 def masked_maxpool(states, mask):
@@ -592,5 +612,4 @@ def masked_maxpool(states, mask):
         full = np.zeros((mask.shape[1],) + g.shape, dtype=g.dtype)
         np.put_along_axis(full, first, g[None], axis=0)
         _accum(states, full.reshape(states.data.shape))
-    return Tensor(np.take_along_axis(filled, first, axis=0)[0], op="masked_maxpool",
-                  parents=(states,), backward=bwd)
+    return Tensor(_pooled(filled, first), op="masked_maxpool", parents=(states,), backward=bwd)

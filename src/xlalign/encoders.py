@@ -136,16 +136,17 @@ def encode_sentences(sentences, vocab, enc):
     for lo, hi in zip(bounds, bounds[1:]):
         rows = order[lo:hi]
         batch, mask, _ = pad_batch([ids[i] for i in rows])
-        _check_ids(batch, enc.vocab_size)
+        _check_ids(int(batch.max()), enc.vocab_size)
         states, _ = ad.lstm_scan_forward(enc.embeddings[ad.time_major(batch)], w_in, w_rec, bias,
                                          mask, DIRECTIONS)
         out[rows] = ad.maxpool_forward(states, mask)
     return out
 
 
-def _check_ids(ids, vocab_size):
-    if ids.size and ids.max() >= vocab_size:
-        raise ValueError(f"token id {int(ids.max())} out of range for vocabulary of {vocab_size}")
+def _check_ids(top, vocab_size):
+    """`top`, the largest token id of a batch, must index the embedding table."""
+    if top >= vocab_size:
+        raise ValueError(f"token id {top} out of range for vocabulary of {vocab_size}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ deterministic functions of (seed, data, schedule).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -113,10 +114,47 @@ def decode_ce_sum(sent_emb, dec_tensors, dec_in, targets, mask):
     return ad.softmax_cross_entropy_sum(logits, ad.time_major(targets), ad.time_major(mask))
 
 
-def _encode_for(enc_tensors, enc, vocab, sentences):
-    ids, mask, _ = pad_batch([vocab.encode(s) for s in sentences])
-    _check_ids(ids, enc.vocab_size)
-    return encode_batch(ids, mask, enc_tensors)
+class IdTable:
+    """Sentences as token ids, encoded and padded once, so that a training
+    batch only slices rows: `ids` (one list per sentence, what input noise
+    reorders), `lengths`, the PAD-padded `padded` ids and `top`, the largest
+    id. As a decoder target it also holds the sentences' teacher-forcing
+    arrays, built on first use."""
+
+    def __init__(self, sentences, vocab):
+        self.ids = [vocab.encode(s) for s in sentences]
+        self.padded, _, lengths = pad_batch(self.ids)
+        self.lengths = np.array(lengths)
+        self.top = int(self.padded.max())
+        # row n is the 0/1 mask of n live steps, one step wider than `padded`
+        steps = self.padded.shape[1] + 1
+        self._masks = (np.arange(steps) < np.arange(steps + 1)[:, None]).astype(np.float64)
+
+    def batch(self, rows, noise=None, noise_rng=None):
+        """(ids, mask) of the sentences `rows`, the arrays `pad_batch` builds for
+        them; with `noise`, of the sentences corrupted by `corrupt` with `noise_rng`."""
+        if noise is not None:
+            return pad_batch([corrupt(self.ids[i], noise, noise_rng) for i in rows])[:2]
+        n = self.lengths[rows]
+        steps = n.max()
+        return self.padded[rows, :steps], self._masks[n, :steps]
+
+    @functools.cached_property
+    def _forcing(self):
+        return teacher_forcing_arrays(self.ids)[:2]
+
+    def forcing_batch(self, rows):
+        """(dec_in, targets, mask) of the sentences `rows`, the arrays
+        `teacher_forcing_arrays` builds for them."""
+        n = self.lengths[rows]
+        steps = n.max() + 1
+        dec_in, targets = self._forcing
+        return dec_in[rows, :steps], targets[rows, :steps], self._masks[n + 1, :steps]
+
+
+def _encode_rows(table, rows, enc, enc_tensors, noise=None, noise_rng=None):
+    _check_ids(table.top, enc.vocab_size)
+    return encode_batch(*table.batch(rows, noise, noise_rng), enc_tensors)
 
 
 @dataclass
@@ -133,24 +171,27 @@ def seq2seq_loss(inputs, targets, enc, dec, src_vocab, tgt_vocab,
 
     With `denoise` set the encoder sees corrupted inputs while the loss still
     targets the clean sentences (inputs and targets are then the same batch).
+    Runs `seq2seq_batch_loss` on id tables of the one batch.
     """
     if len(inputs) != len(targets):
         raise ValueError(f"batch sides differ: {len(inputs)} inputs vs {len(targets)} targets")
-    if denoise is not None:
-        rng = noise_rng if noise_rng is not None else Xorshift64Star(denoise.seed)
-        inputs = [corrupt(s, denoise, rng) for s in inputs]
-    if any(not s for s in targets):
-        raise ValueError("cannot decode an empty target sentence")
-    tgt_ids = [tgt_vocab.encode(s) for s in targets]
-    top = max(max(s) for s in tgt_ids)
-    if top >= dec.vocab_size:
-        raise ValueError(
-            f"target vocabulary mismatch: id {top} outside decoder table of {dec.vocab_size}")
+    return seq2seq_batch_loss(IdTable(inputs, src_vocab), IdTable(targets, tgt_vocab),
+                              np.arange(len(inputs)), enc, dec, denoise, noise_rng)
 
+
+def seq2seq_batch_loss(src, tgt, rows, enc, dec, denoise=None, noise_rng=None):
+    """`seq2seq_loss` of the sentences `rows` of the id tables `src` (encoder
+    input) and `tgt` (decoder target). Corruption reorders and drops positions
+    only, so corrupting ids gives the ids of the corrupted tokens."""
+    if tgt.top >= dec.vocab_size:
+        raise ValueError(
+            f"target vocabulary mismatch: id {tgt.top} outside decoder table of {dec.vocab_size}")
+    if denoise is not None and noise_rng is None:
+        noise_rng = Xorshift64Star(denoise.seed)
     enc_tensors = ad.ParamSet(enc)
     dec_tensors = ad.ParamSet(dec)
-    sent = _encode_for(enc_tensors, enc, src_vocab, inputs)
-    dec_in, tgt_arr, mask = teacher_forcing_arrays(tgt_ids)
+    sent = _encode_rows(src, rows, enc, enc_tensors, denoise, noise_rng)
+    dec_in, tgt_arr, mask = tgt.forcing_batch(rows)
     ce = decode_ce_sum(sent, dec_tensors, dec_in, tgt_arr, mask)
     return LossGraph(ad.scale(ce, 1.0 / int(mask.sum())), enc_tensors, dec_tensors)
 
@@ -174,7 +215,8 @@ def train_joint_seq2seq(corpus, encoders, decoder, vocabs, pivot, sched, noise):
     run the denoising reconstruction objective, with `noise` (a NoiseParams);
     every other language runs translation into the pivot. The decoder
     parameter arrays are updated in place, so a single shared set persists
-    across all steps.
+    across all steps. Each language's sentences are encoded once, into an
+    `IdTable`.
     """
     order = sched.language_order or sorted(encoders)
     for lang in order:
@@ -182,16 +224,16 @@ def train_joint_seq2seq(corpus, encoders, decoder, vocabs, pivot, sched, noise):
             raise ValueError(f"no encoder for scheduled language {lang!r}")
     noise_rng = Xorshift64Star(noise.seed ^ 0x5DEECE66D)
     rng = np.random.default_rng(sched.seed)
-    pivot_sents, pivot_vocab = corpus[pivot], vocabs[pivot]
-    # per scheduled language: sentences, encoder, vocabulary, input noise, objective
-    plan = [(corpus[lang], encoders[lang], vocabs[lang], noise if lang == pivot else None,
+    tables = {lang: IdTable(corpus[lang], vocabs[lang]) for lang in dict.fromkeys([*order, pivot])}
+    # per scheduled language: id table, encoder, input noise, objective, pair
+    plan = [(tables[lang], encoders[lang], noise if lang == pivot else None,
              "sdae" if lang == pivot else "nmt", f"{lang}>{pivot}") for lang in order]
 
     def one_step(step):
-        sents, enc, vocab, denoise, objective, pair = plan[step % len(plan)]
+        table, enc, denoise, objective, pair = plan[step % len(plan)]
         idx = rng.integers(0, len(corpus), size=sched.batch_size)
-        graph = seq2seq_loss([sents[i] for i in idx], [pivot_sents[i] for i in idx], enc,
-                             decoder, vocab, pivot_vocab, denoise=denoise, noise_rng=noise_rng)
+        graph = seq2seq_batch_loss(table, tables[pivot], idx, enc, decoder,
+                                   denoise=denoise, noise_rng=noise_rng)
         # clip-norm summation order: encoder, then decoder
         return (graph.loss, (graph.enc_tensors, graph.dec_tensors),
                 [(step, objective, pair, float(graph.loss.data))])
@@ -257,12 +299,19 @@ def infersent_loss(premises, hypotheses, labels, enc_p, enc_h, head, vocab_p, vo
     batch; the two sides may use different encoders (and share one when
     enc_p is enc_h).
     """
+    return infersent_batch_loss(IdTable(premises, vocab_p), IdTable(hypotheses, vocab_h),
+                                np.arange(len(premises)), labels, enc_p, enc_h, head)
+
+
+def infersent_batch_loss(premises, hypotheses, rows, labels, enc_p, enc_h, head):
+    """`infersent_loss` of the pairs `rows` of the id tables `premises` and
+    `hypotheses`; `labels` are those rows' labels."""
     labels = np.asarray(labels, dtype=np.int64)
     enc_tensors_p = ad.ParamSet(enc_p)
     enc_tensors_h = enc_tensors_p if enc_h is enc_p else ad.ParamSet(enc_h)
     head_tensors = ad.ParamSet(head)
-    u = _encode_for(enc_tensors_p, enc_p, vocab_p, premises)
-    v = _encode_for(enc_tensors_h, enc_h, vocab_h, hypotheses)
+    u = _encode_rows(premises, rows, enc_p, enc_tensors_p)
+    v = _encode_rows(hypotheses, rows, enc_h, enc_tensors_h)
     logits = head_logits(u, v, head_tensors)
     loss = ad.scale(ad.softmax_cross_entropy_sum(logits, labels), 1.0 / len(labels))
     return InferSentLossGraph(loss, logits, enc_tensors_p, enc_tensors_h, head_tensors)
@@ -314,7 +363,8 @@ def draw_language_pair(rng, langs):
 
 def train_joint_infersent(datasets, encoders, head, vocabs, sched):
     """Premise and hypothesis languages are drawn independently and uniformly
-    per batch; a single classifier head is shared across all languages.
+    per batch; a single classifier head is shared across all languages. Each
+    language's premises and hypotheses are encoded once, into `IdTable`s.
     """
     langs = sorted(datasets)
     for lang in langs:
@@ -323,17 +373,18 @@ def train_joint_infersent(datasets, encoders, head, vocabs, sched):
     n = len(datasets[langs[0]].premises)
     rng = np.random.default_rng(sched.seed)
     draws = []
+    premises = {lang: IdTable(d.premises, vocabs[lang]) for lang, d in datasets.items()}
+    hypotheses = {lang: IdTable(d.hypotheses, vocabs[lang]) for lang, d in datasets.items()}
+    labels = {lang: np.array(d.labels) for lang, d in datasets.items()}
 
     def one_step(step):
         p_lang, h_lang = draw_language_pair(rng, langs)
         draws.append((p_lang, h_lang))
         idx = rng.integers(0, n, size=sched.batch_size)
-        labels = np.array([datasets[p_lang].labels[i] for i in idx])
-        graph = infersent_loss([datasets[p_lang].premises[i] for i in idx],
-                               [datasets[h_lang].hypotheses[i] for i in idx],
-                               labels, encoders[p_lang], encoders[h_lang], head,
-                               vocabs[p_lang], vocabs[h_lang])
-        acc = float((graph.logits.data.argmax(axis=1) == labels).mean())
+        batch_labels = labels[p_lang][idx]
+        graph = infersent_batch_loss(premises[p_lang], hypotheses[h_lang], idx, batch_labels,
+                                     encoders[p_lang], encoders[h_lang], head)
+        acc = float((graph.logits.data.argmax(axis=1) == batch_labels).mean())
         pair = f"{p_lang}|{h_lang}"
         # clip-norm summation order: head, premise, hypothesis; one ParamSet
         # serves both sides when p_lang == h_lang
@@ -362,10 +413,17 @@ def transfer_l1_loss(sentences, target_embeddings, enc, vocab):
     """Mean (per pair) L1 distance between the encoder's embeddings of the
     sentences and fixed target embeddings. Returns (loss, encoder ParamSet).
     """
+    return transfer_batch_loss(IdTable(sentences, vocab), np.arange(len(sentences)),
+                               target_embeddings, enc)
+
+
+def transfer_batch_loss(table, rows, target_embeddings, enc):
+    """`transfer_l1_loss` of the sentences `rows` of the id table `table`;
+    `target_embeddings` are those rows' targets."""
     enc_tensors = ad.ParamSet(enc)
-    emb = _encode_for(enc_tensors, enc, vocab, sentences)
+    emb = _encode_rows(table, rows, enc, enc_tensors)
     diff = ad.absolute(ad.sub(emb, ad.constant(target_embeddings)))
-    return ad.scale(ad.tsum(diff), 1.0 / len(sentences)), enc_tensors
+    return ad.scale(ad.tsum(diff), 1.0 / len(rows)), enc_tensors
 
 
 @dataclass
@@ -386,13 +444,12 @@ def train_transfer(corpus, pivot_enc, new_enc, new_vocab, pivot_vocab, sched):
             f"embedding dimension mismatch: pivot {pivot_enc.output_dim} vs new {new_enc.output_dim}")
     targets = encode_sentences(corpus[pivot_enc.lang], pivot_vocab, pivot_enc)
     rng = np.random.default_rng(sched.seed)
-    new_sents = corpus[new_enc.lang]
+    table = IdTable(corpus[new_enc.lang], new_vocab)
     pair = f"{new_enc.lang}>{pivot_enc.lang}"
 
     def one_step(step):
-        idx = rng.integers(0, len(new_sents), size=sched.batch_size)
-        loss, enc_tensors = transfer_l1_loss([new_sents[i] for i in idx], targets[idx],
-                                             new_enc, new_vocab)
+        idx = rng.integers(0, len(corpus), size=sched.batch_size)
+        loss, enc_tensors = transfer_batch_loss(table, idx, targets[idx], new_enc)
         return loss, (enc_tensors,), [(step, "transfer_l1", pair, float(loss.data))]
 
     trace = fit([new_enc], sched.steps, sched.lr, one_step)

@@ -80,7 +80,7 @@ def fit(parts, steps, lr, step):
     opt = Adam(lr)
     params = optimizer_params(*parts)
     for name, p in params.items():
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ad.NonFiniteError(f"non-finite values in parameter {name!r} before step 0")
     trace = []
     for i in range(steps):

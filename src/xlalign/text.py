@@ -47,7 +47,8 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK)
 
     def encode(self, tokens):
-        return [self.id_of(t) for t in tokens]
+        get = self.token_to_id.get  # one lookup per token, as `id_of` makes it
+        return [get(t, UNK) for t in tokens]
 
     def probability(self, token):
         """Unigram probability p(w); OOV tokens share the pooled UNK mass."""

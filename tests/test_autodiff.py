@@ -384,6 +384,39 @@ class TestLstmStep:
             ad.lstm_scan(z(np.zeros((2, 3))), [cell, cell], np.ones((1, 2)), (False,))
 
 
+class TestGatherScatter:
+    """`gather_rows`' backward scatter-adds as one flat `np.add.at` over
+    id·width + column; it must give the bytes of a 2-D `np.add.at` over rows."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_flat_scatter_equals_two_d_add_at_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            vocab, width, n = (int(rng.integers(1, hi)) for hi in (12, 9, 48))
+            ids = rng.integers(0, vocab, size=n)  # repeated ids
+            ids[rng.random(n) < 0.3] = 0  # the padding id, read by every padded step
+            g = rng.normal(size=(n, width)).astype(dtype)
+            g[rng.random(g.shape) < 0.15] = 0.0
+            g[rng.random(g.shape) < 0.15] = -0.0
+            g[ids == 0] *= rng.random() < 0.5  # PAD rows of only zeros or of values
+            table = ad.leaf(rng.normal(size=(vocab, width)).astype(dtype))
+            rows = ad.gather_rows(table, ids)
+            ad.backward(ad.tsum(ad.mul(rows, ad.constant(g))))  # upstream gradient g
+            want = np.zeros((vocab, width), dtype=dtype)
+            np.add.at(want, ids, g)
+            assert table.grad.dtype == want.dtype
+            assert table.grad.tobytes() == want.tobytes()
+
+    def test_signed_zeros_scatter_as_two_d_add_at(self):
+        ids = np.array([1, 1, 0, 2])
+        g = np.array([[-0.0, 0.0], [-0.0, -0.0], [-0.0, 1.0], [0.0, -0.0]])
+        table = ad.leaf(np.ones((3, 2)))
+        ad.backward(ad.tsum(ad.mul(ad.gather_rows(table, ids), ad.constant(g))))
+        want = np.zeros((3, 2))
+        np.add.at(want, ids, g)
+        assert table.grad.tobytes() == want.tobytes()
+
+
 class TestMaskedMaxpool:
     def test_ties_go_to_earliest_timestep(self):
         # row 0 ties at steps 0 and 2; row 1's largest value sits on a padded step
@@ -399,6 +432,22 @@ class TestMaskedMaxpool:
         states = np.array([[-0.0], [0.0], [0.0], [-0.0], [-1.0], [-2.0]])
         pooled = ad.maxpool_forward(states, np.ones((2, 3)))
         np.testing.assert_array_equal(np.signbit(pooled[:, 0]), [True, False])
+
+    def test_training_pool_signed_zero_comes_from_the_earliest_step(self):
+        states = ad.leaf(np.array([[-0.0], [0.0], [0.0], [-0.0], [-1.0], [-2.0]]))
+        pooled = ad.masked_maxpool(states, np.ones((2, 3)))
+        np.testing.assert_array_equal(np.signbit(pooled.data[:, 0]), [True, False])
+        ad.backward(ad.tsum(pooled))
+        np.testing.assert_array_equal(states.grad, [[1.0], [1.0], [0.0], [0.0], [0.0], [0.0]])
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.3], ids=["no_zeros", "zeros"])
+    def test_training_pool_equals_inference_pool_bit_for_bit(self, rng, zeros):
+        mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)
+        states = rng.normal(size=(4 * 3, 5)).astype(np.float32)
+        states[rng.random(states.shape) < zeros / 2] = 0.0
+        states[rng.random(states.shape) < zeros / 2] = -0.0
+        pooled = ad.masked_maxpool(ad.constant(states), mask).data
+        assert pooled.tobytes() == ad.maxpool_forward(states, mask).tobytes()
 
     def test_forward_matches_numpy_max_over_live_steps(self, rng):
         mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)

@@ -339,6 +339,26 @@ class TestCurve:
         assert len(points) == 3 * 2
         assert all(p.accuracy == 1.0 for p in points)
 
+    def test_one_model_for_every_split_is_scored_once(self):
+        # joint_infersent and word_dict_map build one model for all splits: its
+        # held-out rows are embedded once and every split repeats its rows
+        exp, _ = toy_experiment(12, [2, 5, 9])
+        embed = exp.build(2)[0]["de"]
+        calls = []
+
+        def counting(sentences):
+            calls.append(len(sentences))
+            return embed(sentences)
+        built = {"de": counting, "en": counting}, {}
+        exp._build_split = lambda split: built
+        points, (_, heldout, reports) = evaluate_splits(exp)
+        assert calls == [4, 4]
+        exp._build_split = lambda split: (dict(built[0]), {})  # a fresh model per split
+        again, (_, heldout_again, reports_again) = evaluate_splits(exp)
+        assert len(calls) == 2 + 3 * 2
+        assert points == again and reports == reports_again
+        assert all(np.array_equal(heldout[lang], heldout_again[lang]) for lang in heldout)
+
     def test_csv_format(self, tmp_path):
         points, _ = evaluate_splits(toy_experiment(12, [2, 5])[0])
         path = tmp_path / "curve.csv"

@@ -8,11 +8,13 @@ from xlalign import objectives
 from xlalign.cipher import gen_cipher_corpus
 from xlalign.encoders import LSTMParams, encode_sentences, new_encoder
 from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule, decode_ce_sum,
-                                infersent_classify, new_decoder, new_head,
+                                infersent_classify, infersent_loss, new_decoder, new_head,
                                 pair_features, seq2seq_loss, train_joint_infersent,
-                                train_joint_seq2seq, train_transfer, write_trace)
-from xlalign.optim import fit
-from xlalign.text import BOS, EOS, PAD, NoiseParams, ParallelCorpus, build_vocab
+                                train_joint_seq2seq, train_transfer, transfer_l1_loss,
+                                write_trace)
+from xlalign.optim import fit, optimizer_params
+from xlalign.rand import Xorshift64Star
+from xlalign.text import BOS, EOS, PAD, NoiseParams, ParallelCorpus, build_vocab, corrupt
 
 from conftest import (as_float64, encode_reference, lstm_step_reference,
                       max_relative_error)
@@ -105,6 +107,42 @@ class TestNonFiniteParameters:
         dec.cell.w_rec[1, 2] = np.inf
         with pytest.raises(ad.NonFiniteError, match=r"parameter 'dec\.cell\.w_rec' before step 0"):
             self._fit(vocab, enc, dec, lambda: None)
+
+
+class TestGradientChecks:
+    """`backward` leaves a `ParamSet` parameter's gradient unscanned; under
+    `fit`, the global-norm clip of the same step rejects a non-finite one."""
+
+    @staticmethod
+    def _nan_into(tensor):
+        """A scalar loss node whose backward sends NaN to `tensor` (finite values only)."""
+        def bwd(g):
+            ad._accum(tensor, np.full(tensor.data.shape, np.nan, dtype=tensor.data.dtype))
+        return ad.Tensor(np.zeros((), dtype=tensor.data.dtype), op="plant", parents=(tensor,),
+                         backward=bwd)
+
+    def test_nan_parameter_gradient_under_fit_names_the_step(self, small_setup):
+        vocab, enc, dec = small_setup
+
+        def step(i):
+            graph = seq2seq_loss([["w1", "w2"]], [["w3"]], enc, dec, vocab, vocab)
+            if i < 1:
+                return graph.loss, (graph.enc_tensors, graph.dec_tensors), []
+            loss = ad.add(graph.loss, self._nan_into(graph.dec_tensors["w_out"]))
+            return loss, (graph.enc_tensors, graph.dec_tensors), []
+        with pytest.raises(ad.NonFiniteError, match=r"^step 1: non-finite global gradient norm"):
+            fit([enc, dec], 3, 1e-3, step)
+
+    def test_backward_leaves_parameter_gradients_to_fit(self, small_setup):
+        _, _, dec = small_setup
+        tensors = ad.ParamSet(dec)
+        ad.backward(self._nan_into(tensors["w_out"]))
+        assert np.isnan(tensors["w_out"].grad).all()
+
+    def test_backward_rejects_a_nan_gradient_on_a_leaf(self, small_setup):
+        _, _, dec = small_setup
+        with pytest.raises(ad.NonFiniteError, match="non-finite gradient for a leaf"):
+            ad.backward(self._nan_into(ad.leaf(dec.w_out)))
 
 
 class TestSeq2SeqLoss:
@@ -274,27 +312,59 @@ class TestJointSeq2Seq:
                 for i, lang in enumerate(corpus.langs)}
         dec = new_decoder(len(vocabs["la"]), 8, 16, 8, "la", seed=23)
         calls = []
-        real = objectives.seq2seq_loss
+        real = objectives.seq2seq_batch_loss
 
-        def spy(inputs, targets, enc, *args, **kwargs):
-            calls.append((enc.lang, inputs, targets))
-            return real(inputs, targets, enc, *args, **kwargs)
-        monkeypatch.setattr(objectives, "seq2seq_loss", spy)
+        def spy(src, tgt, rows, enc, *args, **kwargs):  # the id tables' sentences, as token ids
+            calls.append((enc.lang, [src.ids[i] for i in rows], [tgt.ids[i] for i in rows]))
+            return real(src, tgt, rows, enc, *args, **kwargs)
+        monkeypatch.setattr(objectives, "seq2seq_batch_loss", spy)
         train_joint_seq2seq(corpus, encs, dec, vocabs, "la",
                             TrainSchedule(4, 6, 1e-3, ["la", "lb", "lc"], seed=1),
                             NoiseParams(seed=1))
         assert [lang for lang, _, _ in calls] == ["la", "lb", "lc"] * 2
         # every batch row is one corpus row: the language's sentence, then the pivot's
-        rows = {lang: set(zip(map(tuple, corpus[lang]), map(tuple, corpus["la"])))
-                for lang in corpus.langs}
+        ids = {lang: [tuple(vocabs[lang].encode(s)) for s in corpus[lang]] for lang in corpus.langs}
+        rows = {lang: set(zip(ids[lang], ids["la"])) for lang in corpus.langs}
         for lang, inputs, targets in calls:
             assert set(zip(map(tuple, inputs), map(tuple, targets))) <= rows[lang], lang
+
+    def test_trace_and_parameters_equal_stepping_the_token_level_loss(self):
+        # the loop slices id tables built once; the reference re-encodes every
+        # batch from tokens and corrupts the pivot's tokens, not its ids
+        split, va, vb = self._corpus(n=60)
+        vocabs = {"la": va, "lb": vb}
+        sched, noise = TrainSchedule(5, 8, 1e-2, ["la", "lb"], seed=3), NoiseParams(0.2, 0.3, 4)
+        encs, dec = self._models(va, vb)
+        trace = train_joint_seq2seq(split, encs, dec, vocabs, "la", sched, noise).trace
+        ref_encs, ref_dec = self._models(va, vb)
+        noise_rng = Xorshift64Star(noise.seed ^ 0x5DEECE66D)
+        rng = np.random.default_rng(sched.seed)
+
+        def step(i):
+            lang = sched.language_order[i % 2]
+            idx = rng.integers(0, len(split), size=sched.batch_size)
+            inputs = [split[lang][j] for j in idx]
+            if lang == "la":
+                inputs = [corrupt(s, noise, noise_rng) for s in inputs]
+            graph = seq2seq_loss(inputs, [split["la"][j] for j in idx], ref_encs[lang], ref_dec,
+                                 vocabs[lang], va)
+            return (graph.loss, (graph.enc_tensors, graph.dec_tensors),
+                    [(i, "sdae" if lang == "la" else "nmt", f"{lang}>la", float(graph.loss.data))])
+        assert trace == fit([ref_dec, *ref_encs.values()], sched.steps, sched.lr, step)
+        assert_same_bytes(optimizer_params(dec, *encs.values()),
+                          optimizer_params(ref_dec, *ref_encs.values()))
 
     def test_trace_csv_format(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace(path, [(0, "sdae", "la>la", 3.5)])
         assert path.read_text().splitlines() == ["step,objective,language_pair,value",
                                                  "0,sdae,la>la,3.5"]
+
+
+def assert_same_bytes(params, ref):
+    assert params.keys() == ref.keys()
+    for name, array in params.items():
+        assert array.dtype == ref[name].dtype and array.tobytes() == ref[name].tobytes(), name
 
 
 def _fresh(va, vb, dh=8):
@@ -381,6 +451,32 @@ class TestJointInferSent:
         losses = [v for _, o, _, v in res.trace if o == "infersent_loss"]
         assert np.mean(losses[-10:]) < 0.8 * np.mean(losses[:10])
 
+    def test_trace_and_parameters_equal_stepping_the_token_level_loss(self):
+        datasets, encs, vocabs = self._datasets()
+        head = new_head(16, hidden=8, seed=1)
+        sched = TrainSchedule(4, 8, 1e-2, [], seed=5)
+        trace = train_joint_infersent(datasets, encs, head, vocabs, sched).trace
+        _, ref_encs, _ = self._datasets()
+        ref_head = new_head(16, hidden=8, seed=1)
+        rng = np.random.default_rng(sched.seed)
+        langs = sorted(datasets)
+
+        def step(i):
+            p, h = objectives.draw_language_pair(rng, langs)
+            idx = rng.integers(0, len(datasets[p].premises), size=sched.batch_size)
+            labels = np.array([datasets[p].labels[j] for j in idx])
+            graph = infersent_loss([datasets[p].premises[j] for j in idx],
+                                   [datasets[h].hypotheses[j] for j in idx], labels,
+                                   ref_encs[p], ref_encs[h], ref_head, vocabs[p], vocabs[h])
+            acc = float((graph.logits.data.argmax(axis=1) == labels).mean())
+            return (graph.loss, (graph.head_tensors, graph.premise_tensors,
+                                 graph.hypothesis_tensors),
+                    [(i, "infersent_loss", f"{p}|{h}", float(graph.loss.data)),
+                     (i, "infersent_acc", f"{p}|{h}", acc)])
+        assert trace == fit([ref_head, *ref_encs.values()], sched.steps, sched.lr, step)
+        assert_same_bytes(optimizer_params(head, *encs.values()),
+                          optimizer_params(ref_head, *ref_encs.values()))
+
     def test_deterministic_trace(self):
         traces = []
         for _ in range(2):
@@ -418,6 +514,25 @@ class TestTransfer:
         train_transfer(corpus, pivot, new, vb, va, TrainSchedule(4, 20, 1e-2, [], seed=3))
         for name, arr in pivot.named_arrays().items():
             assert np.array_equal(arr, before[name]), name
+
+    def test_trace_and_parameters_equal_stepping_the_token_level_loss(self):
+        corpus = self._pair_corpus(n=50)
+        va = build_vocab(corpus["la"], 1)
+        vb = build_vocab(corpus["lb"], 1)
+        pivot = new_encoder(len(va), 6, 5, "la", seed=2)
+        sched = TrainSchedule(4, 8, 1e-2, [], seed=3)
+        new = new_encoder(len(vb), 6, 5, "lb", seed=4)
+        trace = train_transfer(corpus, pivot, new, vb, va, sched).trace
+        ref = new_encoder(len(vb), 6, 5, "lb", seed=4)
+        targets = encode_sentences(corpus["la"], va, pivot)
+        rng = np.random.default_rng(sched.seed)
+
+        def step(i):
+            idx = rng.integers(0, len(corpus), size=sched.batch_size)
+            loss, tensors = transfer_l1_loss([corpus["lb"][j] for j in idx], targets[idx], ref, vb)
+            return loss, (tensors,), [(i, "transfer_l1", "lb>la", float(loss.data))]
+        assert trace == fit([ref], sched.steps, sched.lr, step)
+        assert_same_bytes(optimizer_params(new), optimizer_params(ref))
 
     def test_new_encoder_actually_moves(self):
         corpus = self._pair_corpus()

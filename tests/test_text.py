@@ -73,8 +73,30 @@ class TestVocab:
         v = build_vocab([["x", "y"]], min_count=1)
         assert [v.id_to_token[i] for i in v.encode(["x", "zzz"])] == ["x", "<unk>"]
 
+    def test_encode_is_id_of_per_token(self):
+        rng = Xorshift64Star(9)
+        words = [f"t{i}" for i in range(30)] + ["<pad>", "<unk>", "<eos>"]
+        sentences = [[words[rng.randint(len(words))] for _ in range(rng.randint(9))]
+                     for _ in range(300)]
+        v = build_vocab(sentences[:100], min_count=2)  # rare and unseen words are UNK
+        for s in sentences:
+            assert v.encode(s) == [v.id_of(t) for t in s]
+
 
 class TestCorrupt:
+    def test_corrupting_ids_gives_the_ids_of_the_corrupted_tokens(self):
+        # the training loops corrupt id lists; corruption only moves and drops
+        # positions, so it commutes with encoding
+        draw = Xorshift64Star(3)
+        words = [f"t{i}" for i in range(12)]
+        sentences = [[words[draw.randint(12)] for _ in range(1 + draw.randint(9))]
+                     for _ in range(200)]
+        v = build_vocab(sentences, min_count=2)
+        noise = NoiseParams(0.3, 0.4, seed=5)
+        on_tokens, on_ids = Xorshift64Star(17), Xorshift64Star(17)
+        for s in sentences:
+            assert v.encode(corrupt(s, noise, on_tokens)) == corrupt(v.encode(s), noise, on_ids)
+
     def test_zero_noise_is_identity(self):
         s = ["a", "b", "c", "d"]
         assert corrupt(s, NoiseParams(0.0, 0.0, seed=1)) == s
