@@ -7,13 +7,11 @@ classification trains a small MLP on mean sentence embeddings in one language
 and tests it in another.
 """
 
-import numpy as np
-
+from xlalign import autodiff as ad
 from xlalign.cipher import gen_cipher_corpus, gen_cldc_docs, nli_label
 from xlalign.encoders import encode_sentences, new_encoder
 from xlalign.evaluation import N_CLDC_CLASSES, cldc_train_eval
-from xlalign.objectives import (TrainSchedule, infersent_accuracy,
-                                infersent_classify, new_head,
+from xlalign.objectives import (TrainSchedule, head_logits, infersent_accuracy, new_head,
                                 train_joint_infersent)
 from xlalign.text import build_vocab
 
@@ -43,9 +41,11 @@ for p_lang in sorted(cc.nli):
         acc = infersent_accuracy(cc.nli, encoders, head, vocabs, p_lang, h_lang)
         print(f"  accuracy premise={p_lang} hypothesis={h_lang}: {acc:.3f}")
 
-# Single-pair classification with the shared head:
+# Single-pair classification with the shared head: the class of the largest logit.
 u, v = encode_sentences([data.premises[0], data.hypotheses[0]], vocabs["la"], encoders["la"])
-print("probability triple:", np.round(infersent_classify(u, v, head), 3))
+logits = head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head, trainable=False))
+print("logits:", logits.data.round(3), "-> class",
+      ["entail", "contra", "neutral"][int(logits.data.argmax())])
 
 # --- cross-lingual document classification --------------------------------------
 # Topic-banded documents in both languages; train on one side, test on the

@@ -345,14 +345,6 @@ def softmax_cross_entropy_sum(logits, targets, weights=None):
     return Tensor((nll * w).sum(), op="ce", parents=(logits,), backward=bwd)
 
 
-def softmax_rows(logits):
-    """Row-wise softmax as a plain array (no graph node)."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # fused sequence kernels
 # ---------------------------------------------------------------------------

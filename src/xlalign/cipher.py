@@ -13,14 +13,16 @@ the premise -> contradiction (1), partial overlap -> neutral (2).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import os
 from dataclasses import dataclass
 
+from .config import ConfigError
 from .evaluation import N_CLDC_CLASSES
 from .objectives import NLIDataset
 from .rand import Xorshift64Star
-from .text import ParallelCorpus
+from .text import ParallelCorpus, tokenize
 
 ENTAILMENT, CONTRADICTION, NEUTRAL = 0, 1, 2
 
@@ -28,7 +30,7 @@ ENTAILMENT, CONTRADICTION, NEUTRAL = 0, 1, 2
 @dataclass
 class CipherCorpus:
     corpus: ParallelCorpus      # language order: ciphered ("lb"), then base ("la")
-    cipher: dict                # base token -> ciphered token
+    cipher: dict | None         # base token -> ciphered token; None when not read
     nli: dict | None            # lang -> NLIDataset, when requested
 
 
@@ -187,3 +189,61 @@ def write_corpus_files(out_dir, cc):
             emit(f"nli.{lang}.hypotheses.txt", (" ".join(h) for h in data.hypotheses))
         emit("nli.labels.txt", (str(l) for l in cc.nli[base_lang].labels))
     return paths
+
+
+def read_corpus_files(corpus_dir, langs, nli=False, dictionary=False):
+    """The inverse of `write_corpus_files`: the `CipherCorpus` of the files in
+    `corpus_dir`, its languages in `langs` order (the other language, then
+    the pivot).
+
+    Row i holds line i of each `<lang>.txt`; a row with an empty line is
+    skipped. The dictionary `dict.<pivot>-<other>.txt` is read only with
+    `dictionary`, the NLI files only with `nli`. A missing file raises
+    `FileNotFoundError`, a malformed one a `ConfigError` naming it.
+    """
+    other, pivot = langs
+    path = functools.partial(os.path.join, corpus_dir)
+    rows = _read_rows([path(f"{lang}.txt") for lang in langs])
+    cipher = _read_pairs(path(f"dict.{pivot}-{other}.txt")) if dictionary else None
+    return CipherCorpus(ParallelCorpus(rows, *langs), cipher,
+                        _read_nli(path, langs) if nli else None)
+
+
+def _read_lines(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _read_rows(paths):
+    """The rows of the line-aligned files `paths`, each line tokenized; rows
+    where any line tokenizes to nothing are skipped."""
+    texts = [_read_lines(p) for p in paths]
+    if len(set(map(len, texts))) > 1:
+        raise ConfigError("line counts differ: " + ", ".join(
+            f"{p} has {len(t)}" for p, t in zip(paths, texts)))
+    return [row for row in zip(*(map(tokenize, t) for t in texts)) if all(row)]
+
+
+def _read_pairs(path):
+    """{first word: second word} of a dictionary file of `<word> <word>` lines."""
+    rows = [row[0] for row in _read_rows([path])]
+    for words in rows:
+        if len(words) != 2:
+            raise ConfigError(f"{path}: expected two words a line, got {' '.join(words)!r}")
+    return dict(rows)
+
+
+def _read_nli(path, langs):
+    """{lang: NLIDataset} from `nli.<lang>.{premises,hypotheses}.txt` and the
+    shared `nli.labels.txt`, all line-aligned."""
+    rows = _read_rows([path(f"nli.{lang}.{part}.txt") for lang in langs
+                       for part in ("premises", "hypotheses")] + [path("nli.labels.txt")])
+    try:
+        labels = [int("".join(row[-1])) for row in rows]
+        return {lang: NLIDataset([row[2 * i] for row in rows], [row[2 * i + 1] for row in rows],
+                                 labels) for i, lang in enumerate(langs)}
+    except ValueError as exc:
+        raise ConfigError(f"{path('nli.labels.txt')}: {exc}") from exc

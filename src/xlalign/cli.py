@@ -39,7 +39,8 @@ def _at_least(flag, value, low):
 
 
 def _final_embedders(cfg):
-    data = materialize(cfg)
+    # with the word dictionary, through which eval-cldc draws its documents
+    data = materialize(cfg, dictionary=True)
     exp = Experiment(cfg, data)
     embedders, _ = exp.build(cfg.splits[-1])
     return data, exp, embedders
@@ -124,10 +125,8 @@ def cmd_eval_cldc(args):
     # each class needs a document in the training half
     _at_least("--docs", args.docs, 2 * N_CLDC_CLASSES)
     cfg = _load_cfg(args)
-    if cfg.corpus != "cipher":
-        raise ConfigError("eval-cldc needs the synthetic corpus (corpus=cipher)")
     data, exp, embedders = _final_embedders(cfg)
-    docs = gen_cldc_docs(data.cipher, args.docs, seed=cfg.seed + 40)
+    docs = gen_cldc_docs(data.source, args.docs, seed=cfg.seed + 40)
     split = args.docs // 2
     embedders = {lang: batched_embedder(embed, docs[lang]) for lang, embed in embedders.items()}
     # train on the pool language, test on the query language

@@ -19,12 +19,7 @@ class ExperimentConfig:
     framework: str = "transfer"
     encoder: str = "bilstm_maxpool"
     languages: tuple = ("la", "lb")  # pivot first
-    corpus: str = "cipher"           # "cipher" or "files"
-    src_path: str = ""               # non-pivot side, one sentence per line
-    tgt_path: str = ""               # pivot side
-    dict_path: str = ""              # word dictionary for the word-mapping baseline
-    embeddings_src: str = ""         # optional word2vec files to ingest
-    embeddings_tgt: str = ""
+    corpus_dir: str = ""             # corpus files; empty: generate the cipher corpus
 
     cipher_vocab: int = 50
     cipher_sentences: int = 1200
@@ -137,21 +132,14 @@ def validate_config(cfg):
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         if name in ("lr", "sif_a") and not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} must be finite and positive, got {value}")
-    if cfg.corpus not in ("cipher", "files"):
-        raise ConfigError(f"corpus {cfg.corpus!r} must be 'cipher' or 'files'")
-    if cfg.corpus == "files" and not (cfg.src_path and cfg.tgt_path):
-        raise ConfigError("corpus=files requires src_path and tgt_path")
-    if cfg.corpus == "files" and cfg.framework == "joint_infersent":
-        raise ConfigError("joint_infersent runs on the synthetic corpus (corpus=cipher)")
-    if cfg.corpus == "cipher":
-        if cfg.cipher_vocab < 10:
-            raise ConfigError(f"cipher_vocab must be at least 10, got {cfg.cipher_vocab}")
-        if cfg.cipher_min_len > cfg.cipher_max_len:
-            raise ConfigError(f"cipher_min_len {cfg.cipher_min_len} exceeds "
-                              f"cipher_max_len {cfg.cipher_max_len}")
-        if cfg.framework == "joint_infersent" and cfg.cipher_max_len >= cfg.cipher_vocab - 2:
-            raise ConfigError(f"joint_infersent needs cipher_max_len below cipher_vocab - 2 "
-                              f"for its NLI pairs, got {cfg.cipher_max_len} and {cfg.cipher_vocab}")
+    if cfg.cipher_vocab < 10:
+        raise ConfigError(f"cipher_vocab must be at least 10, got {cfg.cipher_vocab}")
+    if cfg.cipher_min_len > cfg.cipher_max_len:
+        raise ConfigError(f"cipher_min_len {cfg.cipher_min_len} exceeds "
+                          f"cipher_max_len {cfg.cipher_max_len}")
+    if cfg.framework == "joint_infersent" and cfg.cipher_max_len >= cfg.cipher_vocab - 2:
+        raise ConfigError(f"joint_infersent needs cipher_max_len below cipher_vocab - 2 "
+                          f"for its NLI pairs, got {cfg.cipher_max_len} and {cfg.cipher_vocab}")
     if not cfg.splits:
         raise ConfigError("at least one split size is required")
     if list(cfg.splits) != sorted(set(cfg.splits)):

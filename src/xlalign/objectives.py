@@ -321,19 +321,6 @@ def head_logits(u, v, head_tensors):
     return mlp_logits(pair_features(u, v), head_tensors)
 
 
-def infersent_classify(u, v, head):
-    """Probability triple over {entailment, contradiction, neutral}."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"embedding dimensions differ: {u.shape} vs {v.shape}")
-    if 4 * u.shape[-1] != head.w1.shape[0]:
-        raise ValueError(
-            f"feature dim {4 * u.shape[-1]} does not match classifier input {head.w1.shape[0]}")
-    logits = head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head, trainable=False))
-    return ad.softmax_rows(logits.data)
-
-
 @dataclass
 class NLIDataset:
     premises: list

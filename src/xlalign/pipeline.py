@@ -14,15 +14,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, parse_metadata, save_checkpoint
-from .cipher import gen_cipher_corpus, write_corpus_files
+from .cipher import CipherCorpus, gen_cipher_corpus, read_corpus_files, write_corpus_files
 from .config import ConfigError
 from .encoders import EncoderParams, encode_sentences, encode_sif_matrix, new_encoder
 from .evaluation import CurvePoint, RetrievalReport, neighbor_report, retrieval_accuracy
 from .mapping import fit_orthogonal_map, fit_word_dictionary_map, save_map
 from .objectives import (TrainSchedule, new_decoder, new_head, train_joint_infersent,
                          train_joint_seq2seq, train_transfer, write_trace)
-from .text import (NoiseParams, ParallelCorpus, build_vocab, load_dictionary,
-                   load_parallel, load_word2vec, make_splits, write_csv)
+from .text import NoiseParams, ParallelCorpus, build_vocab, load_word2vec, make_splits, write_csv
 
 SEED_PIVOT_ENC, SEED_NEW_ENC, SEED_DECODER, SEED_HEAD = 1, 2, 3, 4
 SEED_PRETRAIN, SEED_TRAIN, SEED_INFERSENT = 10, 11, 12
@@ -35,26 +34,26 @@ class ExperimentData:
     train_corpus: ParallelCorpus
     heldout: ParallelCorpus  # the corpus's last test_size rows
     vocabs: dict             # lang -> Vocabulary
-    cipher: object | None    # CipherCorpus when corpus=cipher
+    source: CipherCorpus     # the whole corpus, its word dictionary and NLI sets
     tables: dict             # lang -> word-embedding matrix for SIF / ingest
 
 
-def materialize(cfg):
-    """Generate or load the corpus, hold out the test tail, build vocabularies.
+def materialize(cfg, dictionary=False):
+    """Generate the cipher corpus, or read `cfg.corpus_dir`; hold out the
+    test tail and build vocabularies. `dictionary` asks for the word
+    dictionary, which word_dict_map always needs.
 
     Training rows that repeat a held-out row in every language are dropped,
     so no split trains on an evaluation row.
     """
     pivot, other = cfg.languages
-    cc = None
-    if cfg.corpus == "cipher":
-        nli = cfg.nli_size if cfg.framework == "joint_infersent" else 0
-        cc = gen_cipher_corpus(cfg.cipher_vocab, cfg.cipher_sentences + cfg.test_size,
-                               (cfg.cipher_min_len, cfg.cipher_max_len), cfg.seed,
-                               nli_size=nli, langs=(other, pivot))
-        corpus = cc.corpus
-    else:
-        corpus = load_parallel(cfg.src_path, cfg.tgt_path, other, pivot)
+    nli = cfg.framework == "joint_infersent"
+    dictionary = dictionary or cfg.framework == "word_dict_map"
+    cc = (read_corpus_files(cfg.corpus_dir, (other, pivot), nli, dictionary) if cfg.corpus_dir
+          else gen_cipher_corpus(cfg.cipher_vocab, cfg.cipher_sentences + cfg.test_size,
+                                 (cfg.cipher_min_len, cfg.cipher_max_len), cfg.seed,
+                                 nli_size=cfg.nli_size if nli else 0, langs=(other, pivot)))
+    corpus = cc.corpus
     if len(corpus) <= cfg.test_size:
         raise ConfigError(f"corpus of {len(corpus)} rows cannot spare {cfg.test_size} test rows")
     heldout = corpus[-cfg.test_size:]
@@ -65,28 +64,34 @@ def materialize(cfg):
         raise ConfigError(f"splits do not fit the training corpus: {exc}") from exc
 
     text = dict(train_corpus.items())
-    if cc is not None and cc.nli:
+    if cc.nli:
         text = {lang: s + cc.nli[lang].premises + cc.nli[lang].hypotheses
                 for lang, s in text.items()}
     vocabs = {lang: build_vocab(s, cfg.min_count) for lang, s in text.items()}
-    ingest = {other: (cfg.embeddings_src, SEED_TABLE_SRC),
-              pivot: (cfg.embeddings_tgt, SEED_TABLE_TGT)}
-    tables = {lang: _word_table(cfg, vocabs[lang], path, cfg.seed + offset)
-              for lang, (path, offset) in ingest.items()}
+    seeds = {other: SEED_TABLE_SRC, pivot: SEED_TABLE_TGT}
+    tables = {lang: _word_table(cfg, vocabs[lang], lang, cfg.seed + seeds[lang])
+              for lang in (other, pivot)}
     return ExperimentData(train_corpus, heldout, vocabs, cc, tables)
 
 
-def _word_table(cfg, vocab, path, seed):
+def _word_table(cfg, vocab, lang, seed):
+    """Uniform random word vectors, with the rows of the words in
+    `<corpus_dir>/<lang>.vec`, when that file exists, replaced by its vectors."""
     rng = np.random.default_rng(seed)
     table = rng.uniform(-1, 1, size=(len(vocab), cfg.dim)) / np.sqrt(cfg.dim)
-    if path:
+    path = os.path.join(cfg.corpus_dir, f"{lang}.vec")
+    if not (cfg.corpus_dir and os.path.exists(path)):
+        return table
+    try:
         words, matrix = load_word2vec(path)
-        if matrix.shape[1] != cfg.dim:
-            raise ConfigError(f"embedding file {path} has dim {matrix.shape[1]}, config says {cfg.dim}")
-        for w, row in zip(words, matrix):
-            wid = vocab.token_to_id.get(w)
-            if wid is not None:
-                table[wid] = row
+    except ValueError as exc:  # names the file
+        raise ConfigError(str(exc)) from exc
+    if matrix.shape[1] != cfg.dim:
+        raise ConfigError(f"embedding file {path} has dim {matrix.shape[1]}, config says {cfg.dim}")
+    for w, row in zip(words, matrix):
+        wid = vocab.token_to_id.get(w)
+        if wid is not None:
+            table[wid] = row
     return table
 
 
@@ -175,7 +180,7 @@ class Experiment:
         cfg = self.cfg
         encoders = self._new_encoders()
         head = new_head(2 * cfg.hidden, cfg.infersent_hidden, cfg.seed + SEED_HEAD)
-        result = train_joint_infersent(self.data.cipher.nli, encoders, head, self.data.vocabs,
+        result = train_joint_infersent(self.data.source.nli, encoders, head, self.data.vocabs,
                                        self._schedule(SEED_INFERSENT))
         built = self._embedders(encoders.values()), {
             **_encoder_files(encoders), "head.ckpt": (save_params, head),
@@ -193,13 +198,8 @@ class Experiment:
         return build
 
     def _word_dict_map(self):
-        cfg, data = self.cfg, self.data
-        if cfg.dict_path:
-            pairs = load_dictionary(cfg.dict_path)
-        elif data.cipher is not None:
-            pairs = [(c, b) for b, c in sorted(data.cipher.cipher.items())]
-        else:
-            raise ConfigError("word_dict_map needs dict_path when corpus=files")
+        data = self.data
+        pairs = [(c, b) for b, c in sorted(data.source.cipher.items())]
         m = fit_word_dictionary_map(
             pairs,
             data.vocabs[self.other].id_to_token, data.tables[self.other],
@@ -314,8 +314,8 @@ def run_experiment(cfg):
         return os.path.join(cfg.out_dir, name)
 
     data = materialize(cfg)
-    if data.cipher is not None:
-        for path in write_corpus_files(os.path.join(cfg.out_dir, "corpus"), data.cipher):
+    if not cfg.corpus_dir:
+        for path in write_corpus_files(os.path.join(cfg.out_dir, "corpus"), data.source):
             produced.append(os.path.relpath(path, cfg.out_dir))
 
     exp = Experiment(cfg, data)

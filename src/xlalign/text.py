@@ -180,24 +180,6 @@ class ParallelCorpus:
         return self[self.langs[1]]
 
 
-def load_parallel(src_path, tgt_path, src_lang, tgt_lang):
-    """A two-language corpus, (src_lang, tgt_lang) in that order: row i holds
-    line i of each file. Rows where either line tokenizes to nothing are
-    skipped.
-    """
-    lines = []
-    for path in (src_path, tgt_path):
-        with open(path, encoding="utf-8") as fh:
-            lines.append(fh.read().splitlines())
-    if len(lines[0]) != len(lines[1]):
-        raise ValueError(
-            f"line counts differ: {src_path} has {len(lines[0])}, {tgt_path} has {len(lines[1])}")
-    rows = [row for row in zip(*(map(tokenize, side) for side in lines)) if all(row)]
-    if not rows:
-        raise ValueError("no usable sentence pairs after skipping empties")
-    return ParallelCorpus(rows, src_lang, tgt_lang)
-
-
 def make_splits(n, sizes):
     """The split sizes for a corpus of n rows, validated: nested prefix
     splits, split k covering rows [0, sizes[k])."""
@@ -216,24 +198,28 @@ def load_word2vec(path):
 
     A UTF-8 byte-order mark and trailing whitespace on a line (fastText `.vec`
     files end every line with a space) are accepted. Returns (words, matrix).
-    A malformed file is a `ValueError` naming the file and the 1-based line.
+    A malformed or non-UTF-8 file is a `ValueError` naming the file (and line).
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(h.isdigit() for h in header):
-            raise ValueError(f"{path}:1: header {' '.join(header)!r} is not '<count> <dim>'")
-        count, dim = int(header[0]), int(header[1])
-        words, rows = [], []
-        for ln, line in enumerate(fh, 2):
-            parts = line.rstrip().split(" ")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}:{ln}: expected a word and {dim} values, "
-                                 f"got {len(parts) - 1} values after {parts[0]!r}")
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-            words.append(parts[0])
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or not all(h.isdigit() for h in header):
+        raise ValueError(f"{path}:1: header {' '.join(header)!r} is not '<count> <dim>'")
+    count, dim = int(header[0]), int(header[1])
+    words, rows = [], []
+    for ln, line in enumerate(lines[1:], 2):
+        parts = line.rstrip().split(" ")
+        if len(parts) != dim + 1:
+            raise ValueError(f"{path}:{ln}: expected a word and {dim} values, "
+                             f"got {len(parts) - 1} values after {parts[0]!r}")
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        words.append(parts[0])
     if len(words) != count:
         raise ValueError(f"{path}:1: header says {count} words, found {len(words)}")
     return words, np.array(rows, dtype=np.float64)
@@ -255,16 +241,3 @@ def write_csv(path, header, rows):
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
 
-
-def load_dictionary(path):
-    """Word dictionary: one `<source_word> <target_word>` pair per line."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected two words, got {len(parts)}")
-            pairs.append((parts[0], parts[1]))
-    return pairs

@@ -477,8 +477,15 @@ class TestContracts:
             ad.backward(ad.tsum(ad.mul(ad.mul(x, big), big)))
 
     def test_softmax_shift_invariance(self, rng):
-        z = rng.normal(size=(2, 3))
-        np.testing.assert_allclose(ad.softmax_rows(z), ad.softmax_rows(z + 7.0), atol=1e-12)
+        z, targets = rng.normal(size=(2, 3)), np.array([2, 0])
+        shifted = ad.leaf(z + 7.0)
+        loss = ad.softmax_cross_entropy_sum(shifted, targets)
+        ad.backward(loss)
+        base = ad.leaf(z)
+        ad.backward(ad.softmax_cross_entropy_sum(base, targets))
+        np.testing.assert_allclose(loss.data, ad.softmax_cross_entropy_sum(ad.constant(z), targets).data,
+                                   atol=1e-12)
+        np.testing.assert_allclose(shifted.grad, base.grad, atol=1e-12)
 
     def test_deterministic_forward(self, rng):
         x = rng.normal(size=(3, 3))

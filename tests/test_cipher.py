@@ -4,7 +4,8 @@ import json
 import pytest
 
 from xlalign.cipher import (_sample_weighted, apply_cipher, gen_cipher_corpus, gen_cldc_docs,
-                            nli_label, write_corpus_files)
+                            nli_label, read_corpus_files, write_corpus_files)
+from xlalign.config import ConfigError
 
 
 class TestCipher:
@@ -100,6 +101,34 @@ class TestNliToy:
             assert [h.split() for h in read(f"nli.{lang}.hypotheses.txt")] == \
                 cc.nli[lang].hypotheses
             assert [int(l) for l in read("nli.labels.txt")] == cc.nli[lang].labels
+
+
+class TestCorpusFiles:
+    def test_reading_the_written_files_gives_the_generated_corpus(self, tmp_path):
+        cc = gen_cipher_corpus(30, 40, (3, 7), seed=4, nli_size=30, langs=("lb", "la"))
+        write_corpus_files(tmp_path, cc)
+        back = read_corpus_files(tmp_path, ("lb", "la"), nli=True, dictionary=True)
+        assert back.corpus.langs == cc.corpus.langs
+        assert back.corpus.rows() == cc.corpus.rows()
+        assert sorted(back.cipher.items()) == sorted(cc.cipher.items())
+        assert list(back.nli) == list(cc.nli)
+        for lang, data in cc.nli.items():
+            assert (back.nli[lang].premises, back.nli[lang].hypotheses, back.nli[lang].labels) \
+                == (data.premises, data.hypotheses, data.labels)
+        bare = read_corpus_files(tmp_path, ("lb", "la"))
+        assert bare.cipher is None and bare.nli is None
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("nli.labels.txt", lambda t: t[:1] + ["3"] + t[2:],
+         r"nli.labels.txt: labels outside \{0,1,2\}: \[3\]"),
+        ("nli.lb.premises.txt", lambda t: t[:4], "nli.lb.premises.txt has 4"),
+    ], ids=["bad-label", "short-file"])
+    def test_malformed_nli_file_is_named(self, tmp_path, name, edit, message):
+        write_corpus_files(tmp_path, gen_cipher_corpus(30, 10, (3, 7), seed=4, nli_size=6))
+        path = tmp_path / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ConfigError, match=message):
+            read_corpus_files(tmp_path, ("lb", "la"), nli=True)
 
 
 class TestCldcDocs:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import xlalign
-from xlalign import cli, optim
+from xlalign import cli, optim, pipeline
 from xlalign.checkpoint import save_checkpoint
 from xlalign.cli import main
 from xlalign.mapping import AlignmentMap, save_map
@@ -103,8 +103,9 @@ def test_non_utf8_config_is_validation_error(tmp_path, capsys):
 
 def test_missing_corpus_file_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("corpus=files\nsrc_path=/nonexistent/a\ntgt_path=/nonexistent/b\n")
-    assert main(["run", "--config", str(cfg)]) == 1
+    cfg.write_text(f"corpus_dir={tmp_path / 'nonexistent'}\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert str(tmp_path / "nonexistent" / "lb.txt") in capsys.readouterr().err
 
 
 def test_corpus_files_round_trip(tmp_path):
@@ -113,8 +114,7 @@ def test_corpus_files_round_trip(tmp_path):
                  "--sentences", "150", "--seed", "5"]) == 0
     cfg = tmp_path / "files.cfg"
     cfg.write_text(
-        "framework=sentence_map\nencoder=sif\ncorpus=files\n"
-        f"src_path={corpus_dir / 'lb.txt'}\ntgt_path={corpus_dir / 'la.txt'}\n"
+        f"framework=sentence_map\nencoder=sif\ncorpus_dir={corpus_dir}\n"
         "dim=12\nsplits=40,80\ntest_size=40\nseed=2\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
@@ -261,15 +261,87 @@ def test_k_above_heldout_pool_is_validation_error(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err == "error: -k 61 exceeds the held-out pool (test_size=60)\n"
 
 
-def test_eval_cldc_on_files_corpus_is_validation_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "materialize", lambda cfg: pytest.fail("trained before the corpus check"))
-    cfg = tmp_path / "files.cfg"
-    cfg.write_text("framework=sentence_map\nencoder=sif\ncorpus=files\n"
-                   f"src_path={tmp_path / 'lb.txt'}\ntgt_path={tmp_path / 'la.txt'}\n")
-    out = tmp_path / "out"
-    assert main(["eval-cldc", "--config", str(cfg), "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == "error: eval-cldc needs the synthetic corpus (corpus=cipher)\n"
-    assert not out.exists()
+TINY = ["cipher_vocab=30", "cipher_sentences=120", "test_size=30", "dim=8", "hidden=8",
+        "batch=8", "steps=20", "pivot_steps=20", "splits=40,80", "nli_size=30", "seed=5"]
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under `root`."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("run", ["framework=transfer"]),
+    ("run", ["framework=joint_seq2seq"]),
+    ("run", ["framework=joint_infersent"]),
+    ("run", ["framework=sentence_map", "encoder=sif"]),
+    ("run", ["framework=word_dict_map", "encoder=sif"]),
+    ("eval-cldc", ["framework=sentence_map", "encoder=sif"]),
+], ids=["transfer", "joint_seq2seq", "joint_infersent", "sentence_map-sif", "word_dict_map",
+        "eval-cldc"])
+def test_reading_a_runs_corpus_files_gives_its_bytes(tmp_path, command, settings):
+    """A command on the generated corpus and the same command on the `corpus/`
+    files that `run` wrote for it write the same bytes, apart from the
+    manifest and the corpus files."""
+    sets = [a for s in TINY + settings for a in ("--set", s)]
+    extra = ["--docs", "40"] if command == "eval-cldc" else []
+    run_dir, read = tmp_path / "run", tmp_path / "read"
+    assert main(["run", *sets, "--out-dir", str(run_dir)]) == 0
+    generated = run_dir
+    if command != "run":
+        generated = tmp_path / "generated"
+        assert main([command, *sets, *extra, "--out-dir", str(generated)]) == 0
+    assert main([command, *sets, *extra, "--set", f"corpus_dir={run_dir / 'corpus'}",
+                 "--out-dir", str(read)]) == 0
+    expected = {name: data for name, data in _tree(generated).items()
+                if name != "manifest.txt" and not name.startswith("corpus")}
+    assert expected and _tree(read).keys() - {"manifest.txt"} == expected.keys()
+    for name, data in expected.items():
+        assert (read / name).read_bytes() == data, name
+
+
+@pytest.mark.parametrize("command, framework, missing", [
+    ("eval-cldc", "sentence_map", "dict.la-lb.txt"),
+    ("run", "word_dict_map", "dict.la-lb.txt"),
+    ("run", "joint_infersent", "nli.lb.premises.txt"),
+], ids=["eval-cldc", "word_dict_map", "joint_infersent"])
+def test_corpus_dir_without_a_needed_file_exits_before_training(tmp_path, capsys, monkeypatch,
+                                                                 command, framework, missing):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
+                 "--sentences", "150", "--nli-size", "30"]) == 0
+    (corpus_dir / missing).unlink()
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "Experiment",
+                            lambda *a: pytest.fail("trained before the corpus check"))
+    encoder = "bilstm_maxpool" if framework == "joint_infersent" else "sif"
+    assert main([command, "--set", f"framework={framework}", "--set", f"encoder={encoder}",
+                 "--set", f"corpus_dir={corpus_dir}", "--set", "splits=40,80",
+                 "--set", "test_size=40", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(corpus_dir / missing) in err
+
+
+@pytest.mark.parametrize("framework, name, edit, message", [
+    ("sentence_map", "lb.txt", lambda b: b + b"k001\n", "line counts differ"),
+    ("word_dict_map", "dict.la-lb.txt", lambda b: b"w000 k001 k002\n" + b, "expected two words"),
+    ("sentence_map", "la.vec", lambda b: b"2 12\nw000" + b" 0.5" * 12 + b"\nw001 0.5\n",
+     ":3: expected a word and 12 values"),
+    ("sentence_map", "lb.txt", lambda b: b"\xff" + b, ": not UTF-8 text"),
+], ids=["line-count-mismatch", "three-word-dictionary-line", "short-vec-row", "non-utf8"])
+def test_bad_corpus_file_is_validation_error_naming_it(tmp_path, capsys, framework, name, edit,
+                                                       message):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
+                 "--sentences", "150"]) == 0
+    path = corpus_dir / name
+    path.write_bytes(edit(path.read_bytes() if path.exists() else b""))
+    assert main(["run", "--set", f"framework={framework}", "--set", "encoder=sif",
+                 "--set", f"corpus_dir={corpus_dir}", "--set", "dim=12", "--set", "splits=40,80",
+                 "--set", "test_size=40", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err
+    assert "Traceback" not in err
 
 
 def test_numeric_failure_exits_2(tmp_path, capsys):

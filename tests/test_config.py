@@ -48,11 +48,6 @@ def test_framework_encoder_combination_checked():
         parse_config("framework=word_dict_map\nencoder=bilstm_maxpool")
 
 
-def test_files_corpus_needs_paths():
-    with pytest.raises(ConfigError, match="src_path"):
-        parse_config("corpus=files")
-
-
 def test_splits_must_increase():
     with pytest.raises(ConfigError, match="increasing"):
         parse_config("splits=100,50")
@@ -81,7 +76,7 @@ VALUES = st.one_of(
     st.integers(-10**4, 10**4).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["", "nan", "inf", "-inf", "1e309", "9" * 5000, "la,la", "10,5", "0"]),
-    st.sampled_from(FRAMEWORKS + ENCODER_KINDS + ("cipher", "files")),
+    st.sampled_from(FRAMEWORKS + ENCODER_KINDS + ("corpus", "/nonexistent/corpus")),
     st.text(max_size=12))
 OVERRIDES = st.lists(st.builds("{}={}".format, st.sampled_from(KEYS) | st.text(max_size=8),
                                VALUES), max_size=6)

@@ -8,7 +8,7 @@ from xlalign import objectives
 from xlalign.cipher import gen_cipher_corpus
 from xlalign.encoders import LSTMParams, encode_sentences, new_encoder
 from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule, decode_ce_sum,
-                                infersent_classify, infersent_loss, new_decoder, new_head,
+                                head_logits, infersent_loss, new_decoder, new_head,
                                 pair_features, seq2seq_loss, train_joint_infersent,
                                 train_joint_seq2seq, train_transfer, transfer_l1_loss,
                                 write_trace)
@@ -380,33 +380,26 @@ class TestInferSentClassify:
         feats = pair_features(u, u)
         np.testing.assert_array_equal(feats.data[:, 10:15], np.zeros((2, 5)))
 
-    def test_probabilities_sum_to_one(self, rng):
-        head = new_head(sentence_dim=6, hidden=8, seed=0)
-        probs = infersent_classify(rng.normal(size=6), rng.normal(size=6), head)
-        assert probs.shape == (3,)
-        assert abs(probs.sum() - 1.0) < 1e-12
+    @staticmethod
+    def _logits(u, v, head):
+        return head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head, trainable=False)).data
 
     def test_matches_affine_softmax_oracle(self, rng):
         head = new_head(sentence_dim=4, hidden=5, seed=3)
-        u, v = rng.normal(size=4), rng.normal(size=4)
-        probs = infersent_classify(u, v, head)
-        feats = np.concatenate([u, v, np.abs(u - v), u * v])
+        u, v = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        feats = np.concatenate([u, v, np.abs(u - v), u * v], axis=1)
         hidden = np.tanh(feats @ head.w1 + head.b1)
-        logits = hidden @ head.w2 + head.b2
-        e = np.exp(logits - logits.max())
-        np.testing.assert_allclose(probs, e / e.sum(), atol=1e-12)
+        np.testing.assert_allclose(self._logits(u, v, head), hidden @ head.w2 + head.b2,
+                                   atol=1e-12)
 
     def test_logit_shift_invariance(self, rng):
         head = new_head(sentence_dim=4, hidden=5, seed=3)
-        u, v = rng.normal(size=4), rng.normal(size=4)
-        base = infersent_classify(u, v, head)
+        u, v = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        base = self._logits(u, v, head)
         head.b2[...] += 11.0
-        np.testing.assert_allclose(infersent_classify(u, v, head), base, atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self, rng):
-        head = new_head(sentence_dim=4, hidden=5, seed=3)
-        with pytest.raises(ValueError, match="dimension"):
-            infersent_classify(rng.normal(size=4), rng.normal(size=5), head)
+        shifted = self._logits(u, v, head)
+        np.testing.assert_allclose(shifted, base + 11.0, atol=1e-12)
+        np.testing.assert_array_equal(shifted.argmax(axis=1), base.argmax(axis=1))
 
 
 class TestJointInferSent:

@@ -40,7 +40,7 @@ def test_materialize_holds_out_test_tail():
     data = materialize(cfg)
     assert len(data.train_corpus) == 200
     assert len(data.heldout) == 50
-    assert data.heldout.rows() == data.cipher.corpus.rows()[-50:]
+    assert data.heldout.rows() == data.source.corpus.rows()[-50:]
     assert not set(_row_keys(data.heldout)) & set(_row_keys(data.train_corpus))
 
 
@@ -68,10 +68,9 @@ def test_documented_and_default_configs_materialize(text):
 
 
 def test_materialize_rejects_too_small_corpus(tmp_path):
-    src, tgt = tmp_path / "b.txt", tmp_path / "a.txt"
-    src.write_text("\n".join(f"k{i}" for i in range(30)) + "\n")
-    tgt.write_text("\n".join(f"w{i}" for i in range(30)) + "\n")
-    cfg = parse_config(TOY + f"corpus=files\nsrc_path={src}\ntgt_path={tgt}\ntest_size=40\n")
+    (tmp_path / "lb.txt").write_text("\n".join(f"k{i}" for i in range(30)) + "\n")
+    (tmp_path / "la.txt").write_text("\n".join(f"w{i}" for i in range(30)) + "\n")
+    cfg = parse_config(TOY + f"corpus_dir={tmp_path}\ntest_size=40\n")
     with pytest.raises(ConfigError, match="cannot spare"):
         materialize(cfg)
 
@@ -170,18 +169,23 @@ def test_load_rejects_a_missing_lang(tmp_path, kind):
 
 
 def test_word_table_ingests_embedding_file(tmp_path):
+    from xlalign.cipher import write_corpus_files
     from xlalign.text import save_word2vec
 
     cfg = parse_config(TOY)
     data = materialize(cfg)
+    write_corpus_files(tmp_path, data.source)
+    from_files = parse_config(TOY + f"corpus_dir={tmp_path}\n")
+    np.testing.assert_array_equal(materialize(from_files).tables["la"], data.tables["la"])
     vocab = data.vocabs["la"]
     word = vocab.id_to_token[5]
-    path = tmp_path / "vecs.txt"
     custom = np.arange(cfg.dim, dtype=float)
-    save_word2vec(path, [word], custom[None, :])
-    cfg2 = parse_config(TOY + f"embeddings_tgt={path}\n")
-    data2 = materialize(cfg2)
-    np.testing.assert_array_equal(data2.tables["la"][vocab.token_to_id[word]], custom)
+    save_word2vec(tmp_path / "la.vec", [word], custom[None, :])
+    tables = materialize(from_files).tables
+    expected = data.tables["la"].copy()
+    expected[vocab.token_to_id[word]] = custom
+    np.testing.assert_array_equal(tables["la"], expected)
+    np.testing.assert_array_equal(tables["lb"], data.tables["lb"])
 
 
 def test_pipeline_demo_leaves_no_temporary_directory(tmp_path):

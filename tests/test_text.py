@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlalign.cipher import read_corpus_files
+from xlalign.config import ConfigError
 from xlalign.rand import Xorshift64Star
 from xlalign.evaluation import CLDCReport, CurvePoint, RetrievalReport
 from xlalign.objectives import TRACE_HEADER
 from xlalign.pipeline import evaluate_splits
 from xlalign.text import (UNK, NoiseParams, ParallelCorpus, build_vocab,
-                          corrupt, load_dictionary, load_parallel, load_word2vec,
+                          corrupt, load_word2vec,
                           make_splits, save_word2vec, sif_weight, tokenize, write_csv)
 
 from conftest import toy_experiment
@@ -163,29 +166,33 @@ class TestSifWeight:
 
 
 class TestParallel:
+    """`cipher.read_corpus_files`: row i holds line i of each `<lang>.txt`."""
+
     def _write(self, tmp_path, name, lines):
         p = tmp_path / name
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return p
 
     def test_three_line_pairing(self, tmp_path):
-        src = self._write(tmp_path, "a.txt", ["ein haus", "zwei", "drei hunde bellen"])
-        tgt = self._write(tmp_path, "b.txt", ["a house", "two", "three dogs bark"])
-        corpus = load_parallel(src, tgt, "de", "en")
+        self._write(tmp_path, "de.txt", ["ein haus", "zwei", "drei hunde bellen"])
+        self._write(tmp_path, "en.txt", ["a house", "two", "three dogs bark"])
+        corpus = read_corpus_files(tmp_path, ("de", "en")).corpus
         assert len(corpus) == 3
         assert corpus.rows()[0] == (["ein", "haus"], ["a", "house"])
         assert corpus.langs == ("de", "en")
+        assert read_corpus_files(tmp_path, ("en", "de")).corpus.rows()[0] == (
+            ["a", "house"], ["ein", "haus"])
 
     def test_line_count_mismatch(self, tmp_path):
-        src = self._write(tmp_path, "a.txt", ["x", "y", "z"])
-        tgt = self._write(tmp_path, "b.txt", ["1", "2", "3", "4"])
-        with pytest.raises(ValueError, match="3.*4"):
-            load_parallel(src, tgt, "de", "en")
+        de = self._write(tmp_path, "de.txt", ["x", "y", "z"])
+        en = self._write(tmp_path, "en.txt", ["1", "2", "3", "4"])
+        with pytest.raises(ConfigError, match=f"{de} has 3, {en} has 4"):
+            read_corpus_files(tmp_path, ("de", "en"))
 
     def test_empty_line_skipped(self, tmp_path):
-        src = self._write(tmp_path, "a.txt", ["eins", "", "drei"])
-        tgt = self._write(tmp_path, "b.txt", ["one", "two", "three"])
-        corpus = load_parallel(src, tgt, "de", "en")
+        self._write(tmp_path, "de.txt", ["eins", "", "drei", "vier"])
+        self._write(tmp_path, "en.txt", ["one", "two", "three", " "])
+        corpus = read_corpus_files(tmp_path, ("de", "en")).corpus
         assert corpus.rows() == [(["eins"], ["one"]), (["drei"], ["three"])]
 
 
@@ -310,14 +317,23 @@ class TestEmbeddingFiles:
         assert str(info.value).startswith(f"{path}:{line}: ")
         assert message in str(info.value)
 
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"1 2\n\xff 0.1 0.2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_word2vec(path)
+
     def test_dictionary(self, tmp_path):
-        path = tmp_path / "dict.txt"
-        path.write_text("hund dog\nkatze cat\n\n")
-        assert load_dictionary(path) == [("hund", "dog"), ("katze", "cat")]
-        bad = tmp_path / "bad.txt"
-        bad.write_text("a b c\n")
-        with pytest.raises(ValueError, match="two words"):
-            load_dictionary(bad)
+        (tmp_path / "de.txt").write_text("hund\n")
+        (tmp_path / "en.txt").write_text("dog\n")
+        path = tmp_path / "dict.en-de.txt"  # the pivot's word first
+        path.write_text("dog hund\ncat katze\n\n")
+        assert read_corpus_files(tmp_path, ("de", "en")).cipher is None
+        assert read_corpus_files(tmp_path, ("de", "en"), dictionary=True).cipher == {
+            "dog": "hund", "cat": "katze"}
+        path.write_text("dog hund\na b c\n")
+        with pytest.raises(ConfigError, match=f"{path}: expected two words a line, got 'a b c'"):
+            read_corpus_files(tmp_path, ("de", "en"), dictionary=True)
 
 
 def test_write_csv_headers_and_float_round_trip(tmp_path):
