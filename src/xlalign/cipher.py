@@ -197,14 +197,17 @@ def read_corpus_files(corpus_dir, langs, nli=False, dictionary=False):
     the pivot).
 
     Row i holds line i of each `<lang>.txt`; a row with an empty line is
-    skipped. The dictionary `dict.<pivot>-<other>.txt` is read only with
+    skipped. The dictionary `dict.<pivot>-<other>.txt` (or, when only it
+    exists, `dict.<other>-<pivot>.txt` read reversed) is read only with
     `dictionary`, the NLI files only with `nli`. A missing file raises
     `FileNotFoundError`, a malformed one a `ConfigError` naming it.
     """
     other, pivot = langs
     path = functools.partial(os.path.join, corpus_dir)
     rows = _read_rows([path(f"{lang}.txt") for lang in langs])
-    cipher = _read_pairs(path(f"dict.{pivot}-{other}.txt")) if dictionary else None
+    names = [path(f"dict.{a}-{b}.txt") for a, b in ((pivot, other), (other, pivot))]
+    flip = not os.path.exists(names[0]) and os.path.exists(names[1])
+    cipher = _read_pairs(names[flip], flip) if dictionary else None
     return CipherCorpus(ParallelCorpus(rows, *langs), cipher,
                         _read_nli(path, langs) if nli else None)
 
@@ -227,13 +230,14 @@ def _read_rows(paths):
     return [row for row in zip(*(map(tokenize, t) for t in texts)) if all(row)]
 
 
-def _read_pairs(path):
-    """{first word: second word} of a dictionary file of `<word> <word>` lines."""
+def _read_pairs(path, flip=False):
+    """{first word: second word} of a dictionary file of `<word> <word>` lines;
+    {second word: first word} with `flip`."""
     rows = [row[0] for row in _read_rows([path])]
     for words in rows:
         if len(words) != 2:
             raise ConfigError(f"{path}: expected two words a line, got {' '.join(words)!r}")
-    return dict(rows)
+    return dict(row[::-1] if flip else row for row in rows)
 
 
 def _read_nli(path, langs):

@@ -1,6 +1,6 @@
 """Training objectives and loops.
 
-Four procedures share the BiLSTM encoder:
+Five procedures share the BiLSTM encoder:
 
   * denoising reconstruction (noisy input, clean target, same language);
   * translation without attention (source input, pivot-language target);
@@ -157,32 +157,17 @@ def _encode_rows(table, rows, enc, enc_tensors, noise=None, noise_rng=None):
     return encode_batch(*table.batch(rows, noise, noise_rng), enc_tensors)
 
 
-@dataclass
-class LossGraph:
-    loss: ad.Tensor
-    enc_tensors: ad.ParamSet
-    dec_tensors: ad.ParamSet
+def seq2seq_loss(src, tgt, rows, enc, dec, denoise=None, noise_rng=None):
+    """Cross-entropy of reconstructing/translating the sentences `rows` of the
+    id table `tgt` (decoder target) from the embeddings of the same rows of
+    `src` (encoder input), averaged over non-PAD target tokens.
 
-
-def seq2seq_loss(inputs, targets, enc, dec, src_vocab, tgt_vocab,
-                 denoise=None, noise_rng=None):
-    """Token-level cross-entropy of reconstructing/translating `targets` from
-    the sentence embeddings of `inputs`, averaged over non-PAD target tokens.
-
-    With `denoise` set the encoder sees corrupted inputs while the loss still
-    targets the clean sentences (inputs and targets are then the same batch).
-    Runs `seq2seq_batch_loss` on id tables of the one batch.
+    With `denoise` set the encoder sees its rows corrupted with `noise_rng`
+    while the loss still targets the clean sentences. Corruption reorders and
+    drops positions only, so corrupting ids gives the ids of the corrupted
+    tokens. Returns (loss, (encoder ParamSet, decoder ParamSet)), in the
+    clip-norm summation order of `fit`.
     """
-    if len(inputs) != len(targets):
-        raise ValueError(f"batch sides differ: {len(inputs)} inputs vs {len(targets)} targets")
-    return seq2seq_batch_loss(IdTable(inputs, src_vocab), IdTable(targets, tgt_vocab),
-                              np.arange(len(inputs)), enc, dec, denoise, noise_rng)
-
-
-def seq2seq_batch_loss(src, tgt, rows, enc, dec, denoise=None, noise_rng=None):
-    """`seq2seq_loss` of the sentences `rows` of the id tables `src` (encoder
-    input) and `tgt` (decoder target). Corruption reorders and drops positions
-    only, so corrupting ids gives the ids of the corrupted tokens."""
     if tgt.top >= dec.vocab_size:
         raise ValueError(
             f"target vocabulary mismatch: id {tgt.top} outside decoder table of {dec.vocab_size}")
@@ -193,7 +178,7 @@ def seq2seq_batch_loss(src, tgt, rows, enc, dec, denoise=None, noise_rng=None):
     sent = _encode_rows(src, rows, enc, enc_tensors, denoise, noise_rng)
     dec_in, tgt_arr, mask = tgt.forcing_batch(rows)
     ce = decode_ce_sum(sent, dec_tensors, dec_in, tgt_arr, mask)
-    return LossGraph(ad.scale(ce, 1.0 / int(mask.sum())), enc_tensors, dec_tensors)
+    return ad.scale(ce, 1.0 / int(mask.sum())), (enc_tensors, dec_tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +217,8 @@ def train_joint_seq2seq(corpus, encoders, decoder, vocabs, pivot, sched, noise):
     def one_step(step):
         table, enc, denoise, objective, pair = plan[step % len(plan)]
         idx = rng.integers(0, len(corpus), size=sched.batch_size)
-        graph = seq2seq_batch_loss(table, tables[pivot], idx, enc, decoder,
-                                   denoise=denoise, noise_rng=noise_rng)
-        # clip-norm summation order: encoder, then decoder
-        return (graph.loss, (graph.enc_tensors, graph.dec_tensors),
-                [(step, objective, pair, float(graph.loss.data))])
+        loss, tensors = seq2seq_loss(table, tables[pivot], idx, enc, decoder, denoise, noise_rng)
+        return loss, tensors, [(step, objective, pair, float(loss.data))]
 
     trace = fit([decoder, *encoders.values()], sched.steps, sched.lr, one_step)
     return JointResult(encoders, decoder, trace)
@@ -285,27 +267,13 @@ def pair_features(u, v):
     return ad.concat([u, v, ad.absolute(ad.sub(u, v)), ad.mul(u, v)], axis=-1)
 
 
-@dataclass
-class InferSentLossGraph:
-    loss: ad.Tensor
-    logits: ad.Tensor
-    premise_tensors: ad.ParamSet
-    hypothesis_tensors: ad.ParamSet
-    head_tensors: ad.ParamSet
-
-
-def infersent_loss(premises, hypotheses, labels, enc_p, enc_h, head, vocab_p, vocab_h):
-    """Three-way cross-entropy of the shared classifier over a sentence-pair
-    batch; the two sides may use different encoders (and share one when
-    enc_p is enc_h).
+def infersent_loss(premises, hypotheses, rows, labels, enc_p, enc_h, head):
+    """Three-way cross-entropy of the shared classifier over the pairs `rows`
+    of the id tables `premises` and `hypotheses`; `labels` are those rows'
+    labels. The two sides may use different encoders. Returns (loss, (head,
+    premise, hypothesis ParamSets), logits), in the clip-norm summation order
+    of `fit`; one ParamSet serves both sides when enc_p is enc_h.
     """
-    return infersent_batch_loss(IdTable(premises, vocab_p), IdTable(hypotheses, vocab_h),
-                                np.arange(len(premises)), labels, enc_p, enc_h, head)
-
-
-def infersent_batch_loss(premises, hypotheses, rows, labels, enc_p, enc_h, head):
-    """`infersent_loss` of the pairs `rows` of the id tables `premises` and
-    `hypotheses`; `labels` are those rows' labels."""
     labels = np.asarray(labels, dtype=np.int64)
     enc_tensors_p = ad.ParamSet(enc_p)
     enc_tensors_h = enc_tensors_p if enc_h is enc_p else ad.ParamSet(enc_h)
@@ -314,7 +282,7 @@ def infersent_batch_loss(premises, hypotheses, rows, labels, enc_p, enc_h, head)
     v = _encode_rows(hypotheses, rows, enc_h, enc_tensors_h)
     logits = head_logits(u, v, head_tensors)
     loss = ad.scale(ad.softmax_cross_entropy_sum(logits, labels), 1.0 / len(labels))
-    return InferSentLossGraph(loss, logits, enc_tensors_p, enc_tensors_h, head_tensors)
+    return loss, (head_tensors, enc_tensors_p, enc_tensors_h), logits
 
 
 def head_logits(u, v, head_tensors):
@@ -369,15 +337,13 @@ def train_joint_infersent(datasets, encoders, head, vocabs, sched):
         draws.append((p_lang, h_lang))
         idx = rng.integers(0, n, size=sched.batch_size)
         batch_labels = labels[p_lang][idx]
-        graph = infersent_batch_loss(premises[p_lang], hypotheses[h_lang], idx, batch_labels,
-                                     encoders[p_lang], encoders[h_lang], head)
-        acc = float((graph.logits.data.argmax(axis=1) == batch_labels).mean())
+        loss, tensors, logits = infersent_loss(premises[p_lang], hypotheses[h_lang], idx,
+                                               batch_labels, encoders[p_lang], encoders[h_lang],
+                                               head)
+        acc = float((logits.data.argmax(axis=1) == batch_labels).mean())
         pair = f"{p_lang}|{h_lang}"
-        # clip-norm summation order: head, premise, hypothesis; one ParamSet
-        # serves both sides when p_lang == h_lang
-        return (graph.loss, (graph.head_tensors, graph.premise_tensors, graph.hypothesis_tensors),
-                [(step, "infersent_loss", pair, float(graph.loss.data)),
-                 (step, "infersent_acc", pair, acc)])
+        return loss, tensors, [(step, "infersent_loss", pair, float(loss.data)),
+                               (step, "infersent_acc", pair, acc)]
 
     trace = fit([head, *encoders.values()], sched.steps, sched.lr, one_step)
     return InferSentResult(encoders, head, trace, draws)
@@ -396,21 +362,16 @@ def infersent_accuracy(datasets, encoders, head, vocabs, p_lang, h_lang):
 # representation transfer
 # ---------------------------------------------------------------------------
 
-def transfer_l1_loss(sentences, target_embeddings, enc, vocab):
+def transfer_l1_loss(table, rows, target_embeddings, enc):
     """Mean (per pair) L1 distance between the encoder's embeddings of the
-    sentences and fixed target embeddings. Returns (loss, encoder ParamSet).
+    sentences `rows` of the id table `table` and `target_embeddings`, those
+    rows' fixed targets. Returns (loss, (encoder ParamSet,)), the form `fit`
+    clips.
     """
-    return transfer_batch_loss(IdTable(sentences, vocab), np.arange(len(sentences)),
-                               target_embeddings, enc)
-
-
-def transfer_batch_loss(table, rows, target_embeddings, enc):
-    """`transfer_l1_loss` of the sentences `rows` of the id table `table`;
-    `target_embeddings` are those rows' targets."""
     enc_tensors = ad.ParamSet(enc)
     emb = _encode_rows(table, rows, enc, enc_tensors)
     diff = ad.absolute(ad.sub(emb, ad.constant(target_embeddings)))
-    return ad.scale(ad.tsum(diff), 1.0 / len(rows)), enc_tensors
+    return ad.scale(ad.tsum(diff), 1.0 / len(rows)), (enc_tensors,)
 
 
 @dataclass
@@ -436,8 +397,8 @@ def train_transfer(corpus, pivot_enc, new_enc, new_vocab, pivot_vocab, sched):
 
     def one_step(step):
         idx = rng.integers(0, len(corpus), size=sched.batch_size)
-        loss, enc_tensors = transfer_batch_loss(table, idx, targets[idx], new_enc)
-        return loss, (enc_tensors,), [(step, "transfer_l1", pair, float(loss.data))]
+        loss, tensors = transfer_l1_loss(table, idx, targets[idx], new_enc)
+        return loss, tensors, [(step, "transfer_l1", pair, float(loss.data))]
 
     trace = fit([new_enc], sched.steps, sched.lr, one_step)
     return TransferResult(new_enc, trace)

@@ -20,7 +20,7 @@ from xlalign.encoders import encode_sentences, encode_sif_matrix, new_encoder
 from xlalign.evaluation import (cldc_train_eval, nearest_neighbors,
                                 retrieval_accuracy)
 from xlalign.mapping import apply_map, fit_orthogonal_map
-from xlalign.objectives import (TrainSchedule, draw_language_pair, infersent_loss,
+from xlalign.objectives import (IdTable, TrainSchedule, draw_language_pair, infersent_loss,
                                 infersent_accuracy, new_decoder, new_head,
                                 seq2seq_loss, train_joint_infersent,
                                 train_joint_seq2seq, train_transfer,
@@ -139,42 +139,42 @@ def test_criterion_1_gradient_correctness():
     enc2 = as_float64(new_encoder(len(vocab), 4, 3, "de", seed=2))
     dec = as_float64(new_decoder(len(vocab), 4, 6, 3, "en", seed=1))
     head = as_float64(new_head(6, hidden=5, seed=3))
-    batch = [["w1", "w2", "w3"], ["w4", "w5"]]
-    targets = [["w2", "w3"], ["w4", "w5", "w6"]]
+    batch = IdTable([["w1", "w2", "w3"], ["w4", "w5"]], vocab)
+    targets = IdTable([["w2", "w3"], ["w4", "w5", "w6"]], vocab)
+    rows = np.arange(2)
     worsts = {}
 
     # SDAE (deterministic corruption: every bigram swaps) and NMT
     for name, denoise, tgts in (("sdae", NoiseParams(0.0, 1.0, 1), batch),
                                 ("nmt", None, targets)):
-        graph = seq2seq_loss(batch, tgts, enc, dec, vocab, vocab, denoise=denoise)
-        ad.backward(graph.loss)
-        grads = {**graph.enc_tensors.gradients(), **graph.dec_tensors.gradients()}
+        loss, (enc_tensors, dec_tensors) = seq2seq_loss(batch, tgts, rows, enc, dec, denoise)
+        ad.backward(loss)
+        grads = {**enc_tensors.gradients(), **dec_tensors.gradients()}
         arrays = optimizer_params(enc, dec)
         worsts[name] = _fd_check(
-            lambda: float(seq2seq_loss(batch, tgts, enc, dec, vocab, vocab,
-                                       denoise=denoise).loss.data),
+            lambda: float(seq2seq_loss(batch, tgts, rows, enc, dec, denoise)[0].data),
             [arrays[k] for k in grads], list(grads.values()))
 
     # joint InferSent loss, two encoders plus the shared head
     labels = np.array([0, 2])
-    graph = infersent_loss(batch, targets, labels, enc, enc2, head, vocab, vocab)
-    ad.backward(graph.loss)
-    grads = {**graph.premise_tensors.gradients(), **graph.hypothesis_tensors.gradients(),
-             **graph.head_tensors.gradients()}
+    loss, (head_tensors, premise_tensors, hypothesis_tensors), _ = infersent_loss(
+        batch, targets, rows, labels, enc, enc2, head)
+    ad.backward(loss)
+    grads = {**premise_tensors.gradients(), **hypothesis_tensors.gradients(),
+             **head_tensors.gradients()}
     arrays = optimizer_params(enc, enc2, head)
     worsts["infersent"] = _fd_check(
-        lambda: float(infersent_loss(batch, targets, labels, enc, enc2, head,
-                                     vocab, vocab).loss.data),
+        lambda: float(infersent_loss(batch, targets, rows, labels, enc, enc2, head)[0].data),
         [arrays[k] for k in grads], list(grads.values()))
 
     # transfer L1 against fixed targets
     goal = np.random.default_rng(9).normal(size=(2, 6))
-    loss, enc_tensors = transfer_l1_loss(batch, goal, enc, vocab)
+    loss, (enc_tensors,) = transfer_l1_loss(batch, rows, goal, enc)
     ad.backward(loss)
     grads = enc_tensors.gradients()
     arrays = optimizer_params(enc)
     worsts["transfer_l1"] = _fd_check(
-        lambda: float(transfer_l1_loss(batch, goal, enc, vocab)[0].data),
+        lambda: float(transfer_l1_loss(batch, rows, goal, enc)[0].data),
         [arrays[k] for k in grads], list(grads.values()))
 
     elapsed = time.monotonic() - t0

@@ -118,6 +118,13 @@ class TestCorpusFiles:
         bare = read_corpus_files(tmp_path, ("lb", "la"))
         assert bare.cipher is None and bare.nli is None
 
+    def test_both_language_orders_read_inverse_dictionaries(self, tmp_path):
+        write_corpus_files(tmp_path, gen_cipher_corpus(30, 10, (3, 7), seed=4))
+        assert [p.name for p in tmp_path.glob("dict.*")] == ["dict.la-lb.txt"]
+        la_pivot = read_corpus_files(tmp_path, ("lb", "la"), dictionary=True).cipher
+        lb_pivot = read_corpus_files(tmp_path, ("la", "lb"), dictionary=True).cipher
+        assert len(la_pivot) == 30 and lb_pivot == {b: a for a, b in la_pivot.items()}
+
     @pytest.mark.parametrize("name, edit, message", [
         ("nli.labels.txt", lambda t: t[:1] + ["3"] + t[2:],
          r"nli.labels.txt: labels outside \{0,1,2\}: \[3\]"),

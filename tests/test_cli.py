@@ -322,6 +322,22 @@ def test_corpus_dir_without_a_needed_file_exits_before_training(tmp_path, capsys
     assert err.startswith("error: ") and str(corpus_dir / missing) in err
 
 
+@pytest.mark.parametrize("command, framework", [
+    ("run", "word_dict_map"),
+    ("eval-cldc", "sentence_map"),
+], ids=["word_dict_map", "eval-cldc"])
+def test_a_corpus_dir_serves_either_language_as_pivot(tmp_path, command, framework):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
+                 "--sentences", "150"]) == 0  # writes dict.la-lb.txt
+    extra = ["--docs", "40"] if command == "eval-cldc" else []
+    for languages in ("la,lb", "lb,la"):
+        assert main([command, *extra, "--set", f"framework={framework}", "--set", "encoder=sif",
+                     "--set", f"languages={languages}", "--set", f"corpus_dir={corpus_dir}",
+                     "--set", "splits=40,80", "--set", "test_size=40",
+                     "--out-dir", str(tmp_path / languages)]) == 0, languages
+
+
 @pytest.mark.parametrize("framework, name, edit, message", [
     ("sentence_map", "lb.txt", lambda b: b + b"k001\n", "line counts differ"),
     ("word_dict_map", "dict.la-lb.txt", lambda b: b"w000 k001 k002\n" + b, "expected two words"),

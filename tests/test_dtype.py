@@ -12,7 +12,7 @@ import pytest
 
 from xlalign import autodiff as ad
 from xlalign.encoders import encode_sentences, new_encoder
-from xlalign.objectives import (DecoderParams, infersent_loss, new_decoder, new_head,
+from xlalign.objectives import (DecoderParams, IdTable, infersent_loss, new_decoder, new_head,
                                 seq2seq_loss, transfer_l1_loss)
 from xlalign.optim import Adam, clip_global_norm, optimizer_params
 from xlalign.pipeline import load_encoder, load_params, save_params
@@ -22,6 +22,7 @@ from conftest import as_float64
 
 BATCH = [["w1", "w2", "w3"], ["w4", "w5"], ["w6"]]
 TARGETS = [["w2", "w3"], ["w4", "w5", "w6"], ["w1"]]
+ROWS = np.arange(len(BATCH))
 
 
 @pytest.fixture
@@ -79,25 +80,26 @@ def _check_step(loss, param_sets, parts, scan_dtypes):
 def test_joint_seq2seq_step(vocab, scan_dtypes):
     enc = new_encoder(len(vocab), 4, 3, "la", seed=1)
     dec = new_decoder(len(vocab), 4, 6, 3, "la", seed=2)
-    graph = seq2seq_loss(BATCH, BATCH, enc, dec, vocab, vocab, denoise=NoiseParams(0.1, 0.5, 3))
-    _check_step(graph.loss, (graph.enc_tensors, graph.dec_tensors), (dec, enc), scan_dtypes)
+    batch = IdTable(BATCH, vocab)
+    loss, tensors = seq2seq_loss(batch, batch, ROWS, enc, dec, denoise=NoiseParams(0.1, 0.5, 3))
+    _check_step(loss, tensors, (dec, enc), scan_dtypes)
 
 
 def test_transfer_step(vocab, scan_dtypes):
     pivot = new_encoder(len(vocab), 4, 3, "la", seed=1)
     new = new_encoder(len(vocab), 4, 3, "lb", seed=2)
     targets = encode_sentences(TARGETS, vocab, pivot)
-    loss, enc_tensors = transfer_l1_loss(BATCH, targets, new, vocab)
-    _check_step(loss, (enc_tensors,), (new,), scan_dtypes)
+    loss, tensors = transfer_l1_loss(IdTable(BATCH, vocab), ROWS, targets, new)
+    _check_step(loss, tensors, (new,), scan_dtypes)
 
 
 def test_joint_infersent_step(vocab, scan_dtypes):
     enc_p = new_encoder(len(vocab), 4, 3, "la", seed=1)
     enc_h = new_encoder(len(vocab), 4, 3, "lb", seed=2)
     head = new_head(6, hidden=5, seed=3)
-    graph = infersent_loss(BATCH, TARGETS, [0, 2, 1], enc_p, enc_h, head, vocab, vocab)
-    _check_step(graph.loss, (graph.head_tensors, graph.premise_tensors, graph.hypothesis_tensors),
-                (head, enc_p, enc_h), scan_dtypes)
+    loss, tensors, _ = infersent_loss(IdTable(BATCH, vocab), IdTable(TARGETS, vocab), ROWS,
+                                      [0, 2, 1], enc_p, enc_h, head)
+    _check_step(loss, tensors, (head, enc_p, enc_h), scan_dtypes)
 
 
 def test_encode_sentences(vocab, scan_dtypes):

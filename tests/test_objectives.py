@@ -6,9 +6,9 @@ import pytest
 from xlalign import autodiff as ad
 from xlalign import objectives
 from xlalign.cipher import gen_cipher_corpus
-from xlalign.encoders import LSTMParams, encode_sentences, new_encoder
-from xlalign.objectives import (DecoderParams, NLIDataset, TrainSchedule, decode_ce_sum,
-                                head_logits, infersent_loss, new_decoder, new_head,
+from xlalign.encoders import LSTMParams, encode_sentences, new_encoder, pad_batch
+from xlalign.objectives import (DecoderParams, IdTable, NLIDataset, TrainSchedule,
+                                decode_ce_sum, head_logits, infersent_loss, new_decoder, new_head,
                                 pair_features, seq2seq_loss, train_joint_infersent,
                                 train_joint_seq2seq, train_transfer, transfer_l1_loss,
                                 write_trace)
@@ -72,6 +72,23 @@ def test_teacher_forcing_arrays_match_the_row_loop(seed):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_id_table_slices_match_padding_each_batch(seed):
+    rng = np.random.default_rng(seed)
+    sentences = [[f"w{i}" for i in rng.integers(0, 30, size=n)] for n in rng.integers(1, 9, 20)]
+    vocab = build_vocab(sentences, 1)
+    table = IdTable(sentences, vocab)
+    longest = int(np.argmax([len(s) for s in sentences]))
+    repeats = rng.integers(0, 20, size=6)
+    for rows in (np.r_[repeats, repeats[:3]], rng.permutation(20)[:7], rng.integers(0, 20, 1),
+                 np.array([longest]), np.r_[rng.integers(0, 20, 4), longest]):
+        ids = [vocab.encode(sentences[i]) for i in rows]
+        for got, want in zip((*table.batch(rows), *table.forcing_batch(rows)),
+                             (*pad_batch(ids)[:2], *teacher_forcing_loop(ids))):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 class TestNonFiniteParameters:
     """Parameters are checked once, before step 0; a NaN planted later surfaces
     in the first op output that reads it, in the step that reads it."""
@@ -83,9 +100,9 @@ class TestNonFiniteParameters:
         def step(i):
             if i == at:
                 plant()
-            graph = seq2seq_loss(TestNonFiniteParameters.INPUTS, TestNonFiniteParameters.INPUTS,
-                                 enc, dec, vocab, vocab)
-            return graph.loss, (graph.enc_tensors, graph.dec_tensors), []
+            batch = IdTable(TestNonFiniteParameters.INPUTS, vocab)
+            loss, tensors = seq2seq_loss(batch, batch, np.arange(2), enc, dec)
+            return loss, tensors, []
         return fit([enc, dec], steps, 1e-3, step)
 
     @pytest.mark.parametrize("planted, op", [
@@ -125,11 +142,11 @@ class TestGradientChecks:
         vocab, enc, dec = small_setup
 
         def step(i):
-            graph = seq2seq_loss([["w1", "w2"]], [["w3"]], enc, dec, vocab, vocab)
+            loss, tensors = seq2seq_loss(IdTable([["w1", "w2"]], vocab), IdTable([["w3"]], vocab),
+                                         np.arange(1), enc, dec)
             if i < 1:
-                return graph.loss, (graph.enc_tensors, graph.dec_tensors), []
-            loss = ad.add(graph.loss, self._nan_into(graph.dec_tensors["w_out"]))
-            return loss, (graph.enc_tensors, graph.dec_tensors), []
+                return loss, tensors, []
+            return ad.add(loss, self._nan_into(tensors[1]["w_out"])), tensors, []
         with pytest.raises(ad.NonFiniteError, match=r"^step 1: non-finite global gradient norm"):
             fit([enc, dec], 3, 1e-3, step)
 
@@ -151,9 +168,10 @@ class TestSeq2SeqLoss:
         enc, dec = as_float64(enc), as_float64(dec)  # oracles in float64
         inputs = [["w1", "w2", "w3"], ["w4", "w5"]]
         targets = [["w2", "w3"], ["w4", "w5", "w6"]]
-        graph = seq2seq_loss(inputs, targets, enc, dec, vocab, vocab)
+        loss, _ = seq2seq_loss(IdTable(inputs, vocab), IdTable(targets, vocab), np.arange(2),
+                               enc, dec)
         oracle = seq2seq_loss_oracle(inputs, targets, enc, dec, vocab, vocab)
-        assert abs(float(graph.loss.data) - oracle) < 1e-10
+        assert abs(float(loss.data) - oracle) < 1e-10
 
     def test_float32_matches_ce_oracle_and_float64_gradients(self, small_setup):
         # the float32 forward and backward production runs, against the float64
@@ -163,15 +181,15 @@ class TestSeq2SeqLoss:
         enc64, dec64 = as_float64(enc), as_float64(dec)
         inputs = [["w1", "w2", "w3"], ["w4", "w5"]]
         targets = [["w2", "w3"], ["w4", "w5", "w6"]]
-        graph = seq2seq_loss(inputs, targets, enc, dec, vocab, vocab)
-        graph64 = seq2seq_loss(inputs, targets, enc64, dec64, vocab, vocab)
+        batch = IdTable(inputs, vocab), IdTable(targets, vocab), np.arange(2)
+        loss, tensors = seq2seq_loss(*batch, enc, dec)
+        loss64, tensors64 = seq2seq_loss(*batch, enc64, dec64)
         oracle = seq2seq_loss_oracle(inputs, targets, enc64, dec64, vocab, vocab)
-        assert graph.loss.data.dtype == np.float32
-        assert abs(float(graph.loss.data) - oracle) < 1e-6 * oracle
-        ad.backward(graph.loss)
-        ad.backward(graph64.loss)
-        for ps, ps64 in ((graph.enc_tensors, graph64.enc_tensors),
-                         (graph.dec_tensors, graph64.dec_tensors)):
+        assert loss.data.dtype == np.float32
+        assert abs(float(loss.data) - oracle) < 1e-6 * oracle
+        ad.backward(loss)
+        ad.backward(loss64)
+        for ps, ps64 in zip(tensors, tensors64):
             grads, grads64 = ps.gradients(), ps64.gradients()
             assert grads.keys() == grads64.keys()
             for name, g in grads.items():
@@ -197,8 +215,9 @@ class TestSeq2SeqLoss:
         enc, dec = as_float64(enc), as_float64(dec)  # oracles in float64
         dec.w_out[...] = 0.0
         dec.b_out[...] = 0.0
-        graph = seq2seq_loss([["w1", "w2"]], [["w3", "w4"]], enc, dec, vocab, vocab)
-        assert abs(float(graph.loss.data) - np.log(len(vocab))) < 1e-9
+        loss, _ = seq2seq_loss(IdTable([["w1", "w2"]], vocab), IdTable([["w3", "w4"]], vocab),
+                               np.arange(1), enc, dec)
+        assert abs(float(loss.data) - np.log(len(vocab))) < 1e-9
 
     def test_uniform_logits_log_v_for_any_batch(self, small_setup, rng):
         vocab, enc, dec = small_setup
@@ -207,8 +226,9 @@ class TestSeq2SeqLoss:
         dec.b_out[...] = 0.0
         words = [w for w in vocab.id_to_token[4:]]
         batch = [[words[i] for i in rng.integers(0, len(words), size=3)] for _ in range(4)]
-        graph = seq2seq_loss(batch, batch, enc, dec, vocab, vocab)
-        assert abs(float(graph.loss.data) - np.log(len(vocab))) < 1e-9
+        table = IdTable(batch, vocab)
+        loss, _ = seq2seq_loss(table, table, np.arange(len(batch)), enc, dec)
+        assert abs(float(loss.data) - np.log(len(vocab))) < 1e-9
 
     def test_vocab_mismatch_rejected(self, small_setup):
         vocab, enc, _ = small_setup
@@ -218,7 +238,8 @@ class TestSeq2SeqLoss:
                                         np.zeros(12)),
                              rng.normal(size=(3, 5)), np.zeros(5), "en")
         with pytest.raises(ValueError, match="vocabulary mismatch"):
-            seq2seq_loss([["w1"]], [["w6"]], enc, tiny, vocab, vocab)
+            seq2seq_loss(IdTable([["w1"]], vocab), IdTable([["w6"]], vocab), np.arange(1),
+                         enc, tiny)
 
     def test_denoised_encoder_input_clean_target(self, small_setup):
         # with p_swap=1 the corruption is deterministic: every adjacent
@@ -227,17 +248,19 @@ class TestSeq2SeqLoss:
         vocab, enc, dec = small_setup
         clean = [["w1", "w2", "w3", "w4"]]
         swapped = [["w2", "w1", "w4", "w3"]]
-        noisy = seq2seq_loss(clean, clean, enc, dec, vocab, vocab,
-                             denoise=NoiseParams(p_del=0.0, p_swap=1.0, seed=3))
-        manual = seq2seq_loss(swapped, clean, enc, dec, vocab, vocab)
-        assert float(noisy.loss.data) == pytest.approx(float(manual.loss.data), abs=1e-12)
+        clean, swapped, rows = IdTable(clean, vocab), IdTable(swapped, vocab), np.arange(1)
+        noisy, _ = seq2seq_loss(clean, clean, rows, enc, dec,
+                                denoise=NoiseParams(p_del=0.0, p_swap=1.0, seed=3))
+        manual, _ = seq2seq_loss(swapped, clean, rows, enc, dec)
+        assert float(noisy.data) == pytest.approx(float(manual.data), abs=1e-12)
 
     def test_gradients_flow_to_both_parameter_sets(self, small_setup):
         vocab, enc, dec = small_setup
-        graph = seq2seq_loss([["w1", "w2"]], [["w3"]], enc, dec, vocab, vocab)
-        ad.backward(graph.loss)
-        assert graph.enc_tensors.gradients()
-        assert set(graph.dec_tensors.gradients()) == set(dec.named_arrays())
+        loss, (enc_tensors, dec_tensors) = seq2seq_loss(
+            IdTable([["w1", "w2"]], vocab), IdTable([["w3"]], vocab), np.arange(1), enc, dec)
+        ad.backward(loss)
+        assert enc_tensors.gradients()
+        assert set(dec_tensors.gradients()) == set(dec.named_arrays())
 
 
 class TestJointSeq2Seq:
@@ -312,12 +335,12 @@ class TestJointSeq2Seq:
                 for i, lang in enumerate(corpus.langs)}
         dec = new_decoder(len(vocabs["la"]), 8, 16, 8, "la", seed=23)
         calls = []
-        real = objectives.seq2seq_batch_loss
+        real = objectives.seq2seq_loss
 
         def spy(src, tgt, rows, enc, *args, **kwargs):  # the id tables' sentences, as token ids
             calls.append((enc.lang, [src.ids[i] for i in rows], [tgt.ids[i] for i in rows]))
             return real(src, tgt, rows, enc, *args, **kwargs)
-        monkeypatch.setattr(objectives, "seq2seq_batch_loss", spy)
+        monkeypatch.setattr(objectives, "seq2seq_loss", spy)
         train_joint_seq2seq(corpus, encs, dec, vocabs, "la",
                             TrainSchedule(4, 6, 1e-3, ["la", "lb", "lc"], seed=1),
                             NoiseParams(seed=1))
@@ -346,10 +369,11 @@ class TestJointSeq2Seq:
             inputs = [split[lang][j] for j in idx]
             if lang == "la":
                 inputs = [corrupt(s, noise, noise_rng) for s in inputs]
-            graph = seq2seq_loss(inputs, [split["la"][j] for j in idx], ref_encs[lang], ref_dec,
-                                 vocabs[lang], va)
-            return (graph.loss, (graph.enc_tensors, graph.dec_tensors),
-                    [(i, "sdae" if lang == "la" else "nmt", f"{lang}>la", float(graph.loss.data))])
+            loss, tensors = seq2seq_loss(IdTable(inputs, vocabs[lang]),
+                                         IdTable([split["la"][j] for j in idx], va),
+                                         np.arange(len(idx)), ref_encs[lang], ref_dec)
+            return (loss, tensors,
+                    [(i, "sdae" if lang == "la" else "nmt", f"{lang}>la", float(loss.data))])
         assert trace == fit([ref_dec, *ref_encs.values()], sched.steps, sched.lr, step)
         assert_same_bytes(optimizer_params(dec, *encs.values()),
                           optimizer_params(ref_dec, *ref_encs.values()))
@@ -458,14 +482,13 @@ class TestJointInferSent:
             p, h = objectives.draw_language_pair(rng, langs)
             idx = rng.integers(0, len(datasets[p].premises), size=sched.batch_size)
             labels = np.array([datasets[p].labels[j] for j in idx])
-            graph = infersent_loss([datasets[p].premises[j] for j in idx],
-                                   [datasets[h].hypotheses[j] for j in idx], labels,
-                                   ref_encs[p], ref_encs[h], ref_head, vocabs[p], vocabs[h])
-            acc = float((graph.logits.data.argmax(axis=1) == labels).mean())
-            return (graph.loss, (graph.head_tensors, graph.premise_tensors,
-                                 graph.hypothesis_tensors),
-                    [(i, "infersent_loss", f"{p}|{h}", float(graph.loss.data)),
-                     (i, "infersent_acc", f"{p}|{h}", acc)])
+            loss, tensors, logits = infersent_loss(
+                IdTable([datasets[p].premises[j] for j in idx], vocabs[p]),
+                IdTable([datasets[h].hypotheses[j] for j in idx], vocabs[h]),
+                np.arange(len(idx)), labels, ref_encs[p], ref_encs[h], ref_head)
+            acc = float((logits.data.argmax(axis=1) == labels).mean())
+            return (loss, tensors, [(i, "infersent_loss", f"{p}|{h}", float(loss.data)),
+                                    (i, "infersent_acc", f"{p}|{h}", acc)])
         assert trace == fit([ref_head, *ref_encs.values()], sched.steps, sched.lr, step)
         assert_same_bytes(optimizer_params(head, *encs.values()),
                           optimizer_params(ref_head, *ref_encs.values()))
@@ -522,8 +545,9 @@ class TestTransfer:
 
         def step(i):
             idx = rng.integers(0, len(corpus), size=sched.batch_size)
-            loss, tensors = transfer_l1_loss([corpus["lb"][j] for j in idx], targets[idx], ref, vb)
-            return loss, (tensors,), [(i, "transfer_l1", "lb>la", float(loss.data))]
+            loss, tensors = transfer_l1_loss(IdTable([corpus["lb"][j] for j in idx], vb),
+                                             np.arange(len(idx)), targets[idx], ref)
+            return loss, tensors, [(i, "transfer_l1", "lb>la", float(loss.data))]
         assert trace == fit([ref], sched.steps, sched.lr, step)
         assert_same_bytes(optimizer_params(new), optimizer_params(ref))
 
