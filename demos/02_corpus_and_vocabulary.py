@@ -4,7 +4,7 @@ weights, and the synthetic cipher corpus used throughout the demos.
 """
 
 from xlalign.cipher import apply_cipher, gen_cipher_corpus
-from xlalign.text import NoiseParams, build_vocab, corrupt, make_splits, sif_weight
+from xlalign.text import NoiseParams, build_vocab, corrupt, sif_weight
 
 # --- tokenization: lowercase, whitespace split, punctuation isolated --------
 from xlalign.text import tokenize
@@ -26,10 +26,11 @@ assert all(apply_cipher(t, cc.cipher) == s for s, t in zip(lb, la))
 vocab = build_vocab(la, min_count=1)
 print(f"\n{len(vocab)} ids (4 reserved), {vocab.total_count} tokens total")
 common = max(vocab.token_to_id, key=lambda t: vocab.frequencies[vocab.token_to_id[t]])
-print(f"most frequent token: {common} (p={vocab.probability(common):.3f})")
+common_freq = vocab.frequencies[vocab.token_to_id[common]]
+print(f"most frequent token: {common} (p={common_freq / vocab.total_count:.3f})")
 
 # Inverse-frequency weighting damps frequent words during averaging:
-for freq in (0, 1, 20, vocab.frequencies[vocab.token_to_id[common]]):
+for freq in (0, 1, 20, common_freq):
     print(f"  freq={freq:>4d}  weight={sif_weight(freq, vocab.total_count, a=1e-3):.4f}")
 
 # --- denoising corruption ----------------------------------------------------
@@ -38,7 +39,3 @@ sentence = la[0]
 noise = NoiseParams(p_del=0.3, p_swap=0.5, seed=8)
 print("\nclean:    ", " ".join(sentence))
 print("corrupted:", " ".join(corrupt(sentence, noise)))
-
-# --- nested evaluation splits -------------------------------------------------
-sizes = make_splits(1_000_000, [s * 1000 for s in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)])
-print("\nsplit sizes:", sizes[:4], "... each a prefix of the next")

@@ -18,7 +18,6 @@ from .cipher import gen_cipher_corpus, gen_cldc_docs, write_corpus_files
 from .config import FRAMEWORKS, ConfigError, load_config, parse_config
 from .evaluation import (N_CLDC_CLASSES, CLDCReport, CurvePoint, RetrievalReport,
                          batched_embedder, cldc_train_eval, retrieval_accuracy)
-from .linalg import SvdConvergenceError
 from .mapping import apply_map, load_map
 from .pipeline import Experiment, evaluate_splits, materialize, run_experiment, write_neighbors
 from .text import load_word2vec, write_csv
@@ -38,12 +37,10 @@ def _at_least(flag, value, low):
         raise ConfigError(f"{flag} must be at least {low}, got {value}")
 
 
-def _final_embedders(cfg):
-    # with the word dictionary, through which eval-cldc draws its documents
-    data = materialize(cfg, dictionary=True)
+def _final_embedders(cfg, data):
     exp = Experiment(cfg, data)
     embedders, _ = exp.build(cfg.splits[-1])
-    return data, exp, embedders
+    return exp, embedders
 
 
 def cmd_gen_corpus(args):
@@ -85,8 +82,8 @@ def cmd_run(args):
 
 def cmd_curve(args):
     cfg = _load_cfg(args)
-    points, _ = evaluate_splits(Experiment(cfg, materialize(cfg)))
     os.makedirs(cfg.out_dir, exist_ok=True)
+    points, _ = evaluate_splits(Experiment(cfg, materialize(cfg)))
     path = os.path.join(cfg.out_dir, "curve.csv")
     write_csv(path, CurvePoint._fields, points)
     print(path)
@@ -99,15 +96,17 @@ def cmd_neighbors(args):
     cfg = _load_cfg(args)
     if args.k > cfg.test_size:
         raise ConfigError(f"-k {args.k} exceeds the held-out pool (test_size={cfg.test_size})")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     exp = Experiment(cfg, materialize(cfg))
     _, heldout, _ = exp.evaluate(cfg.splits[-1])
-    os.makedirs(cfg.out_dir, exist_ok=True)
     print(write_neighbors(os.path.join(cfg.out_dir, "neighbors.txt"), exp, heldout,
                           queries=args.queries, k=args.k))
     return 0
 
 
 def cmd_eval_retrieval(args):
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
     _, x = load_word2vec(args.src_emb)
     _, y = load_word2vec(args.tgt_emb)
     if args.map:
@@ -115,7 +114,6 @@ def cmd_eval_retrieval(args):
         x = apply_map(x, m, reverse=args.reverse_map)
     report = retrieval_accuracy(np.asarray(x), np.asarray(y), direction=args.direction)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         write_csv(os.path.join(args.out_dir, "retrieval.csv"), RetrievalReport._fields, [report])
     print(f"{report.direction} accuracy={report.accuracy:.4f} n={report.n_queries}")
     return 0
@@ -125,15 +123,19 @@ def cmd_eval_cldc(args):
     # each class needs a document in the training half
     _at_least("--docs", args.docs, 2 * N_CLDC_CLASSES)
     cfg = _load_cfg(args)
-    data, exp, embedders = _final_embedders(cfg)
-    docs = gen_cldc_docs(data.source, args.docs, seed=cfg.seed + 40)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    data = materialize(cfg, dictionary=True)  # the documents draw on its word dictionary
+    try:
+        docs = gen_cldc_docs(data.source, args.docs, seed=cfg.seed + 40)
+    except ValueError as exc:  # a dictionary too small for the topic bands
+        raise ConfigError(str(exc)) from exc
+    exp, embedders = _final_embedders(cfg, data)
     split = args.docs // 2
     embedders = {lang: batched_embedder(embed, docs[lang]) for lang, embed in embedders.items()}
     # train on the pool language, test on the query language
     reports = [cldc_train_eval(docs[train_lang][:split], docs[test_lang][split:], embedders,
                                train_lang=train_lang, test_lang=test_lang, seed=cfg.seed + 41)
                for test_lang, train_lang in exp.directions]
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "cldc.csv")
     write_csv(path, CLDCReport._fields, reports)
     for r in reports:
@@ -197,10 +199,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonFiniteError, SvdConvergenceError) as exc:
+    except (NonFiniteError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

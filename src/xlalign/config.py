@@ -125,9 +125,9 @@ def validate_config(cfg):
     if len(cfg.languages) != 2 or cfg.languages[0] == cfg.languages[1]:
         raise ConfigError(f"exactly two distinct languages expected, got {cfg.languages}")
     for name, kind in _FIELD_TYPES.items():
-        value = getattr(cfg, name)
-        if kind == "int" and name != "seed" and value < 1:
-            raise ConfigError(f"{name} must be at least 1, got {value}")
+        value, low = getattr(cfg, name), 0 if name == "seed" else 1
+        if kind == "int" and value < low:
+            raise ConfigError(f"{name} must be at least {low}, got {value}")
         if name in ("p_del", "p_swap") and not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         if name in ("lr", "sif_a") and not (math.isfinite(value) and value > 0.0):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_checkpoint, parse_metadata, save_checkpoint
-from .linalg import svd
 
 # how far W^T W of a loaded map may stray from the identity
 ORTHOGONALITY_TOL = 1e-9
@@ -48,7 +47,10 @@ def fit_orthogonal_map(x, y, src_space="src", tgt_space="tgt"):
         raise ValueError(f"paired embedding matrices must share shape, got {x.shape} and {y.shape}")
     if x.shape[0] < 1:
         raise ValueError("at least one pair is required")
-    u, _, vt = svd(x.T @ y)
+    product = x.T @ y
+    if not np.isfinite(product).all():
+        raise ValueError("svd input contains non-finite values")
+    u, _, vt = np.linalg.svd(product, full_matrices=False)
     w = u @ vt
     residual = float(np.linalg.norm(x @ w - y))
     return AlignmentMap(w, src_space, tgt_space, x.shape[0], residual)

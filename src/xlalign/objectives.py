@@ -18,7 +18,6 @@ deterministic functions of (seed, data, schedule).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,24 +80,18 @@ def new_decoder(vocab_size, dim, sentence_dim, hidden, lang, seed):
                          np.zeros(vocab_size, dtype=ad.DTYPE), lang)
 
 
-def teacher_forcing_arrays(target_ids):
-    """Build decoder input/target/mask arrays for a batch of target sentences.
+def teacher_forcing_arrays(padded, lengths):
+    """Decoder input and target ids of target sentences, from their PAD-padded
+    id matrix (as `pad_batch` builds it) and their lengths.
 
     Step k predicts target token k from [BOS, y_1, .., y_{k-1}]; the final
-    step predicts EOS. Like `pad_batch`, the tokens are placed in one pass,
-    with no loop over rows.
+    step predicts EOS. Both arrays are one column wider than `padded`.
     """
-    n = np.array([len(s) for s in target_ids])
-    steps = np.arange(n.max() + 1)
-    tokens = np.fromiter(itertools.chain.from_iterable(target_ids), np.int64, n.sum())
-    dec_in = np.full((len(n), len(steps)), PAD, dtype=np.int64)
-    targets = np.full_like(dec_in, PAD)
-    inner = steps < n[:, None]  # y_1..y_n: steps 0..n-1 of targets, 1..n of dec_in
-    targets[inner] = tokens
-    targets[np.arange(len(n)), n] = EOS
-    dec_in[:, 0] = BOS
-    dec_in[:, 1:][inner[:, :-1]] = tokens
-    return dec_in, targets, (steps <= n[:, None]).astype(np.float64)
+    rows = len(padded)
+    dec_in = np.concatenate([np.full((rows, 1), BOS, dtype=padded.dtype), padded], axis=1)
+    targets = np.concatenate([padded, np.full((rows, 1), PAD, dtype=padded.dtype)], axis=1)
+    targets[np.arange(rows), lengths] = EOS
+    return dec_in, targets
 
 
 def decode_ce_sum(sent_emb, dec_tensors, dec_in, targets, mask):
@@ -141,11 +134,11 @@ class IdTable:
 
     @functools.cached_property
     def _forcing(self):
-        return teacher_forcing_arrays(self.ids)[:2]
+        return teacher_forcing_arrays(self.padded, self.lengths)
 
     def forcing_batch(self, rows):
-        """(dec_in, targets, mask) of the sentences `rows`, the arrays
-        `teacher_forcing_arrays` builds for them."""
+        """(dec_in, targets, mask) of the sentences `rows`: the rows of the
+        `teacher_forcing_arrays` of the table, cut to the longest row's steps."""
         n = self.lengths[rows]
         steps = n.max() + 1
         dec_in, targets = self._forcing

@@ -21,7 +21,7 @@ from .evaluation import CurvePoint, RetrievalReport, neighbor_report, retrieval_
 from .mapping import fit_orthogonal_map, fit_word_dictionary_map, save_map
 from .objectives import (TrainSchedule, new_decoder, new_head, train_joint_infersent,
                          train_joint_seq2seq, train_transfer, write_trace)
-from .text import NoiseParams, ParallelCorpus, build_vocab, load_word2vec, make_splits, write_csv
+from .text import NoiseParams, ParallelCorpus, build_vocab, load_word2vec, write_csv
 
 SEED_PIVOT_ENC, SEED_NEW_ENC, SEED_DECODER, SEED_HEAD = 1, 2, 3, 4
 SEED_PRETRAIN, SEED_TRAIN, SEED_INFERSENT = 10, 11, 12
@@ -35,7 +35,7 @@ class ExperimentData:
     heldout: ParallelCorpus  # the corpus's last test_size rows
     vocabs: dict             # lang -> Vocabulary
     source: CipherCorpus     # the whole corpus, its word dictionary and NLI sets
-    tables: dict             # lang -> word-embedding matrix for SIF / ingest
+    tables: dict             # lang -> word-embedding matrix, SIF only (else empty)
 
 
 def materialize(cfg, dictionary=False):
@@ -58,10 +58,9 @@ def materialize(cfg, dictionary=False):
         raise ConfigError(f"corpus of {len(corpus)} rows cannot spare {cfg.test_size} test rows")
     heldout = corpus[-cfg.test_size:]
     train_corpus = corpus[:-cfg.test_size].without(heldout)
-    try:
-        make_splits(len(train_corpus), cfg.splits)
-    except ValueError as exc:
-        raise ConfigError(f"splits do not fit the training corpus: {exc}") from exc
+    if cfg.splits[-1] > len(train_corpus):
+        raise ConfigError(f"splits do not fit the training corpus: largest split "
+                          f"{cfg.splits[-1]} exceeds corpus size {len(train_corpus)}")
 
     text = dict(train_corpus.items())
     if cc.nli:
@@ -70,7 +69,7 @@ def materialize(cfg, dictionary=False):
     vocabs = {lang: build_vocab(s, cfg.min_count) for lang, s in text.items()}
     seeds = {other: SEED_TABLE_SRC, pivot: SEED_TABLE_TGT}
     tables = {lang: _word_table(cfg, vocabs[lang], lang, cfg.seed + seeds[lang])
-              for lang in (other, pivot)}
+              for lang in (other, pivot) if cfg.encoder == "sif"}
     return ExperimentData(train_corpus, heldout, vocabs, cc, tables)
 
 

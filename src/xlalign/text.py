@@ -1,4 +1,4 @@
-"""Tokenization, vocabularies, row-aligned corpora, denoising, SIF weights, splits."""
+"""Tokenization, vocabularies, row-aligned corpora, denoising, SIF weights, file I/O."""
 
 from __future__ import annotations
 
@@ -43,16 +43,10 @@ class Vocabulary:
     def __len__(self):
         return len(self.id_to_token)
 
-    def id_of(self, token):
-        return self.token_to_id.get(token, UNK)
-
     def encode(self, tokens):
-        get = self.token_to_id.get  # one lookup per token, as `id_of` makes it
+        """The id of each token; unknown tokens are UNK."""
+        get = self.token_to_id.get
         return [get(t, UNK) for t in tokens]
-
-    def probability(self, token):
-        """Unigram probability p(w); OOV tokens share the pooled UNK mass."""
-        return self.frequencies[self.id_of(token)] / self.total_count
 
 
 def build_vocab(token_seqs, min_count=1):
@@ -178,19 +172,6 @@ class ParallelCorpus:
 
     def target_sentences(self):
         return self[self.langs[1]]
-
-
-def make_splits(n, sizes):
-    """The split sizes for a corpus of n rows, validated: nested prefix
-    splits, split k covering rows [0, sizes[k])."""
-    sizes = list(sizes)
-    if not sizes:
-        raise ValueError("at least one split size required")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"split sizes must be strictly increasing: {sizes}")
-    if sizes[-1] > n:
-        raise ValueError(f"largest split {sizes[-1]} exceeds corpus size {n}")
-    return sizes
 
 
 def load_word2vec(path):

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -177,15 +178,15 @@ def test_eval_cldc_embeds_each_side_in_one_batched_call(tmp_path, monkeypatch):
     calls = []
     final_embedders = cli._final_embedders
 
-    def counting(cfg):
-        data, exp, embedders = final_embedders(cfg)
+    def counting(cfg, data):
+        exp, embedders = final_embedders(cfg, data)
 
         def counted(lang, embed):
             def batched(sentences):
                 calls.append((lang, len(sentences)))
                 return embed(sentences)
             return batched
-        return data, exp, {lang: counted(lang, embed) for lang, embed in embedders.items()}
+        return exp, {lang: counted(lang, embed) for lang, embed in embedders.items()}
     monkeypatch.setattr(cli, "_final_embedders", counting)
     cfg = tmp_path / "map.cfg"
     cfg.write_text(SIF_MAP)
@@ -360,6 +361,98 @@ def test_bad_corpus_file_is_validation_error_naming_it(tmp_path, capsys, framewo
     assert "Traceback" not in err
 
 
+def test_only_the_sif_encoder_reads_vec_files(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
+                 "--sentences", "150"]) == 0
+    out = tmp_path / "out"
+    settings = [arg for item in (f"corpus_dir={corpus_dir}", "dim=12", "hidden=8", "steps=20",
+                                 "pivot_steps=20", "splits=40", "test_size=40")
+                for arg in ("--set", item)]
+
+    def transfer_files():
+        assert main(["run", "--set", "framework=transfer", *settings, "--out-dir", str(out)]) == 0
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        shutil.rmtree(out)
+        return files
+    without_vec = transfer_files()
+    bad = corpus_dir / "lb.vec"
+    bad.write_text("2 12\nw000" + " 0.5" * 12 + "\nw001 0.5\n")
+    assert transfer_files() == without_vec
+    capsys.readouterr()
+    assert main(["run", "--set", "framework=sentence_map", "--set", "encoder=sif", *settings,
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}:3: expected a word and 12 values" in err
+
+
+# every subcommand, with the flags it needs to get past its own checks
+SUBCOMMAND_FLAGS = {
+    "gen-corpus": [], "train": ["--set", "framework=joint_seq2seq"], "transfer": [],
+    "fit-map": ["--set", "framework=sentence_map", "--set", "encoder=sif"], "run": [],
+    "curve": [], "neighbors": [], "eval-retrieval": ["--src-emb", "src.vec", "--tgt-emb", "tgt.vec"],
+    "eval-cldc": [],
+}
+
+
+@pytest.mark.parametrize("command, flags", SUBCOMMAND_FLAGS.items(), ids=list(SUBCOMMAND_FLAGS))
+def test_an_existing_file_as_out_dir_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command, flags):
+    def no_work(*args, **kwargs):
+        pytest.fail("worked before creating the output directory")
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "materialize", no_work)
+        monkeypatch.setattr(module, "Experiment", no_work)
+    monkeypatch.setattr(cli, "load_word2vec", no_work)
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    assert main([command, *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert out.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--out-dir", "{file}/out"],
+    ["curve", "--config", "{file}/run.cfg"],
+    ["gen-corpus", "--out-dir", "{file}/corpus"],
+], ids=["out-dir", "config", "gen-corpus"])
+def test_a_path_through_a_file_exits_1(tmp_path, capsys, args):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([arg.format(file=blocker) for arg in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["cipher_vocab=10", "cipher_vocab=11", "corpus_dir"])
+def test_eval_cldc_rejects_a_vocabulary_too_small_before_training(tmp_path, capsys, monkeypatch,
+                                                                  source):
+    if source == "corpus_dir":
+        corpus_dir = tmp_path / "corpus"
+        assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "11",
+                     "--sentences", "150"]) == 0
+        source = f"corpus_dir={corpus_dir}"
+        capsys.readouterr()
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "Experiment",
+                            lambda *a: pytest.fail("trained before the document check"))
+    assert main(["eval-cldc", "--set", source, "--set", "cipher_sentences=150",
+                 "--set", "splits=40,80", "--set", "test_size=40",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: vocabulary too small for 4 topic bands\n"
+
+
+def test_svd_that_does_not_converge_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text(SIF_MAP)
+    assert main(["fit-map", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "numeric failure: SVD did not converge\n"
+
+
 def test_numeric_failure_exits_2(tmp_path, capsys):
     x = np.zeros((4, 3))  # zero-norm rows make the cosine undefined
     src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
@@ -492,7 +585,7 @@ def test_non_finite_dump_fails_without_traceback(tmp_path, rng):
 @pytest.mark.parametrize("setting", [
     "dim=0", "hidden=-1", "batch=0", "steps=0", "min_count=0", "splits=0", "p_del=2", "lr=nan",
     "languages=la,la", "cipher_vocab=9", "cipher_min_len=5 cipher_max_len=3",
-    "framework=joint_infersent cipher_vocab=10", "splits=5000 cipher_sentences=300"])
+    "framework=joint_infersent cipher_vocab=10", "splits=5000 cipher_sentences=300", "seed=-5"])
 def test_out_of_range_setting_is_validation_error(setting, tmp_path):
     """`setting` holds one or more space-separated KEY=VALUE overrides."""
     overrides = [arg for item in setting.split() for arg in ("--set", item)]

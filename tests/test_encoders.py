@@ -7,7 +7,7 @@ from xlalign import encoders
 from xlalign.autodiff import ParamSet
 from xlalign.encoders import (BATCH, encode_batch, encode_sentences, encode_sif,
                               encode_sif_matrix, new_encoder, pad_batch)
-from xlalign.text import RESERVED, Vocabulary, build_vocab, sif_weight
+from xlalign.text import RESERVED, UNK, Vocabulary, build_vocab, sif_weight
 
 from conftest import as_float64, encode_reference, lstm_step_reference
 
@@ -189,7 +189,7 @@ class TestSif:
         emb = encode_sif(words, table, vocab, a=2e-3)
         acc = np.zeros(6)
         for w in words:
-            wid = vocab.id_of(w)
+            wid = vocab.token_to_id.get(w, UNK)
             p = vocab.frequencies[wid] / vocab.total_count
             acc += (2e-3 / (2e-3 + p)) * table[wid]
         np.testing.assert_allclose(emb, acc / len(words), atol=1e-12)
@@ -220,7 +220,7 @@ class TestSif:
         for row, sentence in enumerate(corpus):
             acc = [0.0] * 5
             for token in sentence:
-                wid = vocab.id_of(token)
+                wid = vocab.token_to_id.get(token, UNK)
                 weight = a / (a + vocab.frequencies[wid] / vocab.total_count)
                 for j in range(5):
                     acc[j] += weight * float(table[wid, j])

@@ -52,6 +52,17 @@ class TestFit:
         with pytest.raises(ValueError, match="shape"):
             fit_orthogonal_map(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
 
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            fit_orthogonal_map(np.ones(4), np.ones(4))
+
+    def test_non_finite_svd_input_rejected(self, rng):
+        for bad in (np.nan, np.inf):
+            x = rng.normal(size=(5, 3))
+            x[2, 1] = bad
+            with pytest.raises(ValueError, match="svd input contains non-finite values"):
+                fit_orthogonal_map(x, rng.normal(size=(5, 3)))
+
 
 class TestApply:
     def test_identity_map(self, rng):

@@ -67,7 +67,9 @@ def test_teacher_forcing_arrays_match_the_row_loop(seed):
     rng = np.random.default_rng(seed)
     lengths = [1] + rng.integers(1, 9, size=int(rng.integers(0, 20))).tolist()
     batch = [rng.integers(4, 50, size=n).tolist() for n in rng.permutation(lengths)]
-    for got, want in zip(objectives.teacher_forcing_arrays(batch), teacher_forcing_loop(batch)):
+    padded, _, lengths = pad_batch(batch)
+    for got, want in zip(objectives.teacher_forcing_arrays(padded, np.array(lengths)),
+                         teacher_forcing_loop(batch)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 

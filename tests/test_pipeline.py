@@ -172,10 +172,11 @@ def test_word_table_ingests_embedding_file(tmp_path):
     from xlalign.cipher import write_corpus_files
     from xlalign.text import save_word2vec
 
-    cfg = parse_config(TOY)
+    sif = TOY + "framework=sentence_map\nencoder=sif\n"  # only SIF reads word tables
+    cfg = parse_config(sif)
     data = materialize(cfg)
     write_corpus_files(tmp_path, data.source)
-    from_files = parse_config(TOY + f"corpus_dir={tmp_path}\n")
+    from_files = parse_config(sif + f"corpus_dir={tmp_path}\n")
     np.testing.assert_array_equal(materialize(from_files).tables["la"], data.tables["la"])
     vocab = data.vocabs["la"]
     word = vocab.id_to_token[5]

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlalign.cipher import read_corpus_files
-from xlalign.config import ConfigError
+from xlalign.config import ConfigError, parse_config
 from xlalign.rand import Xorshift64Star
 from xlalign.evaluation import CLDCReport, CurvePoint, RetrievalReport
 from xlalign.objectives import TRACE_HEADER
-from xlalign.pipeline import evaluate_splits
+from xlalign.pipeline import evaluate_splits, materialize
 from xlalign.text import (UNK, NoiseParams, ParallelCorpus, build_vocab,
-                          corrupt, load_word2vec,
-                          make_splits, save_word2vec, sif_weight, tokenize, write_csv)
+                          corrupt, load_word2vec, save_word2vec, sif_weight, tokenize,
+                          write_csv)
 
 from conftest import toy_experiment
 from test_rand import reference_stream
@@ -50,7 +50,7 @@ class TestVocab:
     def test_min_count_threshold(self):
         v = build_vocab([["a", "b"], ["a"]], min_count=2)
         assert "b" not in v.token_to_id
-        assert v.id_of("b") == UNK
+        assert v.encode(["b"]) == [UNK]
         assert v.frequencies[UNK] == 1  # pooled OOV mass
 
     def test_total_equals_sum_of_frequencies(self):
@@ -83,7 +83,7 @@ class TestVocab:
                      for _ in range(300)]
         v = build_vocab(sentences[:100], min_count=2)  # rare and unseen words are UNK
         for s in sentences:
-            assert v.encode(s) == [v.id_of(t) for t in s]
+            assert v.encode(s) == [v.token_to_id.get(t, UNK) for t in s]
 
 
 class TestCorrupt:
@@ -244,29 +244,24 @@ class TestCorpus:
 
 def curve_training_sets(n, sizes):
     """The training rows each split of an evaluated curve is built from, in order."""
-    exp, seen = toy_experiment(n, make_splits(n, sizes))
+    exp, seen = toy_experiment(n, sizes)
     evaluate_splits(exp)
     return exp.data.train_corpus, seen
 
 
 class TestSplits:
     def test_prefix_rule(self):
-        assert make_splits(10, (2, 5)) == [2, 5]
         corpus, seen = curve_training_sets(10, [2, 5])
         assert seen == [corpus.rows()[:2], corpus.rows()[:5]]
 
     def test_not_increasing_rejected(self):
-        with pytest.raises(ValueError, match="increasing"):
-            make_splits(10, [5, 2])
+        with pytest.raises(ConfigError, match="increasing"):
+            parse_config("splits=5,2")
 
     def test_oversized_split_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            make_splits(10, [5, 20])
-
-    def test_full_grid_on_million_pair_corpus(self):
-        grid = [s * 1000 for s in (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)]
-        assert make_splits(1_000_000, grid) == [1000, 2000, 5000, 10000, 20000, 50000,
-                                                100000, 200000, 500000, 1000000]
+        cfg = parse_config("cipher_sentences=30\ntest_size=10\nsplits=5,40")
+        with pytest.raises(ConfigError, match=r"largest split 40 exceeds corpus size \d+$"):
+            materialize(cfg)
 
     def test_nesting_property(self):
         _, seen = curve_training_sets(5000, [10, 100, 1000])
