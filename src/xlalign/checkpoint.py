@@ -22,6 +22,8 @@ import os
 
 import numpy as np
 
+from .config import ConfigError, read_file
+
 HEADER = "XLALIGN-CKPT 1"
 
 
@@ -58,49 +60,46 @@ def _write(fh, tensors, comments):
 
 
 def load_checkpoint(path):
-    """Returns (tensors, comments). A malformed header, shape record or
-    value is a ValueError naming the file (and the tensor)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != HEADER:
-            raise ValueError(f"{path} is not a checkpoint file (header {first!r})")
-        comments = []
-        tokens = []
+    """Returns (tensors, comments). A malformed or non-UTF-8 header, shape
+    record or value is a ConfigError naming the file (and the tensor)."""
+    lines = iter(read_file(path, list))
+    first = next(lines, "").rstrip("\n")
+    if first != HEADER:
+        raise ConfigError(f"{path} is not a checkpoint file (header {first!r})")
+    comments = []
+    tokens = []
 
-        def next_tokens(n, name):
-            while len(tokens) < n:
-                line = fh.readline()
-                if not line:
-                    raise ValueError(f"{path}: truncated checkpoint file in tensor {name!r}")
-                if line.startswith("#"):
-                    continue
-                tokens.extend(line.split())
-            out, tokens[:n] = tokens[:n], []
-            return out
-
-        tensors = {}
-        while True:
-            line = fh.readline()
+    def next_tokens(n, name):
+        while len(tokens) < n:
+            line = next(lines, "")
             if not line:
-                break
-            line = line.strip()
-            if not line:
-                continue
+                raise ConfigError(f"{path}: truncated checkpoint file in tensor {name!r}")
             if line.startswith("#"):
-                comments.append(line[1:].strip())
                 continue
-            name, *fields = line.split()
-            if name in tensors:
-                raise ValueError(f"{path}: repeated tensor name {name!r}")
-            dims = _shape(path, name, fields)
-            values = next_tokens(math.prod(dims), name)
-            try:
-                data = [float(tok) for tok in values]
-            except ValueError as exc:  # names the token
-                raise ValueError(f"{path}: tensor {name!r}: {exc}") from None
-            if tokens:
-                raise ValueError(f"{path}: extra values after tensor {name!r}")
-            tensors[name] = np.array(data, dtype=np.float64).reshape(dims)
+            tokens.extend(line.split())
+        out, tokens[:n] = tokens[:n], []
+        return out
+
+    tensors = {}
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+            continue
+        name, *fields = line.split()
+        if name in tensors:
+            raise ConfigError(f"{path}: repeated tensor name {name!r}")
+        dims = _shape(path, name, fields)
+        values = next_tokens(math.prod(dims), name)
+        try:
+            data = [float(tok) for tok in values]
+        except ValueError as exc:  # names the token
+            raise ConfigError(f"{path}: tensor {name!r}: {exc}") from None
+        if tokens:
+            raise ConfigError(f"{path}: extra values after tensor {name!r}")
+        tensors[name] = np.array(data, dtype=np.float64).reshape(dims)
     return tensors, comments
 
 
@@ -113,15 +112,20 @@ def _shape(path, name, fields):
     except ValueError:  # no ndim, or a field that is not an integer
         ok = False
     if not ok:
-        raise ValueError(f"{path}: bad shape record for tensor {name!r}: {' '.join(fields)!r}")
+        raise ConfigError(f"{path}: bad shape record for tensor {name!r}: {' '.join(fields)!r}")
     return tuple(dims)
 
 
 def parse_metadata(path, comments):
     """key -> value over the `key=value` tokens of a checkpoint's comment
-    lines; any other token is a ValueError naming the file and the token."""
-    tokens = [token.partition("=") for line in comments for token in line.split()]
-    for key, sep, value in tokens:
+    lines; any other token, or a key given twice, is a ConfigError naming the
+    file and the token."""
+    metadata = {}
+    for token in (token for line in comments for token in line.split()):
+        key, sep, value = token.partition("=")
         if not (key and sep):
-            raise ValueError(f"{path}: comment token {key + sep + value!r} is not key=value")
-    return {key: value for key, _, value in tokens}
+            raise ConfigError(f"{path}: comment token {token!r} is not key=value")
+        if key in metadata:
+            raise ConfigError(f"{path}: repeated comment key {key!r}")
+        metadata[key] = value
+    return metadata

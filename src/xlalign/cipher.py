@@ -18,7 +18,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .config import ConfigError
+from .config import ConfigError, read_file
 from .evaluation import N_CLDC_CLASSES
 from .objectives import NLIDataset
 from .rand import Xorshift64Star
@@ -58,17 +58,19 @@ def gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,
 
     `langs` names the corpus languages in order: the ciphered language, then
     the base language, matching the usual "align the new language to the
-    pivot" direction.
+    pivot" direction. An argument out of range is a ConfigError.
     """
     if vocab_size < 10:
-        raise ValueError(f"vocab_size must be >= 10, got {vocab_size}")
+        raise ConfigError(f"vocab_size must be >= 10, got {vocab_size}")
     if n_sentences < 1:
-        raise ValueError(f"n_sentences must be >= 1, got {n_sentences}")
+        raise ConfigError(f"n_sentences must be >= 1, got {n_sentences}")
     lo, hi = length_range
     if not 1 <= lo <= hi:
-        raise ValueError(f"degenerate length range {length_range}")
+        raise ConfigError(f"degenerate length range {length_range}")
     if nli_size and hi >= vocab_size - 2:
-        raise ValueError("NLI generation needs sentence lengths well below the vocabulary size")
+        raise ConfigError("NLI generation needs sentence lengths well below the vocabulary size")
+    if len(set(langs)) != 2:
+        raise ConfigError(f"two distinct languages expected, got {langs}")
 
     rng = Xorshift64Star(seed)
     base = [f"w{i:03d}" for i in range(vocab_size)]
@@ -136,13 +138,14 @@ def gen_cldc_docs(cipher_corpus, n_docs, seed=0):
     N_CLDC_CLASSES classes draws its sentences from one band of the
     vocabulary, in both languages of the cipher corpus.
 
-    Returns {lang: [(doc, label), ...]} with docs as lists of token lists.
+    Returns {lang: [(doc, label), ...]} with docs as lists of token lists. A
+    vocabulary of fewer than 3 words a band is a ConfigError.
     """
     rng = Xorshift64Star(seed)
     base = sorted(cipher_corpus.cipher)
     band = len(base) // N_CLDC_CLASSES
     if band < 3:
-        raise ValueError(f"vocabulary too small for {N_CLDC_CLASSES} topic bands")
+        raise ConfigError(f"vocabulary too small for {N_CLDC_CLASSES} topic bands")
     ciphered_lang, base_lang = cipher_corpus.corpus.langs
     docs = {base_lang: [], ciphered_lang: []}
     for i in range(n_docs):
@@ -204,7 +207,7 @@ def read_corpus_files(corpus_dir, langs, nli=False, dictionary=False):
     """
     other, pivot = langs
     path = functools.partial(os.path.join, corpus_dir)
-    rows = _read_rows([path(f"{lang}.txt") for lang in langs])
+    rows = [row for _, row in _read_rows([path(f"{lang}.txt") for lang in langs])]
     names = [path(f"dict.{a}-{b}.txt") for a, b in ((pivot, other), (other, pivot))]
     flip = not os.path.exists(names[0]) and os.path.exists(names[1])
     cipher = _read_pairs(names[flip], flip) if dictionary else None
@@ -212,42 +215,38 @@ def read_corpus_files(corpus_dir, langs, nli=False, dictionary=False):
                         _read_nli(path, langs) if nli else None)
 
 
-def _read_lines(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
-
-
 def _read_rows(paths):
-    """The rows of the line-aligned files `paths`, each line tokenized; rows
-    where any line tokenizes to nothing are skipped."""
-    texts = [_read_lines(p) for p in paths]
+    """(1-based line number, row) over the line-aligned files `paths`, each
+    line tokenized; rows where any line tokenizes to nothing are skipped."""
+    texts = [read_file(p, lambda fh: fh.read().splitlines()) for p in paths]
     if len(set(map(len, texts))) > 1:
         raise ConfigError("line counts differ: " + ", ".join(
             f"{p} has {len(t)}" for p, t in zip(paths, texts)))
-    return [row for row in zip(*(map(tokenize, t) for t in texts)) if all(row)]
+    return [(ln, row) for ln, row in enumerate(zip(*(map(tokenize, t) for t in texts)), 1)
+            if all(row)]
 
 
 def _read_pairs(path, flip=False):
     """{first word: second word} of a dictionary file of `<word> <word>` lines;
     {second word: first word} with `flip`."""
-    rows = [row[0] for row in _read_rows([path])]
-    for words in rows:
+    rows = _read_rows([path])
+    for ln, (words,) in rows:
         if len(words) != 2:
-            raise ConfigError(f"{path}: expected two words a line, got {' '.join(words)!r}")
-    return dict(row[::-1] if flip else row for row in rows)
+            raise ConfigError(f"{path}:{ln}: expected two words a line, got {' '.join(words)!r}")
+    return dict(words[::-1] if flip else words for _, (words,) in rows)
 
 
 def _read_nli(path, langs):
     """{lang: NLIDataset} from `nli.<lang>.{premises,hypotheses}.txt` and the
-    shared `nli.labels.txt`, all line-aligned."""
+    shared `nli.labels.txt`, all line-aligned; a label line holds one label,
+    0, 1 or 2."""
+    labels_path = path("nli.labels.txt")
     rows = _read_rows([path(f"nli.{lang}.{part}.txt") for lang in langs
-                       for part in ("premises", "hypotheses")] + [path("nli.labels.txt")])
-    try:
-        labels = [int("".join(row[-1])) for row in rows]
-        return {lang: NLIDataset([row[2 * i] for row in rows], [row[2 * i + 1] for row in rows],
-                                 labels) for i, lang in enumerate(langs)}
-    except ValueError as exc:
-        raise ConfigError(f"{path('nli.labels.txt')}: {exc}") from exc
+                       for part in ("premises", "hypotheses")] + [labels_path])
+    for ln, (*_, label) in rows:
+        if label not in (["0"], ["1"], ["2"]):
+            raise ConfigError(f"{labels_path}:{ln}: expected one label 0, 1 or 2, "
+                              f"got {' '.join(label)!r}")
+    labels = [int(row[-1][0]) for _, row in rows]
+    return {lang: NLIDataset([row[2 * i] for _, row in rows], [row[2 * i + 1] for _, row in rows],
+                             labels) for i, lang in enumerate(langs)}

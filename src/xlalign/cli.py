@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: gen-corpus, train, transfer, fit-map, eval-retrieval, eval-cldc,
-curve, neighbors, run. Exit codes: 0 success, 1 validation error, 2
-runtime/numeric failure. Output paths are taken relative to --out-dir.
+curve, neighbors, run. Exit codes: 0 success, 1 a bad flag, config or input
+file (a ConfigError, raised where it is found) or a file-system error, 2 a
+numeric failure. Output paths are taken relative to --out-dir.
 """
 
 from __future__ import annotations
@@ -45,12 +46,8 @@ def _final_embedders(cfg, data):
 
 def cmd_gen_corpus(args):
     _at_least("--nli-size", args.nli_size, 0)
-    try:
-        cc = gen_cipher_corpus(args.vocab_size, args.sentences, (args.min_len, args.max_len),
-                               args.seed, nli_size=args.nli_size,
-                               langs=(args.src_lang, args.tgt_lang))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cc = gen_cipher_corpus(args.vocab_size, args.sentences, (args.min_len, args.max_len),
+                           args.seed, nli_size=args.nli_size, langs=(args.src_lang, args.tgt_lang))
     for p in write_corpus_files(args.out_dir, cc):
         print(p)
     return 0
@@ -109,10 +106,15 @@ def cmd_eval_retrieval(args):
         os.makedirs(args.out_dir, exist_ok=True)
     _, x = load_word2vec(args.src_emb)
     _, y = load_word2vec(args.tgt_emb)
+    if x.shape != y.shape or len(x) < 2:
+        raise ConfigError(f"{args.src_emb} and {args.tgt_emb} cannot be paired: shapes "
+                          f"{x.shape} and {y.shape}; retrieval needs one shape of two rows or more")
     if args.map:
         m = load_map(args.map)
+        if m.dim != x.shape[1]:
+            raise ConfigError(f"{args.map}: map dim {m.dim}, {args.src_emb} has dim {x.shape[1]}")
         x = apply_map(x, m, reverse=args.reverse_map)
-    report = retrieval_accuracy(np.asarray(x), np.asarray(y), direction=args.direction)
+    report = retrieval_accuracy(x, y, direction=args.direction)
     if args.out_dir:
         write_csv(os.path.join(args.out_dir, "retrieval.csv"), RetrievalReport._fields, [report])
     print(f"{report.direction} accuracy={report.accuracy:.4f} n={report.n_queries}")
@@ -125,10 +127,7 @@ def cmd_eval_cldc(args):
     cfg = _load_cfg(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     data = materialize(cfg, dictionary=True)  # the documents draw on its word dictionary
-    try:
-        docs = gen_cldc_docs(data.source, args.docs, seed=cfg.seed + 40)
-    except ValueError as exc:  # a dictionary too small for the topic bands
-        raise ConfigError(str(exc)) from exc
+    docs = gen_cldc_docs(data.source, args.docs, seed=cfg.seed + 40)
     exp, embedders = _final_embedders(cfg, data)
     split = args.docs // 2
     embedders = {lang: batched_embedder(embed, docs[lang]) for lang, embed in embedders.items()}
@@ -205,7 +204,7 @@ def main(argv=None):
     except (NonFiniteError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a last resort: no known input reaches it
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,18 @@ ENCODER_KINDS = ("bilstm_maxpool", "sif")
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration."""
+    """Invalid input: a setting, a flag or a file that xlalign rejects. A file's
+    fault is raised where the file is read, its message starting with the path."""
+
+
+def read_file(path, read, encoding="utf-8"):
+    """read(fh) over the file at `path` opened as text; a byte that does not
+    decode is a ConfigError naming the file."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            return read(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 @dataclass
@@ -61,6 +72,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _coerce(name, raw):
+    if "\0" in raw:  # no path or language name can hold one
+        raise ValueError("a NUL character")
     default = getattr(ExperimentConfig(), name)
     if isinstance(default, int):
         return int(raw)
@@ -104,12 +117,12 @@ def parse_config(text, overrides=()):
 
 
 def load_config(path, overrides=()):
+    """`parse_config` of the file at `path`; a ConfigError names the file."""
+    text = read_file(path, lambda fh: fh.read())
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text ({exc})") from exc
-    return parse_config(text, overrides)
+        return parse_config(text, overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def validate_config(cfg):

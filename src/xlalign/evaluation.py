@@ -15,18 +15,19 @@ BUDGET = 16 * 2**20
 
 
 def _row_norms(x, side):
-    """x as float64 and its row norms. A row whose norm is zero or not finite
-    is a ValueError naming the side and the row."""
+    """x as float64 and its row norms. A row whose norm is zero (its cosine
+    would be 0/0) or not finite is a NonFiniteError naming the side and the row."""
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         norms = np.sqrt((x * x).sum(axis=1))
     bad = np.nonzero(~np.isfinite(norms))[0]
     if bad.size:
-        raise ValueError(f"non-finite norm at {side} row {int(bad[0])}: "
+        raise ad.NonFiniteError(f"non-finite norm at {side} row {int(bad[0])}: "
                          "the embedding holds nan or inf, or overflows")
     bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
-        raise ValueError(f"zero-norm embedding at {side} row {int(bad[0])}: cosine undefined")
+        raise ad.NonFiniteError(f"zero-norm embedding at {side} row {int(bad[0])}: "
+                                "cosine undefined")
     return x, norms
 
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import NonFiniteError
 from .checkpoint import load_checkpoint, parse_metadata, save_checkpoint
+from .config import ConfigError
 
 # how far W^T W of a loaded map may stray from the identity
 ORTHOGONALITY_TOL = 1e-9
@@ -49,7 +51,7 @@ def fit_orthogonal_map(x, y, src_space="src", tgt_space="tgt"):
         raise ValueError("at least one pair is required")
     product = x.T @ y
     if not np.isfinite(product).all():
-        raise ValueError("svd input contains non-finite values")
+        raise NonFiniteError("svd input contains non-finite values")
     u, _, vt = np.linalg.svd(product, full_matrices=False)
     w = u @ vt
     residual = float(np.linalg.norm(x @ w - y))
@@ -77,19 +79,19 @@ def load_map(path):
     """The map `save_map` wrote to `path`. A tensor other than a square,
     orthogonal W (max |W^T W - I| <= ORTHOGONALITY_TOL, which also rejects
     nan), or a missing or out-of-range metadata value (pairs >= 1, residual
-    finite and >= 0), is a ValueError naming the file and the key."""
+    finite and >= 0), is a ConfigError naming the file and the key."""
     tensors, comments = load_checkpoint(path)
     if tensors.keys() != {"W"}:
-        raise ValueError(f"{path} is not a map checkpoint: tensors {sorted(tensors)}, "
-                         "expected ['W']")
+        raise ConfigError(f"{path} is not a map checkpoint: tensors {sorted(tensors)}, "
+                          "expected ['W']")
     w = tensors["W"]
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"{path}: W must be a square 2-D matrix, got shape {w.shape}")
+        raise ConfigError(f"{path}: W must be a square 2-D matrix, got shape {w.shape}")
     with np.errstate(all="ignore"):  # a non-finite W is reported below
         deviation = np.abs(w.T @ w - np.eye(len(w))).max(initial=0.0)
     if not deviation <= ORTHOGONALITY_TOL:
-        raise ValueError(f"{path}: W is not orthogonal (max |W^T W - I| = {deviation:.3g}), "
-                         "so apply_map(reverse=True) would not invert it")
+        raise ConfigError(f"{path}: W is not orthogonal (max |W^T W - I| = {deviation:.3g}), "
+                          "so apply_map(reverse=True) would not invert it")
     fields = parse_metadata(path, comments)
     return AlignmentMap(w, *(_metadata(path, fields, key, kind, valid) for key, kind, valid in
                              (("src", str, None), ("tgt", str, None),
@@ -99,13 +101,13 @@ def load_map(path):
 
 def _metadata(path, fields, key, kind, valid):
     if key not in fields:
-        raise ValueError(f"{path} has no {key}= comment")
+        raise ConfigError(f"{path} has no {key}= comment")
     try:
         value = kind(fields[key])
     except ValueError:
-        raise ValueError(f"{path}: {key}={fields[key]!r} is not {kind.__name__}") from None
+        raise ConfigError(f"{path}: {key}={fields[key]!r} is not {kind.__name__}") from None
     if valid is not None and not valid(value):
-        raise ValueError(f"{path}: {key}={fields[key]!r} is out of range")
+        raise ConfigError(f"{path}: {key}={fields[key]!r} is out of range")
     return value
 
 
@@ -124,5 +126,5 @@ def fit_word_dictionary_map(dict_pairs, src_words, src_table, tgt_words, tgt_tab
             rows_x.append(src_table[src_index[s]])
             rows_y.append(tgt_table[tgt_index[t]])
     if not rows_x:
-        raise ValueError("no dictionary pair is covered by both vocabularies")
+        raise ConfigError("no dictionary pair is covered by both vocabularies")
     return fit_orthogonal_map(np.array(rows_x), np.array(rows_y), src_space, tgt_space)

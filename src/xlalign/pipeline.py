@@ -81,12 +81,9 @@ def _word_table(cfg, vocab, lang, seed):
     path = os.path.join(cfg.corpus_dir, f"{lang}.vec")
     if not (cfg.corpus_dir and os.path.exists(path)):
         return table
-    try:
-        words, matrix = load_word2vec(path)
-    except ValueError as exc:  # names the file
-        raise ConfigError(str(exc)) from exc
+    words, matrix = load_word2vec(path)
     if matrix.shape[1] != cfg.dim:
-        raise ConfigError(f"embedding file {path} has dim {matrix.shape[1]}, config says {cfg.dim}")
+        raise ConfigError(f"{path}:1: dim {matrix.shape[1]}, config says {cfg.dim}")
     for w, row in zip(words, matrix):
         wid = vocab.token_to_id.get(w)
         if wid is not None:
@@ -275,7 +272,7 @@ def save_params(path, params):
 def load_params(path, cls):
     """The `cls` that `save_params` wrote to `path`, its arrays in `ad.DTYPE`
     (a float64 checkpoint loads rounded). Tensor names other than the class's,
-    or a missing metadata key, are a ValueError naming the file."""
+    or a missing metadata key, are a ConfigError naming the file."""
     tensors, comments = load_checkpoint(path)
     tensors = {name: arr.astype(ad.DTYPE) for name, arr in tensors.items()}
     metadata = parse_metadata(path, comments)
@@ -283,11 +280,11 @@ def load_params(path, cls):
              for name, _, is_array in ad.name_table(cls)]
     expected = {key for key, source in table if source is tensors}
     if tensors.keys() != expected:
-        raise ValueError(f"{path} is not a {cls.__name__} checkpoint: missing tensors "
-                         f"{sorted(expected - set(tensors))}, extra {sorted(set(tensors) - expected)}")
+        raise ConfigError(f"{path} is not a {cls.__name__} checkpoint: missing tensors "
+                          f"{sorted(expected - set(tensors))}, extra {sorted(set(tensors) - expected)}")
     missing = [key for key, source in table if key not in source]
     if missing:
-        raise ValueError(f"{path} has no {missing[0]}= comment")
+        raise ConfigError(f"{path} has no {missing[0]}= comment")
     return ad.build_params(cls, (source[key] for key, source in table))
 
 
@@ -321,7 +318,7 @@ def run_experiment(cfg):
     points, (artifacts, heldout, reports) = evaluate_splits(exp)
     write_csv(out("curve.csv"), CurvePoint._fields, points)
     write_csv(out("retrieval.csv"), RetrievalReport._fields, reports)
-    write_neighbors(out("neighbors.txt"), exp, heldout)
+    write_neighbors(out("neighbors.txt"), exp, heldout, k=min(3, cfg.test_size))
 
     for name, (write, obj) in artifacts.items():
         write(out(name), obj)

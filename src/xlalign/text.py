@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, read_file
 from .rand import Xorshift64Star
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
@@ -178,32 +179,30 @@ def load_word2vec(path):
     """word2vec text format: `<count> <dim>` header, then `<word> <v1> ...`.
 
     A UTF-8 byte-order mark and trailing whitespace on a line (fastText `.vec`
-    files end every line with a space) are accepted. Returns (words, matrix).
-    A malformed or non-UTF-8 file is a `ValueError` naming the file (and line).
+    files end every line with a space) are accepted. Returns (words, matrix),
+    the matrix `(count, dim)` even for a header-only file. A malformed or
+    non-UTF-8 file is a `ConfigError` naming the file (and line); a `nan` or
+    `inf` value is read as it stands.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    lines = read_file(path, list, encoding="utf-8-sig")
     header = lines[0].split() if lines else []
-    if len(header) != 2 or not all(h.isdigit() for h in header):
-        raise ValueError(f"{path}:1: header {' '.join(header)!r} is not '<count> <dim>'")
+    if len(header) != 2 or not all(h.isascii() and h.isdigit() for h in header):
+        raise ConfigError(f"{path}:1: header {' '.join(header)!r} is not '<count> <dim>'")
     count, dim = int(header[0]), int(header[1])
     words, rows = [], []
     for ln, line in enumerate(lines[1:], 2):
         parts = line.rstrip().split(" ")
         if len(parts) != dim + 1:
-            raise ValueError(f"{path}:{ln}: expected a word and {dim} values, "
-                             f"got {len(parts) - 1} values after {parts[0]!r}")
+            raise ConfigError(f"{path}:{ln}: expected a word and {dim} values, "
+                              f"got {len(parts) - 1} values after {parts[0]!r}")
         try:
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
+            raise ConfigError(f"{path}:{ln}: {exc}") from None
         words.append(parts[0])
     if len(words) != count:
-        raise ValueError(f"{path}:1: header says {count} words, found {len(words)}")
-    return words, np.array(rows, dtype=np.float64)
+        raise ConfigError(f"{path}:1: header says {count} words, found {len(words)}")
+    return words, np.array(rows, dtype=np.float64).reshape(count, dim)
 
 
 def save_word2vec(path, words, matrix):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from xlalign.checkpoint import HEADER, load_checkpoint, save_checkpoint
+from xlalign.checkpoint import HEADER, load_checkpoint, parse_metadata, save_checkpoint
+from xlalign.config import ConfigError
 
 
 def test_round_trip_exact_float64(tmp_path, rng):
@@ -113,3 +116,19 @@ def test_non_numeric_value_names_file_tensor_and_token(tmp_path):
     path.write_text(f"{HEADER}\nw 1 3\n1.0 two 3.0\n")
     with pytest.raises(ValueError, match=r"value\.ckpt: tensor 'w': .*'two'"):
         load_checkpoint(path)
+
+
+def test_non_utf8_byte_names_file(tmp_path):
+    path = tmp_path / "byte.ckpt"
+    path.write_bytes(f"{HEADER}\nw 1 2\n1.0 2.0\n".encode() + b"\xff\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8 text ('utf-8' codec")):
+        load_checkpoint(path)
+
+
+def test_repeated_comment_key_rejected(tmp_path):
+    path = tmp_path / "meta.ckpt"
+    save_checkpoint(path, {"w": np.zeros(2)}, comments=["lang=la", "lang=lb"])
+    _, comments = load_checkpoint(path)
+    assert parse_metadata(path, comments[:1]) == {"lang": "la"}
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: repeated comment key 'lang'")):
+        parse_metadata(path, comments)

@@ -127,9 +127,13 @@ class TestCorpusFiles:
 
     @pytest.mark.parametrize("name, edit, message", [
         ("nli.labels.txt", lambda t: t[:1] + ["3"] + t[2:],
-         r"nli.labels.txt: labels outside \{0,1,2\}: \[3\]"),
+         "nli.labels.txt:2: expected one label 0, 1 or 2, got '3'"),
+        ("nli.labels.txt", lambda t: t[:2] + ["0 1"] + t[3:],
+         "nli.labels.txt:3: expected one label 0, 1 or 2, got '0 1'"),
+        ("nli.labels.txt", lambda t: t[:3] + ["2 0"] + t[4:],
+         "nli.labels.txt:4: expected one label 0, 1 or 2, got '2 0'"),
         ("nli.lb.premises.txt", lambda t: t[:4], "nli.lb.premises.txt has 4"),
-    ], ids=["bad-label", "short-file"])
+    ], ids=["bad-label", "two-labels", "two-labels-joined-out-of-range", "short-file"])
     def test_malformed_nli_file_is_named(self, tmp_path, name, edit, message):
         write_corpus_files(tmp_path, gen_cipher_corpus(30, 10, (3, 7), seed=4, nli_size=6))
         path = tmp_path / name

@@ -102,6 +102,24 @@ def test_non_utf8_config_is_validation_error(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_a_nul_character_in_a_config_value_is_a_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_bytes(b"out_dir=o\x00t\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: bad value for 'out_dir': 'o\\x00t' (a NUL character)\n")
+
+
+def test_a_two_row_heldout_pool_reports_both_neighbours(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", *(arg for item in ("framework=sentence_map", "encoder=sif",
+                                           "cipher_sentences=100", "splits=20", "test_size=2")
+                          for arg in ("--set", item)), "--out-dir", str(out)]) == 0
+    # two queries, each against two pools of two neighbours
+    assert sum(line.startswith("    ") for line in
+               (out / "neighbors.txt").read_text().splitlines()) == 2 * 2 * 2
+
+
 def test_missing_corpus_file_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"corpus_dir={tmp_path / 'nonexistent'}\n")
@@ -467,14 +485,14 @@ def test_numeric_failure_exits_2(tmp_path, capsys):
     ("2 2\na 0.1 0.2\nb 0.3\n", 3),
     ("3 2\na 0.1 0.2\nb 0.3 0.4\n", 1),
 ], ids=["non-numeric", "too-few-values", "count-mismatch"])
-def test_malformed_embedding_file_exits_2_naming_file_and_line(tmp_path, capsys, rng, body,
+def test_malformed_embedding_file_exits_1_naming_file_and_line(tmp_path, capsys, rng, body,
                                                                line):
     bad, ok = tmp_path / "bad.vec", tmp_path / "ok.vec"
     bad.write_text(body)
     write_dump(ok, rng.normal(size=(2, 2)))
-    assert main(["eval-retrieval", "--src-emb", str(ok), "--tgt-emb", str(bad)]) == 2
+    assert main(["eval-retrieval", "--src-emb", str(ok), "--tgt-emb", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"runtime failure: {bad}:{line}: ")
+    assert err.startswith(f"error: {bad}:{line}: ")
     assert "Traceback" not in err
 
 
@@ -495,7 +513,7 @@ def test_map_without_metadata_fails_without_traceback(tmp_path, rng):
     save_checkpoint(tmp_path / "bare.ckpt", {"W": np.eye(3)})
     proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec",
                    "--map", "bare.ckpt")
-    assert proc.returncode == 2
+    assert proc.returncode == 1
     assert "bare.ckpt has no src= comment" in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -511,7 +529,7 @@ def test_free_text_map_comment_fails_without_traceback(tmp_path, rng):
     (tmp_path / "handmade.ckpt").write_text("".join(lines))
     proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", str(src), "--tgt-emb", str(tgt),
                    "--map", str(tmp_path / "handmade.ckpt"))
-    assert proc.returncode == 2
+    assert proc.returncode == 1
     assert "handmade.ckpt" in proc.stderr and "'made'" in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -534,8 +552,8 @@ def test_malformed_map_record_fails_without_traceback(tmp_path, rng, record, mes
         "XLALIGN-CKPT 1\n# src=lb tgt=la pairs=4 residual=0.0\n" + record + "\n")
     proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec",
                    "--map", "bad.ckpt")
-    assert proc.returncode == 2
-    assert f"bad.ckpt: {message}" in proc.stderr
+    assert proc.returncode == 1
+    assert f"error: bad.ckpt: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -547,8 +565,8 @@ def test_map_that_apply_map_cannot_invert_fails_without_traceback(tmp_path, rng)
                     comments=["src=lb tgt=la pairs=-5 residual=-1.0"])
     proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec",
                    "--map", "bad.ckpt")
-    assert proc.returncode == 2
-    assert "bad.ckpt: W is not orthogonal" in proc.stderr
+    assert proc.returncode == 1
+    assert "error: bad.ckpt: W is not orthogonal" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -580,6 +598,91 @@ def test_non_finite_dump_fails_without_traceback(tmp_path, rng):
     assert "non-finite norm at target row 3" in proc.stderr
     assert "accuracy=" not in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+def sif_map_run(corpus_dir, out):
+    """`run` of a SIF sentence map, which trains nothing, on the files of `corpus_dir`."""
+    return ["run", *(arg for item in ("framework=sentence_map", "encoder=sif",
+                                      f"corpus_dir={corpus_dir}", "dim=12", "splits=40,80",
+                                      "test_size=40") for arg in ("--set", item)),
+            "--out-dir", str(out)]
+
+
+def gen_corpus(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
+                 "--sentences", "150"]) == 0
+    return corpus_dir
+
+
+@pytest.mark.parametrize("reader", ["corpus_dir", "eval-retrieval"])
+def test_a_short_vec_row_exits_1_naming_file_and_line_whichever_reader_reads_it(tmp_path, capsys,
+                                                                               reader):
+    bad = gen_corpus(tmp_path) / "la.vec"
+    bad.write_text("2 12\nw000" + " 0.5" * 12 + "\nw001 0.5\n")
+    capsys.readouterr()
+    assert main(sif_map_run(bad.parent, tmp_path / "out") if reader == "corpus_dir" else
+                ["eval-retrieval", "--src-emb", str(bad), "--tgt-emb", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:3: expected a word and 12 values, got 1 values after 'w001'\n"
+
+
+@pytest.mark.parametrize("reader, message", [
+    ("corpus_dir", "svd input contains non-finite values"),
+    ("eval-retrieval", "non-finite norm at source row 0: the embedding holds nan or inf, "
+                       "or overflows"),
+])
+def test_a_nan_vec_value_is_a_numeric_failure_whichever_reader_reads_it(tmp_path, capsys,
+                                                                        reader, message):
+    bad = gen_corpus(tmp_path) / "la.vec"
+    bad.write_text("2 12\nw000 nan" + " 0.5" * 11 + "\nw001" + " 0.5" * 12 + "\n")
+    capsys.readouterr()
+    assert main(sif_map_run(bad.parent, tmp_path / "out") if reader == "corpus_dir" else
+                ["eval-retrieval", "--src-emb", str(bad), "--tgt-emb", str(bad)]) == 2
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+
+
+def test_a_header_only_vec_file_is_an_empty_table(tmp_path, capsys):
+    corpus_dir = gen_corpus(tmp_path)
+    assert main(sif_map_run(corpus_dir, tmp_path / "without")) == 0
+    empty = corpus_dir / "la.vec"
+    empty.write_text("0 12\n")
+    assert main(sif_map_run(corpus_dir, tmp_path / "with")) == 0
+    for name in ("curve.csv", "retrieval.csv", "map.ckpt"):
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+    capsys.readouterr()
+    assert main(["eval-retrieval", "--src-emb", str(empty), "--tgt-emb", str(empty)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {empty} and {empty} cannot be paired: shapes (0, 12) and (0, 12); "
+        "retrieval needs one shape of two rows or more\n")
+
+
+@pytest.mark.parametrize("rows", [(4, 3), (1, 1)], ids=["different-shapes", "one-row"])
+def test_dumps_that_cannot_be_paired_exit_1_naming_both_before_scoring(tmp_path, capsys,
+                                                                       monkeypatch, rng, rows):
+    src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
+    write_dump(src, rng.normal(size=(rows[0], 3)))
+    write_dump(tgt, rng.normal(size=(rows[1], 3)))
+    monkeypatch.setattr(cli, "retrieval_accuracy", lambda *a, **k: pytest.fail("scored"))
+    assert main(["eval-retrieval", "--src-emb", str(src), "--tgt-emb", str(tgt)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {src} and {tgt} cannot be paired: shapes ({rows[0]}, 3) and ({rows[1]}, 3); ")
+
+
+@pytest.mark.parametrize("width, edit, message", [
+    (3, lambda b: b.replace(b"src=lb", b"src=l\xff"), "not UTF-8 text ('utf-8' codec can't decode"),
+    (4, lambda b: b, "map dim 4, {src} has dim 3"),
+], ids=["non-utf8-byte", "other-dim"])
+def test_a_map_file_fault_exits_1_naming_the_map(tmp_path, capsys, rng, width, edit, message):
+    x = rng.normal(size=(4, 3))
+    src, tgt, map_path = tmp_path / "a.vec", tmp_path / "b.vec", tmp_path / "map.ckpt"
+    write_dump(src, x)
+    write_dump(tgt, x)
+    save_map(map_path, AlignmentMap(np.eye(width), "lb", "la", 4, 0.0))
+    map_path.write_bytes(edit(map_path.read_bytes()))
+    assert main(["eval-retrieval", "--src-emb", str(src), "--tgt-emb", str(tgt),
+                 "--map", str(map_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {map_path}: {message.format(src=src)}")
 
 
 @pytest.mark.parametrize("setting", [

@@ -198,3 +198,11 @@ def test_pipeline_demo_leaves_no_temporary_directory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert f"files in {tmp_path}{os.sep}xlalign_demo_" in proc.stdout  # it wrote there
     assert list(tmp_path.glob("xlalign_demo_*")) == []
+
+
+def test_load_rejects_a_repeated_lang(tmp_path):
+    path = tmp_path / "enc.ckpt"
+    save_params(path, PARAM_SETS["encoder"][1]())
+    _rewrite(path, lambda t: None, comments=["lang=la lang=lb"])
+    with pytest.raises(ConfigError, match=f"{path.name}: repeated comment key 'lang'"):
+        load_params(path, EncoderParams)

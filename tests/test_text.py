@@ -303,7 +303,9 @@ class TestEmbeddingFiles:
         ("2 2\na 0.1 0.2\nb 0.3\n", 3, "expected a word and 2 values, got 1 values after 'b'"),
         ("3 2\na 0.1 0.2\nb 0.3 0.4\n", 1, "header says 3 words, found 2"),
         ("2 x\na 0.1 0.2\n", 1, "is not '<count> <dim>'"),
-    ], ids=["non-numeric", "too-few-values", "count-mismatch", "bad-header"])
+        ("2 \u00b2\na 0.1 0.2\n", 1, "is not '<count> <dim>'"),  # a digit int() rejects
+    ], ids=["non-numeric", "too-few-values", "count-mismatch", "bad-header",
+            "non-ascii-digit-header"])
     def test_malformed_file_names_file_and_line(self, tmp_path, body, line, message):
         path = tmp_path / "vec.txt"
         path.write_text(body)
@@ -327,7 +329,7 @@ class TestEmbeddingFiles:
         assert read_corpus_files(tmp_path, ("de", "en"), dictionary=True).cipher == {
             "dog": "hund", "cat": "katze"}
         path.write_text("dog hund\na b c\n")
-        with pytest.raises(ConfigError, match=f"{path}: expected two words a line, got 'a b c'"):
+        with pytest.raises(ConfigError, match=f"{path}:2: expected two words a line, got 'a b c'"):
             read_corpus_files(tmp_path, ("de", "en"), dictionary=True)
 
 
