@@ -43,7 +43,7 @@ for p_lang in sorted(cc.nli):
 
 # Single-pair classification with the shared head: the class of the largest logit.
 u, v = encode_sentences([data.premises[0], data.hypotheses[0]], vocabs["la"], encoders["la"])
-logits = head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head, trainable=False))
+logits = head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head))
 print("logits:", logits.data.round(3), "-> class",
       ["entail", "contra", "neutral"][int(logits.data.argmax())])
 

@@ -119,7 +119,7 @@ class Params:
         return {name: get(self) for name, get in getters}
 
 
-def _parameter(array, trainable):
+def _parameter(array):
     """A leaf over a parameter array, op "parameter", without the NaN/Inf scans
     of `leaf` and `constant`: `optim.fit` checks its parameters once before
     step 0 and every op output that reads a parameter is still checked, and
@@ -127,7 +127,7 @@ def _parameter(array, trainable):
     does not scan it either."""
     t = object.__new__(Tensor)
     t.data, t.op, t.parents, t.requires_grad, t.grad, t._backward = (
-        array, "parameter", (), trainable, None, None)
+        array, "parameter", (), True, None, None)
     return t
 
 
@@ -139,10 +139,9 @@ class ParamSet:
     Its arrays are wrapped as they are, unscanned (see `_parameter`).
     """
 
-    def __init__(self, params, trainable=True):
+    def __init__(self, params):
         self.prefix = params.prefix
-        self.tensors = {name: _parameter(a, trainable)
-                        for name, a in params.named_arrays(self.prefix).items()}
+        self.tensors = {name: _parameter(a) for name, a in params.named_arrays(self.prefix).items()}
 
     def __getitem__(self, name):
         return self.tensors[self.prefix + name]

@@ -69,8 +69,6 @@ def gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,
         raise ConfigError(f"degenerate length range {length_range}")
     if nli_size and hi >= vocab_size - 2:
         raise ConfigError("NLI generation needs sentence lengths well below the vocabulary size")
-    if len(set(langs)) != 2:
-        raise ConfigError(f"two distinct languages expected, got {langs}")
 
     rng = Xorshift64Star(seed)
     base = [f"w{i:03d}" for i in range(vocab_size)]

@@ -15,12 +15,13 @@ import sys
 import numpy as np
 
 from .autodiff import NonFiniteError
-from .cipher import gen_cipher_corpus, gen_cldc_docs, write_corpus_files
+from .cipher import gen_cldc_docs, write_corpus_files
 from .config import FRAMEWORKS, ConfigError, load_config, parse_config
 from .evaluation import (N_CLDC_CLASSES, CLDCReport, CurvePoint, RetrievalReport,
                          batched_embedder, cldc_train_eval, retrieval_accuracy)
 from .mapping import apply_map, load_map
-from .pipeline import Experiment, evaluate_splits, materialize, run_experiment, write_neighbors
+from .pipeline import (Experiment, evaluate_splits, generate_corpus, materialize, run_experiment,
+                       write_neighbors)
 from .text import load_word2vec, write_csv
 
 
@@ -45,10 +46,10 @@ def _final_embedders(cfg, data):
 
 
 def cmd_gen_corpus(args):
-    _at_least("--nli-size", args.nli_size, 0)
-    cc = gen_cipher_corpus(args.vocab_size, args.sentences, (args.min_len, args.max_len),
-                           args.seed, nli_size=args.nli_size, langs=(args.src_lang, args.tgt_lang))
-    for p in write_corpus_files(args.out_dir, cc):
+    cfg = _load_cfg(args)
+    if cfg.corpus_dir:
+        raise ConfigError(f"gen-corpus generates a corpus; corpus_dir={cfg.corpus_dir} is set")
+    for p in write_corpus_files(cfg.out_dir, generate_corpus(cfg)):
         print(p)
     return 0
 
@@ -148,38 +149,22 @@ def main(argv=None):
         description="Cross-lingual sentence embedding alignment toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cfg_flags(p):
+    def cfg_command(name, desc, func):
+        p = sub.add_parser(name, help=desc)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration key")
         p.add_argument("--out-dir", help="output directory (overrides config)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-corpus", help="generate a synthetic bilingual corpus")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--vocab-size", type=int, default=50)
-    p.add_argument("--sentences", type=int, default=1000)
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nli-size", type=int, default=0)
-    p.add_argument("--src-lang", default="lb")
-    p.add_argument("--tgt-lang", default="la")
-    p.set_defaults(func=cmd_gen_corpus)
-
+    cfg_command("gen-corpus", "generate the config's synthetic bilingual corpus", cmd_gen_corpus)
     for name, (desc, _, _) in RUN_COMMANDS.items():
-        p = sub.add_parser(name, help=desc)
-        add_cfg_flags(p)
-        p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("curve", help="retrieval accuracy vs parallel-corpus size")
-    add_cfg_flags(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("neighbors", help="nearest-neighbor inspection report")
-    add_cfg_flags(p)
+        cfg_command(name, desc, cmd_run)
+    cfg_command("curve", "retrieval accuracy vs parallel-corpus size", cmd_curve)
+    p = cfg_command("neighbors", "nearest-neighbor inspection report", cmd_neighbors)
     p.add_argument("-k", type=int, default=3)
     p.add_argument("--queries", type=int, default=5)
-    p.set_defaults(func=cmd_neighbors)
 
     p = sub.add_parser("eval-retrieval", help="retrieval accuracy from embedding dumps")
     p.add_argument("--src-emb", required=True)
@@ -190,10 +175,8 @@ def main(argv=None):
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_eval_retrieval)
 
-    p = sub.add_parser("eval-cldc", help="cross-lingual document classification")
-    add_cfg_flags(p)
+    p = cfg_command("eval-cldc", "cross-lingual document classification", cmd_eval_cldc)
     p.add_argument("--docs", type=int, default=400)
-    p.set_defaults(func=cmd_eval_cldc)
 
     args = parser.parse_args(argv)
     try:

@@ -34,8 +34,6 @@ class ExperimentConfig:
 
     cipher_vocab: int = 50
     cipher_sentences: int = 1200
-    cipher_min_len: int = 3
-    cipher_max_len: int = 8
     nli_size: int = 300
 
     dim: int = 32
@@ -44,8 +42,6 @@ class ExperimentConfig:
     batch: int = 16
     steps: int = 2000
     pivot_steps: int = 800
-    infersent_hidden: int = 128
-    sif_a: float = 1e-3
     p_del: float = 0.1
     p_swap: float = 0.1
     min_count: int = 1
@@ -143,16 +139,8 @@ def validate_config(cfg):
             raise ConfigError(f"{name} must be at least {low}, got {value}")
         if name in ("p_del", "p_swap") and not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if name in ("lr", "sif_a") and not (math.isfinite(value) and value > 0.0):
+        if name == "lr" and not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} must be finite and positive, got {value}")
-    if cfg.cipher_vocab < 10:
-        raise ConfigError(f"cipher_vocab must be at least 10, got {cfg.cipher_vocab}")
-    if cfg.cipher_min_len > cfg.cipher_max_len:
-        raise ConfigError(f"cipher_min_len {cfg.cipher_min_len} exceeds "
-                          f"cipher_max_len {cfg.cipher_max_len}")
-    if cfg.framework == "joint_infersent" and cfg.cipher_max_len >= cfg.cipher_vocab - 2:
-        raise ConfigError(f"joint_infersent needs cipher_max_len below cipher_vocab - 2 "
-                          f"for its NLI pairs, got {cfg.cipher_max_len} and {cfg.cipher_vocab}")
     if not cfg.splits:
         raise ConfigError("at least one split size is required")
     if list(cfg.splits) != sorted(set(cfg.splits)):

@@ -56,6 +56,9 @@ class EncoderParams(ad.Params):
     lang: str
 
     kind = "enc"
+    shapes = {"fwd.w_rec": ("H", "4H"), "fwd.w_in": ("D", "4H"), "fwd.bias": ("4H",),
+              "bwd.w_rec": ("H", "4H"), "bwd.w_in": ("D", "4H"), "bwd.bias": ("4H",),
+              "emb": ("V", "D")}
 
     @property
     def vocab_size(self):

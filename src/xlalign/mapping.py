@@ -67,7 +67,8 @@ def apply_map(e, m, reverse=False):
     vec = np.asarray(e, dtype=np.float64)
     if vec.shape[-1] != m.dim:
         raise ValueError(f"embedding dim {vec.shape[-1]} does not match map dim {m.dim}")
-    return vec @ (m.w.T if reverse else m.w)
+    with np.errstate(all="ignore"):  # a non-finite row maps to one; the caller reports it
+        return vec @ (m.w.T if reverse else m.w)
 
 
 def save_map(path, m):

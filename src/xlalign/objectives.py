@@ -64,6 +64,8 @@ class DecoderParams(ad.Params):
     lang: str
 
     kind = "dec"
+    shapes = {"cell.w_rec": ("H", "4H"), "cell.w_in": ("N", "4H"), "cell.bias": ("4H",),
+              "emb": ("V", "D"), "w_out": ("H", "V"), "b_out": ("V",)}
 
     @property
     def vocab_size(self):
@@ -232,10 +234,11 @@ class ClassifierHead(ad.Params):
     b2: np.ndarray
 
     kind = "head"
+    shapes = {"w1": ("I", "K"), "b1": ("K",), "w2": ("K", "C"), "b2": ("C",)}
 
     def predict(self, x):
         """Class id of each row of the plain array x."""
-        return mlp_logits(ad.constant(x), ad.ParamSet(self, trainable=False)).data.argmax(axis=1)
+        return mlp_logits(ad.constant(x), ad.ParamSet(self)).data.argmax(axis=1)
 
 
 def new_mlp(in_dim, hidden, n_classes, seed):
@@ -347,7 +350,7 @@ def infersent_accuracy(datasets, encoders, head, vocabs, p_lang, h_lang):
     data_p, data_h = datasets[p_lang], datasets[h_lang]
     u = encode_sentences(data_p.premises, vocabs[p_lang], encoders[p_lang])
     v = encode_sentences(data_h.hypotheses, vocabs[h_lang], encoders[h_lang])
-    logits = head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head, trainable=False))
+    logits = head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head))
     return int((logits.data.argmax(axis=1) == np.array(data_p.labels)).sum()) / len(u)
 
 

@@ -47,12 +47,9 @@ def materialize(cfg, dictionary=False):
     so no split trains on an evaluation row.
     """
     pivot, other = cfg.languages
-    nli = cfg.framework == "joint_infersent"
     dictionary = dictionary or cfg.framework == "word_dict_map"
-    cc = (read_corpus_files(cfg.corpus_dir, (other, pivot), nli, dictionary) if cfg.corpus_dir
-          else gen_cipher_corpus(cfg.cipher_vocab, cfg.cipher_sentences + cfg.test_size,
-                                 (cfg.cipher_min_len, cfg.cipher_max_len), cfg.seed,
-                                 nli_size=cfg.nli_size if nli else 0, langs=(other, pivot)))
+    cc = (read_corpus_files(cfg.corpus_dir, (other, pivot), cfg.framework == "joint_infersent",
+                            dictionary) if cfg.corpus_dir else generate_corpus(cfg))
     corpus = cc.corpus
     if len(corpus) <= cfg.test_size:
         raise ConfigError(f"corpus of {len(corpus)} rows cannot spare {cfg.test_size} test rows")
@@ -71,6 +68,13 @@ def materialize(cfg, dictionary=False):
     tables = {lang: _word_table(cfg, vocabs[lang], lang, cfg.seed + seeds[lang])
               for lang in (other, pivot) if cfg.encoder == "sif"}
     return ExperimentData(train_corpus, heldout, vocabs, cc, tables)
+
+
+def generate_corpus(cfg):
+    """The config's cipher corpus, whose files `run` writes to `corpus/`."""
+    return gen_cipher_corpus(cfg.cipher_vocab, cfg.cipher_sentences + cfg.test_size, seed=cfg.seed,
+                             nli_size=cfg.nli_size if cfg.framework == "joint_infersent" else 0,
+                             langs=cfg.languages[::-1])  # (other, pivot)
 
 
 def _word_table(cfg, vocab, lang, seed):
@@ -175,7 +179,7 @@ class Experiment:
     def _joint_infersent(self):
         cfg = self.cfg
         encoders = self._new_encoders()
-        head = new_head(2 * cfg.hidden, cfg.infersent_hidden, cfg.seed + SEED_HEAD)
+        head = new_head(2 * cfg.hidden, seed=cfg.seed + SEED_HEAD)
         result = train_joint_infersent(self.data.source.nli, encoders, head, self.data.vocabs,
                                        self._schedule(SEED_INFERSENT))
         built = self._embedders(encoders.values()), {
@@ -246,7 +250,7 @@ class Experiment:
         cfg, data = self.cfg, self.data
         if cfg.encoder == "sif":
             return {lang: functools.partial(encode_sif_matrix, table=data.tables[lang],
-                                            vocab=data.vocabs[lang], a=cfg.sif_a)
+                                            vocab=data.vocabs[lang])
                     for lang in cfg.languages}, {}
         encoders = {lang: self._pretrain(lang) for lang in cfg.languages}
         return self._embedders(encoders.values()), _encoder_files(encoders)
@@ -272,7 +276,8 @@ def save_params(path, params):
 def load_params(path, cls):
     """The `cls` that `save_params` wrote to `path`, its arrays in `ad.DTYPE`
     (a float64 checkpoint loads rounded). Tensor names other than the class's,
-    or a missing metadata key, are a ConfigError naming the file."""
+    a missing metadata key, or a tensor shape that disagrees with the others
+    (`cls.shapes`) are a ConfigError naming the file."""
     tensors, comments = load_checkpoint(path)
     tensors = {name: arr.astype(ad.DTYPE) for name, arr in tensors.items()}
     metadata = parse_metadata(path, comments)
@@ -285,7 +290,26 @@ def load_params(path, cls):
     missing = [key for key, source in table if key not in source]
     if missing:
         raise ConfigError(f"{path} has no {missing[0]}= comment")
+    _check_shapes(path, cls, tensors)
     return ad.build_params(cls, (source[key] for key, source in table))
+
+
+def _check_shapes(path, cls, tensors):
+    """Each tensor's shape against `cls.shapes`, its dims as symbols: in that
+    order a symbol keeps the size it has where first met, so the tensor named
+    is the first to disagree with those before it; `4H` is four `H`."""
+    sizes = {}
+    for name, dims in cls.shapes.items():
+        name, known = f"{cls.kind}.{name}", dict(sizes)
+        shape = tensors[name].shape
+        fits = len(shape) == len(dims)
+        for size, dim in zip(shape, dims):
+            k = int(dim[:-1] or 1)
+            fits = fits and size % k == 0 and sizes.setdefault(dim[-1], size // k) == size // k
+        if not fits:
+            given = " with " + ", ".join(f"{s}={n}" for s, n in known.items()) if known else ""
+            raise ConfigError(f"{path}: tensor {name!r} has shape {shape}, expected "
+                              f"({', '.join(dims)}){given}")
 
 
 # the names the benchmark calls

@@ -1,7 +1,9 @@
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,27 +45,42 @@ def toy_cfg(tmp_path):
     return str(path)
 
 
+def set_flags(*items):
+    """`--set` flags for the KEY=VALUE `items`."""
+    return [arg for item in items for arg in ("--set", item)]
+
+
+def gen_corpus(tmp_path, *items):
+    """`gen-corpus` of 150 rows of a 30-word cipher, as `items` change it, into
+    `tmp_path`/corpus."""
+    corpus_dir = tmp_path / "corpus"
+    assert main(["gen-corpus", *set_flags("cipher_vocab=30", "cipher_sentences=100",
+                                         "test_size=50", *items),
+                 "--out-dir", str(corpus_dir)]) == 0
+    return corpus_dir
+
+
 def test_gen_corpus_writes_files(tmp_path, capsys):
     out = tmp_path / "corpus"
-    assert main(["gen-corpus", "--out-dir", str(out), "--vocab-size", "20",
-                 "--sentences", "25", "--nli-size", "9"]) == 0
+    assert main(["gen-corpus", "--out-dir", str(out), *set_flags(
+        "framework=joint_infersent", "cipher_vocab=20", "cipher_sentences=20", "test_size=5",
+        "nli_size=9")]) == 0
     assert (out / "la.txt").exists() and (out / "lb.txt").exists()
     assert len((out / "la.txt").read_text().splitlines()) == 25
     assert (out / "dict.la-lb.txt").exists()
     assert (out / "nli.labels.txt").exists()
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--vocab-size", "5"], "vocab_size must be >= 10"),
-    (["--src-lang", "la", "--tgt-lang", "la"], "distinct languages"),
-    (["--min-len", "5", "--max-len", "3"], "degenerate length range"),
-    (["--sentences", "0"], "n_sentences must be >= 1"),
-    (["--nli-size", "10", "--vocab-size", "10"], "NLI generation needs"),
-    (["--nli-size", "-1"], "--nli-size must be at least 0"),
-], ids=["vocab-5", "same-languages", "min-above-max", "sentences-0", "nli-vocab-10", "nli-negative"])
-def test_bad_gen_corpus_flag_is_validation_error(tmp_path, capsys, flags, message):
+@pytest.mark.parametrize("items, message", [
+    (["cipher_vocab=5"], "vocab_size must be >= 10"),
+    (["languages=la,la"], "distinct languages"),
+    (["cipher_sentences=0"], "cipher_sentences must be at least 1"),
+    (["framework=joint_infersent", "cipher_vocab=10"], "NLI generation needs"),
+    (["nli_size=-1"], "nli_size must be at least 1"),
+], ids=["vocab-5", "same-languages", "sentences-0", "nli-vocab-10", "nli-negative"])
+def test_bad_gen_corpus_flag_is_validation_error(tmp_path, capsys, items, message):
     out = tmp_path / "corpus"
-    assert main(["gen-corpus", "--out-dir", str(out), *flags]) == 1
+    assert main(["gen-corpus", "--out-dir", str(out), *set_flags(*items)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
@@ -128,9 +145,7 @@ def test_missing_corpus_file_is_validation_error(tmp_path, capsys):
 
 
 def test_corpus_files_round_trip(tmp_path):
-    corpus_dir = tmp_path / "corpus"
-    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
-                 "--sentences", "150", "--seed", "5"]) == 0
+    corpus_dir = gen_corpus(tmp_path, "seed=5")
     cfg = tmp_path / "files.cfg"
     cfg.write_text(
         f"framework=sentence_map\nencoder=sif\ncorpus_dir={corpus_dir}\n"
@@ -319,6 +334,28 @@ def test_reading_a_runs_corpus_files_gives_its_bytes(tmp_path, command, settings
         assert (read / name).read_bytes() == data, name
 
 
+@pytest.mark.parametrize("framework", ["transfer", "joint_infersent"])
+def test_gen_corpus_writes_the_corpus_files_run_writes(tmp_path, capsys, framework):
+    run_dir, generated = tmp_path / "run", tmp_path / "generated"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("\n".join([*TINY, f"framework={framework}", f"out_dir={run_dir}"]) + "\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["gen-corpus", "--config", str(cfg), "--out-dir", str(generated)]) == 0
+    files = _tree(generated)
+    assert files == _tree(run_dir / "corpus")
+    assert sorted(capsys.readouterr().out.splitlines()) == [str(generated / n) for n in files]
+    assert ("nli.labels.txt" in files) == (framework == "joint_infersent")
+
+
+def test_gen_corpus_with_a_corpus_dir_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["gen-corpus", "--set", f"corpus_dir={tmp_path}", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: gen-corpus generates a corpus; corpus_dir={tmp_path} is set\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, framework, missing", [
     ("eval-cldc", "sentence_map", "dict.la-lb.txt"),
     ("run", "word_dict_map", "dict.la-lb.txt"),
@@ -326,9 +363,7 @@ def test_reading_a_runs_corpus_files_gives_its_bytes(tmp_path, command, settings
 ], ids=["eval-cldc", "word_dict_map", "joint_infersent"])
 def test_corpus_dir_without_a_needed_file_exits_before_training(tmp_path, capsys, monkeypatch,
                                                                  command, framework, missing):
-    corpus_dir = tmp_path / "corpus"
-    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
-                 "--sentences", "150", "--nli-size", "30"]) == 0
+    corpus_dir = gen_corpus(tmp_path, "framework=joint_infersent", "nli_size=30")
     (corpus_dir / missing).unlink()
     for module in (cli, pipeline):
         monkeypatch.setattr(module, "Experiment",
@@ -346,9 +381,7 @@ def test_corpus_dir_without_a_needed_file_exits_before_training(tmp_path, capsys
     ("eval-cldc", "sentence_map"),
 ], ids=["word_dict_map", "eval-cldc"])
 def test_a_corpus_dir_serves_either_language_as_pivot(tmp_path, command, framework):
-    corpus_dir = tmp_path / "corpus"
-    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
-                 "--sentences", "150"]) == 0  # writes dict.la-lb.txt
+    corpus_dir = gen_corpus(tmp_path)  # writes dict.la-lb.txt
     extra = ["--docs", "40"] if command == "eval-cldc" else []
     for languages in ("la,lb", "lb,la"):
         assert main([command, *extra, "--set", f"framework={framework}", "--set", "encoder=sif",
@@ -366,9 +399,7 @@ def test_a_corpus_dir_serves_either_language_as_pivot(tmp_path, command, framewo
 ], ids=["line-count-mismatch", "three-word-dictionary-line", "short-vec-row", "non-utf8"])
 def test_bad_corpus_file_is_validation_error_naming_it(tmp_path, capsys, framework, name, edit,
                                                        message):
-    corpus_dir = tmp_path / "corpus"
-    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
-                 "--sentences", "150"]) == 0
+    corpus_dir = gen_corpus(tmp_path)
     path = corpus_dir / name
     path.write_bytes(edit(path.read_bytes() if path.exists() else b""))
     assert main(["run", "--set", f"framework={framework}", "--set", "encoder=sif",
@@ -380,9 +411,7 @@ def test_bad_corpus_file_is_validation_error_naming_it(tmp_path, capsys, framewo
 
 
 def test_only_the_sif_encoder_reads_vec_files(tmp_path, capsys):
-    corpus_dir = tmp_path / "corpus"
-    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
-                 "--sentences", "150"]) == 0
+    corpus_dir = gen_corpus(tmp_path)
     out = tmp_path / "out"
     settings = [arg for item in (f"corpus_dir={corpus_dir}", "dim=12", "hidden=8", "steps=20",
                                  "pivot_steps=20", "splits=40", "test_size=40")
@@ -447,10 +476,7 @@ def test_a_path_through_a_file_exits_1(tmp_path, capsys, args):
 def test_eval_cldc_rejects_a_vocabulary_too_small_before_training(tmp_path, capsys, monkeypatch,
                                                                   source):
     if source == "corpus_dir":
-        corpus_dir = tmp_path / "corpus"
-        assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "11",
-                     "--sentences", "150"]) == 0
-        source = f"corpus_dir={corpus_dir}"
+        source = f"corpus_dir={gen_corpus(tmp_path, 'cipher_vocab=11')}"
         capsys.readouterr()
     for module in (cli, pipeline):
         monkeypatch.setattr(module, "Experiment",
@@ -600,19 +626,25 @@ def test_non_finite_dump_fails_without_traceback(tmp_path, rng):
     assert "Traceback" not in proc.stderr
 
 
+def test_an_inf_dump_row_through_a_map_prints_only_the_diagnosis(tmp_path, rng):
+    x = rng.normal(size=(4, 3))
+    write_dump(tmp_path / "b.vec", x)
+    x[1, 0] = np.inf
+    write_dump(tmp_path / "a.vec", x)
+    save_map(tmp_path / "map.ckpt", AlignmentMap(np.eye(3), "lb", "la", 4, 0.0))
+    proc = run_cli(tmp_path, "eval-retrieval", "--src-emb", "a.vec", "--tgt-emb", "b.vec",
+                   "--map", "map.ckpt")
+    assert proc.returncode == 2
+    assert proc.stderr == ("numeric failure: non-finite norm at source row 1: the embedding "
+                           "holds nan or inf, or overflows\n")
+
+
 def sif_map_run(corpus_dir, out):
     """`run` of a SIF sentence map, which trains nothing, on the files of `corpus_dir`."""
     return ["run", *(arg for item in ("framework=sentence_map", "encoder=sif",
                                       f"corpus_dir={corpus_dir}", "dim=12", "splits=40,80",
                                       "test_size=40") for arg in ("--set", item)),
             "--out-dir", str(out)]
-
-
-def gen_corpus(tmp_path):
-    corpus_dir = tmp_path / "corpus"
-    assert main(["gen-corpus", "--out-dir", str(corpus_dir), "--vocab-size", "30",
-                 "--sentences", "150"]) == 0
-    return corpus_dir
 
 
 @pytest.mark.parametrize("reader", ["corpus_dir", "eval-retrieval"])
@@ -687,7 +719,7 @@ def test_a_map_file_fault_exits_1_naming_the_map(tmp_path, capsys, rng, width, e
 
 @pytest.mark.parametrize("setting", [
     "dim=0", "hidden=-1", "batch=0", "steps=0", "min_count=0", "splits=0", "p_del=2", "lr=nan",
-    "languages=la,la", "cipher_vocab=9", "cipher_min_len=5 cipher_max_len=3",
+    "languages=la,la", "cipher_vocab=9",
     "framework=joint_infersent cipher_vocab=10", "splits=5000 cipher_sentences=300", "seed=-5"])
 def test_out_of_range_setting_is_validation_error(setting, tmp_path):
     """`setting` holds one or more space-separated KEY=VALUE overrides."""
@@ -696,3 +728,17 @@ def test_out_of_range_setting_is_validation_error(setting, tmp_path):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_every_readme_command_line_parses(monkeypatch):
+    """Each `xlalign` line of the README's Command line block reaches its command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("xlalign ")]
+    called = []
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: called.append(args.command) or 0)
+    for argv in lines:
+        assert main(argv) == 0, argv
+    assert lines and called == [argv[0] for argv in lines]

@@ -93,7 +93,7 @@ def test_fuzzed_overrides_raise_only_config_error(overrides):
 
 
 # each sample holds at least one invalid override, so no run starts training
-CLI_SAMPLES = [["dim=-3"], ["lr=inf"], ["sif_a=nan", "seed=2"], ["splits="], ["languages="],
+CLI_SAMPLES = [["dim=-3"], ["lr=inf"], ["p_del=nan", "seed=2"], ["splits="], ["languages="],
                ["framework="], ["test_size=1"], ["p_swap=-0.5"], ["nope=1"], ["=5"],
                ["batch=1e309"], ["cipher_sentences=" + "9" * 5000]]
 

@@ -25,7 +25,7 @@ def vocab():
 def encode_ids(ids, enc):
     """encode_batch on a batch of one sentence of token ids -> (2H,)."""
     arr, mask, _ = pad_batch([ids])
-    return encode_batch(arr, mask, ParamSet(enc, trainable=False)).data[0]
+    return encode_batch(arr, mask, ParamSet(enc)).data[0]
 
 
 class TestBiLstmMaxpool:
@@ -54,7 +54,7 @@ class TestBiLstmMaxpool:
         # reference of the same (exactly widened) parameters
         sents = [[4, 5, 6, 7, 8, 9], [10], [11, 4, 5], [6, 11], [7, 7, 7, 7, 7]]
         ids, mask, _ = pad_batch(sents)
-        batched = encode_batch(ids, mask, ParamSet(enc, trainable=False)).data
+        batched = encode_batch(ids, mask, ParamSet(enc)).data
         assert batched.dtype == np.float32
         for i, s in enumerate(sents):
             assert np.max(np.abs(batched[i] - encode_reference(s, as_float64(enc)))) < 1e-6
@@ -63,7 +63,7 @@ class TestBiLstmMaxpool:
         # padding must not leak into shorter sentences' embeddings
         sents = [[1, 2, 3, 4, 5], [6], [7, 8], [9, 10, 11, 1, 2]]
         ids, mask, _ = pad_batch(sents)
-        batched = encode_batch(ids, mask, ParamSet(enc, trainable=False)).data
+        batched = encode_batch(ids, mask, ParamSet(enc)).data
         for i, s in enumerate(sents):
             single = encode_ids(s, enc)
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
@@ -72,7 +72,7 @@ class TestBiLstmMaxpool:
         enc = as_float64(enc)  # the scalar reference is float64
         sents = [[4, 5, 6, 7, 8, 9], [10], [11, 4, 5], [6, 11], [7, 7, 7, 7, 7]]
         ids, mask, _ = pad_batch(sents)
-        batched = encode_batch(ids, mask, ParamSet(enc, trainable=False)).data
+        batched = encode_batch(ids, mask, ParamSet(enc)).data
         for i, s in enumerate(sents):
             assert np.max(np.abs(batched[i] - encode_reference(s, enc))) < 1e-12
         # inference runs the same kernels without a graph, bit for bit

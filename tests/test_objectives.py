@@ -408,7 +408,7 @@ class TestInferSentClassify:
 
     @staticmethod
     def _logits(u, v, head):
-        return head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head, trainable=False)).data
+        return head_logits(ad.constant(u), ad.constant(v), ad.ParamSet(head)).data
 
     def test_matches_affine_softmax_oracle(self, rng):
         head = new_head(sentence_dim=4, hidden=5, seed=3)

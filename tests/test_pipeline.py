@@ -158,6 +158,27 @@ def test_load_rejects_an_extra_tensor(tmp_path):
         load_params(path, ClassifierHead)
 
 
+@pytest.mark.parametrize("kind, record, edited, message", [
+    ("encoder", "enc.emb 2 12 6", "enc.emb 2 6 12", "(6, 12), expected (V, D) with H=5, D=6"),
+    ("encoder", "enc.bwd.w_rec 2 5 20", "enc.bwd.w_rec 2 4 25",
+     "(4, 25), expected (H, 4H) with H=5, D=6"),
+    ("decoder", "dec.b_out 1 11", "dec.b_out 2 1 11", "(1, 11), expected (V) with H=5, N=16, "
+                                                      "V=11, D=6"),
+    ("head", "head.w2 2 6 3", "head.w2 2 3 6", "(3, 6), expected (K, C) with I=32, K=6"),
+], ids=["transposed-embeddings", "other-hidden-size", "two-dim-bias", "unchained-layers"])
+def test_load_rejects_a_shape_record_the_other_tensors_contradict(tmp_path, kind, record, edited,
+                                                                  message):
+    cls, make = PARAM_SETS[kind]
+    path = tmp_path / f"{kind}.ckpt"
+    save_params(path, make())
+    text = path.read_text()
+    assert f"\n{record}\n" in text
+    path.write_text(text.replace(f"\n{record}\n", f"\n{edited}\n"))
+    with pytest.raises(ConfigError) as err:
+        load_params(path, cls)
+    assert str(err.value) == f"{path}: tensor {edited.split()[0]!r} has shape {message}"
+
+
 @pytest.mark.parametrize("kind", ["encoder", "decoder"])
 def test_load_rejects_a_missing_lang(tmp_path, kind):
     cls, make = PARAM_SETS[kind]
