@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 The op set is deliberately minimal: elementwise and matrix ops for the
-classifier head and the losses, plus fused sequence kernels (`lstm_scan`,
-`masked_maxpool`) that run a stack of masked LSTM directions in one time loop
-or a temporal max-pool as one node with a hand-written backward. Nodes form an
-implicit DAG (each Tensor records its op name, parent nodes and a backward closure);
-``backward`` walks the graph once in reverse topological order.
+losses, a fused classifier head (`mlp`), and fused sequence kernels
+(`lstm_scan`, `masked_maxpool`) that run a stack of masked LSTM directions in
+one time loop or a temporal max-pool as one node with a hand-written backward.
+The time loop itself, `lstm_steps`, also serves forward-only inference. Nodes
+form an implicit DAG (each Tensor records its op name, parent nodes and a
+backward closure); ``backward`` walks the graph once in reverse topological
+order.
 
 Conventions:
   * arrays are row-major; parameters and activations are ``DTYPE`` (float32),
@@ -263,6 +265,34 @@ def tanh(a):
     return Tensor(out, op="tanh", parents=(a,), backward=bwd)
 
 
+def mlp(x, w1, b1, w2, b2):
+    """tanh(x @ w1 + b1) @ w2 + b2 as one node, x 2-D or a vector, with the
+    bits of the composed `matmul`/`add`/`tanh` graph, value and gradients. Its
+    backward computes no gradient for a constant x; the hidden pre-activation
+    is checked for NaN/Inf, as its composed node is."""
+    if x.data.ndim not in (1, 2):
+        raise ValueError(f"mlp expects a 1-D or 2-D input, got shape {x.data.shape}")
+    pre = x.data @ w1.data + b1.data
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("non-finite values in tensor produced by op 'mlp'")
+    hidden = np.tanh(pre)
+
+    def weight_grad(a, g):  # as `matmul` computes it
+        return np.outer(a, g) if a.ndim == 1 else a.T @ g
+
+    def bwd(g):
+        _accum(b2, _unbroadcast(g, b2.data.shape))
+        d_hidden = g @ w2.data.T
+        _accum(w2, weight_grad(hidden, g))
+        d_pre = d_hidden * (1.0 - hidden * hidden)
+        _accum(b1, _unbroadcast(d_pre, b1.data.shape))
+        if x.requires_grad:
+            _accum(x, d_pre @ w1.data.T)
+        _accum(w1, weight_grad(x.data, d_pre))
+    return Tensor(hidden @ w2.data + b2.data, op="mlp", parents=(x, w1, b1, w2, b2),
+                  backward=bwd)
+
+
 def absolute(a):
     """|a|; subgradient 0 at 0."""
     def bwd(g):
@@ -370,71 +400,67 @@ def _flip_into(dst, src, reverse):
     return dst
 
 
-def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=False):
-    """k masked LSTM directions over the same time-major rows, on plain arrays.
+def halve_gates(w_in, w_rec, bias, dtype):
+    """The `cells` of `lstm_steps`: copies of stacked LSTM weights (k, ·, 4H)
+    in `dtype`, their i, f and o columns halved, and the (4H,) factors. With
+    σ(z) = ½ + ½·tanh(z/2), a step is one tanh over all 4H columns and the
+    affine map act·half + shift (½·t + ½ on i, f and o, t on g); halving is
+    exact, a power of two, so each product and sum is the halved one."""
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), w_rec.shape[1])
+    return w_in * half, w_rec * half, bias * half, half
 
-    x: (T*B, D); w_in: (k, D + C, 4H); w_rec: (k, H, 4H); bias: (k, 4H);
-    reverse: k flags, a reverse direction runs from the last step to the first;
-    mask: (B, T); context: (B, C) or None, appended to every step's input. Gate
-    layout [i, f, g, o]; the state starts at zero. Returns the hidden states
-    (T*B, k*H), direction j in columns j*H:(j+1)*H, and, with `keep`, the cache
-    `lstm_scan` backpropagates through (else None). The graph op, the decoder
-    and inference all run this one function. Each direction's products are
-    the BLAS calls a 2-D `@` makes, so its bits do not depend on k.
 
-    The cache is (x, live, acts, h_prev, c_prev, tanh_c), x context-extended
-    and the rest in loop order, time first: live (T, k, B, H) bool, acts
-    (T, k, B, 4H) the gate activations, and h_prev, c_prev, tanh_c (T, k, B, H).
-    h_prev and c_prev are the first T rows of (T+1, k, B, H) state stacks whose
-    row 0 is the zero start, so each step reads its state as a view and writes
-    its products into the next row with `out=`; a partly padded step carries
-    a dead row's state through with `np.copyto(..., where=dead)`. Without
-    `keep`, every step reuses one row of acts and tanh_c and two rows of c.
+def lstm_steps(x, cells, mask, reverse, keep=False):
+    """The one LSTM time loop, of training (`lstm_scan_forward`) and inference:
+    k masked directions over the same (T, B, D) time-major input x.
+
+    cells: `halve_gates` of w_in (k, D, 4H), w_rec (k, H, 4H) and bias (k, 4H);
+    mask: (B, T), None for a batch with no padded step; reverse: k flags, a
+    reverse direction runs from the last step to the first. Gate layout
+    [i, f, g, o]; the state starts at zero. Each direction's input products
+    are the BLAS calls a 2-D `@` makes, so its bits do not depend on k.
+
+    Returns (hs, dead, kept) in loop order, time first: loop step i is time
+    step i of a forward direction and T-1-i of a reverse one, so one step's
+    rows for every direction are one contiguous slice. hs is the (T+1, k, B, H)
+    state stack whose row 0 is the zero start: a step reads its state as a
+    view and writes the next row with `out=`. dead is the (T, k, B, H) mask of
+    padded steps (None without a mask); a partly padded step carries a dead
+    row's state through with `np.copyto`. kept is None, or with `keep` what
+    backward reads: acts (T, k, B, 4H), the gate activations, and c_prev and
+    tanh_c (T, k, B, H); without it the loop reuses one row of acts and
+    tanh_c and two rows of c.
     """
-    b, t_max = mask.shape
-    k, hid = w_rec.shape[:2]
-    in_dim = x.shape[1] + (0 if context is None else context.shape[1])
-    if (w_rec.shape != (k, hid, 4 * hid) or w_in.shape != (k, in_dim, 4 * hid)
-            or bias.shape != (k, 4 * hid) or len(reverse) != k):
-        raise ValueError(
-            f"inconsistent LSTM parameter shapes for input dim {in_dim}: w_in {w_in.shape}, "
-            f"w_rec {w_rec.shape}, bias {bias.shape}, {len(reverse)} direction flags")
-    if x.shape[0] != t_max * b:
-        raise ValueError(f"{x.shape[0]} input rows do not match a ({b}, {t_max}) mask")
-    if context is not None:
-        steps_ctx = np.broadcast_to(context, (t_max,) + context.shape)
-        x = np.concatenate([x.reshape(t_max, b, -1), steps_ctx], axis=2).reshape(t_max * b, -1)
-    # σ(z) = ½ + ½·tanh(z/2). The i, f and o columns of copies of w_in, w_rec and
-    # the bias are halved (exactly: a power of two, so each product and sum is
-    # the halved one), and the bias joins the input gates before they are
-    # copied into loop order (an add into the strided loop-order slice is
-    # slower than the add and the copy); a step is then one tanh over all 4H
-    # columns and the affine map act·half + shift, ½·t + ½ on i, f and o and t
-    # itself on g
-    dtype = np.result_type(x, w_in)
-    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hid)
-    w_in_half, w_rec_half, bias_half = w_in * half, w_rec * half, bias * half
-    gates = np.empty((t_max * b, 4 * hid), dtype=dtype)
-    gates_in = np.empty((t_max, k, b, 4 * hid), dtype=dtype)
-    dead = np.empty((t_max, k, b, hid), dtype=bool)
-    dead_steps = ~(mask.T > 0)[:, :, None]
+    w_in_half, w_rec_half, bias_half, half = cells
+    t_max, b, _ = x.shape
+    k, hid = w_rec_half.shape[:2]
+    x = x.reshape(t_max * b, -1)
+    # the bias joins the input gates before their copy into loop order (faster
+    # than an add into the strided loop-order slice)
+    gates = np.empty((t_max * b, 4 * hid), dtype=half.dtype)
+    gates_in = np.empty((t_max, k, b, 4 * hid), dtype=half.dtype)
     for j, rev in enumerate(reverse):
-        loop_order = slice(None, None, -1 if rev else 1)
         np.matmul(x, w_in_half[j], out=gates)
         gates += bias_half[j]
-        gates_in[:, j] = gates.reshape(t_max, b, 4 * hid)[loop_order]
-        dead[:, j] = dead_steps[loop_order]
+        gates_in[:, j] = gates.reshape(t_max, b, 4 * hid)[::-1 if rev else 1]
     del gates  # peak memory: freed before the loop's buffers are made
+    dead = None
+    partial = [False] * t_max
+    if mask is not None:
+        dead = np.empty((t_max, k, b, hid), dtype=bool)
+        dead_steps = ~(mask.T > 0)[:, :, None]
+        for j, rev in enumerate(reverse):
+            dead[:, j] = dead_steps[::-1 if rev else 1]
+        partial = dead.any(axis=(1, 2, 3)).tolist()
     half = np.repeat(half[None], k * b, axis=0).reshape(k, b, 4 * hid)
     shift = 1.0 - half
-    partial = dead.any(axis=(1, 2, 3)).tolist()
     # step i works in row i % rows of acts and tanh_c and reads row i % (rows + 1)
     # of cs: the whole cache with `keep`, else one reused row and two c rows
     rows = t_max if keep else 1
-    acts = np.empty((rows, k, b, 4 * hid), dtype=dtype)
-    tanh_c = np.empty((rows, k, b, hid), dtype=dtype)
-    cs = np.zeros((rows + 1, k, b, hid), dtype=dtype)
-    hs = np.zeros((t_max + 1, k, b, hid), dtype=dtype)
+    acts = np.empty((rows, k, b, 4 * hid), dtype=half.dtype)
+    tanh_c = np.empty((rows, k, b, hid), dtype=half.dtype)
+    cs = np.zeros((rows + 1, k, b, hid), dtype=half.dtype)
+    hs = np.zeros((t_max + 1, k, b, hid), dtype=half.dtype)
     gate_i, gate_f, gate_g, gate_o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
     for i in range(t_max):
         r = i % rows
@@ -452,11 +478,37 @@ def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None, keep=Fa
         if partial[i]:
             np.copyto(hs[i + 1], hs[i], where=dead[i])
             np.copyto(c_new, c_prev, where=dead[i])
-    cache = (x, ~dead, acts, hs[:-1], cs[:-1], tanh_c) if keep else None
-    del gates_in, acts, tanh_c, cs  # freed before the output copy, unless cached
-    states = np.empty((t_max, b, k, hid), dtype=dtype)
+    return hs, dead, (acts, cs[:-1], tanh_c) if keep else None
+
+
+def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None):
+    """`lstm_steps` over time-major rows x (T*B, D), with the cache `lstm_scan`
+    backpropagates through. w_in: (k, D + C, 4H); w_rec, bias, mask, reverse
+    as `lstm_steps` takes them; context: (B, C) or None, appended to every
+    step's input. Returns the states (T*B, k*H), time-major and in input
+    order for either direction, direction j in columns j*H:(j+1)*H, and the
+    cache (x, live, acts, h_prev, c_prev, tanh_c): x context-extended, live
+    the negated dead mask and h_prev the first T rows of the state stack.
+    """
+    b, t_max = mask.shape
+    k, hid = w_rec.shape[:2]
+    in_dim = x.shape[1] + (0 if context is None else context.shape[1])
+    if (w_rec.shape != (k, hid, 4 * hid) or w_in.shape != (k, in_dim, 4 * hid)
+            or bias.shape != (k, 4 * hid) or len(reverse) != k):
+        raise ValueError(
+            f"inconsistent LSTM parameter shapes for input dim {in_dim}: w_in {w_in.shape}, "
+            f"w_rec {w_rec.shape}, bias {bias.shape}, {len(reverse)} direction flags")
+    if x.shape[0] != t_max * b:
+        raise ValueError(f"{x.shape[0]} input rows do not match a ({b}, {t_max}) mask")
+    if context is not None:
+        steps_ctx = np.broadcast_to(context, (t_max,) + context.shape)
+        x = np.concatenate([x.reshape(t_max, b, -1), steps_ctx], axis=2).reshape(t_max * b, -1)
+    cells = halve_gates(w_in, w_rec, bias, np.result_type(x, w_in))
+    hs, dead, (acts, c_prev, tanh_c) = lstm_steps(x.reshape(t_max, b, -1), cells, mask, reverse,
+                                                  keep=True)
+    states = np.empty((t_max, b, k, hid), dtype=hs.dtype)
     _flip_into(states.swapaxes(1, 2), hs[1:], reverse)
-    return states.reshape(t_max * b, k * hid), cache
+    return states.reshape(t_max * b, k * hid), (x, ~dead, acts, hs[:-1], c_prev, tanh_c)
 
 
 def _gate_gradients(g_states, cache, w_rec, reverse):
@@ -506,7 +558,7 @@ def _gate_gradients(g_states, cache, w_rec, reverse):
 
 
 def _lstm_scan_backward(g_states, cache, w_in, w_rec, reverse):
-    """The gradients of a `lstm_scan_forward` call with `keep`, from its cache.
+    """The gradients of a `lstm_scan_forward` call, from its cache.
 
     Returns the gradient of the (context-extended) input rows, summed over the
     directions, and per direction the gradients of its w_in, w_rec and bias:
@@ -545,7 +597,7 @@ def lstm_scan(x, cells, mask, reverse, context=None):
         arrays = [cell[n].data for cell in cells]
         return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
     states, cache = lstm_scan_forward(x.data, stacked(0), stacked(1), stacked(2), mask, reverse,
-                                      None if context is None else context.data, keep=True)
+                                      None if context is None else context.data)
     parents = (x, *(t for cell in cells for t in cell)) + (() if context is None else (context,))
 
     def bwd(g):
@@ -569,7 +621,7 @@ def _live_steps(states, mask):
 
 
 def _pooled(filled, first=None):
-    """Max over axis 0 of masked (T, B, H) steps: each entry is the value at the
+    """Max over axis 0 of masked (T, ...) steps: each entry is the value at the
     earliest step holding the maximum, `first` (argmax, taken here if None).
     A max reduction gives those values except for a zero maximum, where -0.0
     and 0.0 tie; only then is the earliest step looked up."""
@@ -580,15 +632,21 @@ def _pooled(filled, first=None):
     return np.take_along_axis(filled, first, axis=0)[0]
 
 
-def maxpool_forward(states, mask):
-    """Max over each row's live timesteps of time-major (T*B, H) states -> (B, H).
-
-    Each entry is the value at the earliest timestep holding the maximum, the
-    step `masked_maxpool` sends its gradient to (see `_pooled`; an argmax over
-    the time axis is several times slower than the max, so inference takes
-    one only for a zero maximum).
+def maxpool_forward(hs, dead, reverse):
+    """Max over the live steps of loop-order (T, k, B, H) states and their dead
+    mask, as `lstm_steps` makes them -> (B, k*H), direction j in columns
+    j*H:(j+1)*H. Each entry is the value at the earliest timestep holding the
+    maximum, the step `masked_maxpool` sends its gradient to. A maximum does
+    not depend on step order, so the reduction runs in loop order; only a
+    zero maximum, where -0.0 and 0.0 tie, takes the states to time order for
+    `_pooled`'s earliest-step rule.
     """
-    return _pooled(_live_steps(states, mask))
+    filled = hs if dead is None else np.where(dead, MASK_FILL, hs)
+    pooled = filled.max(axis=0)
+    if not pooled.all():
+        pooled = _pooled(_flip_into(np.empty_like(filled), filled, reverse))
+    k, b, hid = pooled.shape
+    return pooled.transpose(1, 0, 2).reshape(b, k * hid)
 
 
 def masked_maxpool(states, mask):

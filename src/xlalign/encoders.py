@@ -127,6 +127,7 @@ def encode_sentences(sentences, vocab, enc):
     a batch pads little; the rows come back in input order. A trailing
     one-row batch joins the batch before it: a one-row product takes BLAS's
     matrix-vector path, whose rounding differs from a row of a matrix product.
+    The weights are stacked and halved once per call.
     """
     ids = [vocab.encode(s) for s in sentences]
     order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
@@ -135,15 +136,27 @@ def encode_sentences(sentences, vocab, enc):
         del bounds[-2]
     w_in, w_rec, bias = (np.array([getattr(enc.fwd, n), getattr(enc.bwd, n)])
                          for n in ("w_in", "w_rec", "bias"))
+    cells = ad.halve_gates(w_in, w_rec, bias, np.result_type(enc.embeddings, w_in))
     out = np.empty((len(ids), enc.output_dim), dtype=enc.embeddings.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
         rows = order[lo:hi]
-        batch, mask, _ = pad_batch([ids[i] for i in rows])
-        _check_ids(int(batch.max()), enc.vocab_size)
-        states, _ = ad.lstm_scan_forward(enc.embeddings[ad.time_major(batch)], w_in, w_rec, bias,
-                                         mask, DIRECTIONS)
-        out[rows] = ad.maxpool_forward(states, mask)
+        out[rows] = _encode_ids([ids[i] for i in rows], enc, cells)
     return out
+
+
+def _encode_ids(id_seqs, enc, cells):
+    """BiLSTM + max-pool of one batch of id lists -> (B, 2H), the bits
+    `encode_batch` gives for it. A batch whose sentences share one length is
+    stacked as it is: no padding, so no mask and no dead-step work."""
+    if len({len(s) for s in id_seqs}) == 1:
+        if not id_seqs[0]:
+            raise ValueError("cannot encode an empty sentence")
+        batch, mask = np.array(id_seqs, dtype=np.int64), None
+    else:
+        batch, mask, _ = pad_batch(id_seqs)
+    _check_ids(int(batch.max()), enc.vocab_size)
+    hs, dead, _ = ad.lstm_steps(enc.embeddings[batch.T], cells, mask, DIRECTIONS)
+    return ad.maxpool_forward(hs[1:], dead, DIRECTIONS)
 
 
 def _check_ids(top, vocab_size):
@@ -165,14 +178,18 @@ def encode_sif_matrix(sentences, table, vocab, a=1e-3):
     """`encode_sif` of each sentence, stacked -> (n, D); no principal-component
     removal.
 
-    One pass over token positions: every sentence's sum grows in token order,
-    as a per-token loop adds it, and is divided by its length at the end.
+    The SIF weights are multiplied into the table once. Then one pass over
+    token positions adds one weighted row per sentence: every sentence's sum
+    grows in token order, as a per-token loop adds it, and is divided by its
+    length at the end.
     """
     weights = np.array([sif_weight(freq, vocab.total_count, a) for freq in vocab.frequencies])
     ids, mask, lengths = pad_batch([vocab.encode(s) for s in sentences])
+    # the weighted table, and a -0.0 row that padded positions read: adding
+    # -0.0 leaves every value as it was, signed zeros included
+    rows = np.concatenate([weights[:, None] * table, np.full((1, table.shape[1]), -0.0)])
+    ids[mask == 0] = len(table)
     acc = np.zeros((len(sentences), table.shape[1]))
-    for pos in range(ids.shape[1]):
-        live = mask[:, pos] > 0
-        wid = ids[live, pos]
-        acc[live] += weights[wid][:, None] * table[wid]
+    for pos in ids.T:
+        acc += rows[pos]
     return acc / np.array(lengths)[:, None]

@@ -254,8 +254,8 @@ def new_head(sentence_dim, hidden=128, seed=0):
 
 
 def mlp_logits(x, head_tensors):
-    hidden = ad.tanh(ad.add(ad.matmul(x, head_tensors["w1"]), head_tensors["b1"]))
-    return ad.add(ad.matmul(hidden, head_tensors["w2"]), head_tensors["b2"])
+    """The head's logits for the rows of x, one `ad.mlp` node."""
+    return ad.mlp(x, *(head_tensors[name] for name in ("w1", "b1", "w2", "b2")))
 
 
 def pair_features(u, v):

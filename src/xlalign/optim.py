@@ -26,19 +26,36 @@ def clip_global_norm(grads, max_norm):
 
 
 class Adam:
-    """Bias-corrected Adam after clipping to CLIP_NORM; one [m, v, t] per parameter name."""
+    """Bias-corrected Adam after clipping to CLIP_NORM; one flat [m, v, t] per
+    parameter set, keyed by its prefix."""
 
     def __init__(self, lr):
         self.lr = lr
         self.state = {}
 
-    def apply(self, params, grads):
-        """params: name -> ndarray (updated in place); grads: name -> ndarray."""
-        for name, g in clip_global_norm(grads, CLIP_NORM).items():
-            p = params[name]
-            if p.shape != g.shape:
-                raise ValueError(f"parameter shape {p.shape} does not match gradient shape {g.shape}")
-            m, v, t = self.state.get(name) or (np.zeros_like(p), np.zeros_like(p), 0)
+    def apply(self, param_sets):
+        """One update of the parameters of the `ParamSet`s `param_sets` (updated
+        in place) from their gradients, in clip-norm summation order; a set
+        passed twice counts once. Every parameter must have a gradient.
+
+        Each set's gradients are joined into one flat array, so the moment and
+        step arithmetic runs once per set; only the final subtraction runs per
+        parameter.
+        """
+        sets = {tensors.prefix: tensors for tensors in param_sets}
+        grads = {}
+        for tensors in sets.values():
+            for name, tensor in tensors.tensors.items():
+                if tensor.grad is None:
+                    raise ValueError(f"parameter {name!r} has no gradient")
+                if tensor.grad.shape != tensor.data.shape:
+                    raise ValueError(f"parameter {name!r} of shape {tensor.data.shape} has a "
+                                     f"gradient of shape {tensor.grad.shape}")
+                grads[name] = tensor.grad
+        grads = clip_global_norm(grads, CLIP_NORM)
+        for prefix, tensors in sets.items():
+            g = np.concatenate([grads[name].reshape(-1) for name in tensors.tensors])
+            m, v, t = self.state.get(prefix) or (np.zeros_like(g), np.zeros_like(g), 0)
             t += 1
             # in place, in the operation order of
             # p - lr * (m / (1 - β1^t)) / (sqrt(v / (1 - β2^t)) + ε), so the bits match it
@@ -46,13 +63,17 @@ class Adam:
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * g * g
-            self.state[name] = [m, v, t]
+            self.state[prefix] = [m, v, t]
             step = m / (1.0 - BETA1 ** t)
             step *= self.lr
             denom = np.sqrt(v / (1.0 - BETA2 ** t))
             denom += EPSILON
             step /= denom
-            p -= step
+            lo = 0
+            for tensor in tensors.tensors.values():
+                p = tensor.data
+                p -= step[lo:lo + p.size].reshape(p.shape)
+                lo += p.size
 
 
 def optimizer_params(*parts):
@@ -70,8 +91,9 @@ def fit(parts, steps, lr, step):
     """Train the parameter sets `parts` (updated in place) for `steps` Adam steps.
 
     `step(i)` samples batch i and builds its loss graph; it returns the scalar
-    loss, the `ParamSet`s that hold the gradients in clip-norm summation order
-    (one may repeat) and the trace rows it logs. Returns every trace row.
+    loss, the `ParamSet`s of `parts` that hold the gradients, in clip-norm
+    summation order (one may repeat), and the trace rows it logs. Returns
+    every trace row.
 
     The parameters are checked for NaN/Inf once, before step 0; after that a
     finite clipped gradient keeps them finite. A `NonFiniteError` raised in
@@ -87,10 +109,7 @@ def fit(parts, steps, lr, step):
         try:
             loss, param_sets, rows = step(i)
             ad.backward(loss)
-            grads = {}
-            for tensors in param_sets:
-                grads.update(tensors.gradients())
-            opt.apply(params, grads)
+            opt.apply(param_sets)
         except ad.NonFiniteError as exc:
             raise ad.NonFiniteError(f"step {i}: {exc}") from exc
         trace.extend(rows)

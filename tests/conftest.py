@@ -114,6 +114,17 @@ def lstm_step_reference(x, h_prev, c_prev, w_in, w_rec, bias):
     return np.array(h_t), np.array(c_t)
 
 
+def mlp_reference(x, w1, b1, w2, b2):
+    """Pure-python scalar-loop tanh MLP: tanh(x·w1 + b1)·w2 + b2 per row of x."""
+    out = np.empty((x.shape[0], w2.shape[1]))
+    for r, row in enumerate(x):
+        hidden = [math.tanh(b1[j] + sum(row[i] * w1[i, j] for i in range(len(row))))
+                  for j in range(w1.shape[1])]
+        for c in range(w2.shape[1]):
+            out[r, c] = b2[c] + sum(h * w2[j, c] for j, h in enumerate(hidden))
+    return out
+
+
 def encode_reference(ids, enc):
     """Scalar-loop BiLSTM + max-pool for one sentence of token ids."""
     hid = enc.hidden_size

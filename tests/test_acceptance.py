@@ -229,6 +229,7 @@ def _brute_force(src, tgt):
     return hits / n, argmaxes
 
 
+@pytest.mark.slow
 def test_criterion_3_retrieval_oracle_equivalence():
     t0 = time.monotonic()
     sizes = [int(np.random.default_rng(s).integers(2, 120)) for s in range(92)]
@@ -286,6 +287,7 @@ def test_criterion_4_cosine_isometry_suite():
 # criteria 5-7: end-to-end transfer / joint / data-efficiency ordering
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_transfer_end_to_end(transfer_run):
     before, after = transfer_run["pivot_snapshots"]
     total = transfer_run["elapsed"] + transfer_run["pivot_time"]
@@ -296,6 +298,7 @@ def test_criterion_5_transfer_end_to_end(transfer_run):
               f"within 2000 steps, pivot frozen, {total:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_joint_end_to_end(joint_run):
     margin = joint_run["gold_cosine"] - joint_run["mismatched_cosine"]
     assert joint_run["accuracy"] >= 0.80
@@ -306,6 +309,7 @@ def test_criterion_6_joint_end_to_end(joint_run):
               f"{joint_run['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_data_efficiency_ordering(corpus_setup, pivot_encoder,
                                               transfer_run, joint_run):
     train, test, vocabs = corpus_setup

@@ -3,7 +3,8 @@ import pytest
 
 from xlalign import autodiff as ad
 
-from conftest import finite_difference_grads, lstm_step_reference, max_relative_error
+from conftest import (finite_difference_grads, lstm_step_reference, max_relative_error,
+                      mlp_reference)
 
 
 def matmul_oracle(a, b):
@@ -187,6 +188,65 @@ class TestGradientChecks:
                    rng.normal(size=v)])
 
 
+def _composed_mlp(x, w1, b1, w2, b2):
+    """The classifier head as the `matmul`, `add` and `tanh` graph `ad.mlp` fuses."""
+    return ad.add(ad.matmul(ad.tanh(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+
+
+class TestMlpHead:
+    """`ad.mlp`, the classifier head as one node, for a constant input and for
+    a leaf input."""
+
+    @staticmethod
+    def _arrays(rng, dtype=np.float64):
+        """[x (5, 4), w1, b1, w2, b2] of a 4-3-2 head."""
+        shapes = [(5, 4), (4, 3), (3,), (3, 2), (2,)]
+        return [rng.normal(size=shape).astype(dtype) for shape in shapes]
+
+    @pytest.mark.parametrize("input_kind", ["constant", "leaf"])
+    def test_gradients_match_finite_differences(self, rng, input_kind):
+        x, *params = self._arrays(rng)
+        readout = ad.constant(rng.normal(size=(5, 2)))
+        if input_kind == "constant":
+            _check_op(lambda l: ad.tsum(ad.mul(ad.mlp(ad.constant(x), *l), readout)), params)
+        else:
+            _check_op(lambda l: ad.tsum(ad.mul(ad.mlp(*l), readout)), [x, *params])
+
+    @pytest.mark.parametrize("input_kind", ["constant", "leaf"])
+    def test_matches_scalar_reference(self, rng, input_kind):
+        x, *params = self._arrays(rng)
+        make = ad.constant if input_kind == "constant" else ad.leaf
+        out = ad.mlp(make(x), *map(ad.leaf, params))
+        assert np.max(np.abs(out.data - mlp_reference(x, *params))) < 1e-12
+
+    @pytest.mark.parametrize("input_kind", ["constant", "leaf", "vector"])
+    def test_equals_the_composed_graph_bit_for_bit(self, rng, input_kind):
+        arrays = self._arrays(rng, ad.DTYPE)
+        upstream = ad.constant(rng.normal(size=(5, 2)).astype(ad.DTYPE))
+        if input_kind == "vector":  # one row as a 1-D leaf
+            arrays[0], upstream = arrays[0][0], ad.constant(upstream.data[0])
+        results = []
+        for build in (ad.mlp, _composed_mlp):
+            make = ad.constant if input_kind == "constant" else ad.leaf
+            leaves = [make(arrays[0]), *map(ad.leaf, arrays[1:])]
+            out = build(*leaves)
+            ad.backward(ad.tsum(ad.mul(out, upstream)))
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        fused, composed = results
+        assert (fused[1] is None) == (composed[1] is None) == (input_kind == "constant")
+        assert fused[0].shape == upstream.shape
+        for mine, theirs in zip(fused, composed):
+            if theirs is not None:
+                assert mine.dtype == theirs.dtype == ad.DTYPE
+                assert mine.tobytes() == theirs.tobytes()
+
+    def test_non_finite_hidden_layer_rejected(self):
+        x = ad.constant(np.array([[1e30, 1e30]]))
+        w1 = ad.leaf(np.full((2, 2), 1e300))
+        with pytest.raises(ad.NonFiniteError, match="'mlp'"), np.errstate(over="ignore"):
+            ad.mlp(x, w1, ad.leaf(np.zeros(2)), ad.leaf(np.ones((2, 1))), ad.leaf(np.zeros(1)))
+
+
 def _mask(*lengths):
     """(B, T) mask of rows with the given lengths, padded at the end."""
     t_max = max(lengths)
@@ -354,20 +414,31 @@ class TestLstmStep:
         ((False, True), np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]]), 0),
         ((True, False), _mask(5, 2, 4, 1, 3), 0),
         ((False,), _mask(2, 4, 1), 3),
-    ], ids=["padded", "gapped", "stacked", "context"])
+        ((False, True), _mask(4), 0),
+        ((True, False), _mask(3, 3, 3, 3), 0),
+    ], ids=["padded", "gapped", "stacked", "context", "one_unpadded_row", "unpadded_batch"])
     def test_inference_states_equal_training_states_bit_for_bit(self, rng, reverse, mask,
                                                                  context_dim):
-        # keep=False reuses one row of gate buffers; keep=True fills the cache
+        # inference runs `lstm_steps` without a cache, reusing one row of gate
+        # buffers, and without a mask when no step is padded
         k = len(reverse)
         arrays = [a.astype(ad.DTYPE) for a in
                   _scan_inputs(rng, mask, d=5, hid=4, context_dim=context_dim, k=k)]
         w_in, w_rec, bias = (np.array(arrays[1 + n:1 + 3 * k:3]) for n in range(3))
         context = arrays[-1] if context_dim else None
         trained, cache = ad.lstm_scan_forward(arrays[0], w_in, w_rec, bias, mask, reverse,
-                                              context, keep=True)
-        inferred, none = ad.lstm_scan_forward(arrays[0], w_in, w_rec, bias, mask, reverse,
                                               context)
-        assert cache is not None and none is None
+        b, t_max = mask.shape
+        x = arrays[0].reshape(t_max, b, -1)
+        if context_dim:
+            x = np.concatenate([x, np.broadcast_to(context, (t_max, b, context_dim))], axis=2)
+        unpadded = bool(mask.all())
+        hs, dead, kept = ad.lstm_steps(x, ad.halve_gates(w_in, w_rec, bias, ad.DTYPE),
+                                       None if unpadded else mask, reverse)
+        assert kept is None and (dead is None) == unpadded
+        inferred = np.empty((t_max, b, k, 4), dtype=hs.dtype)
+        for j, rev in enumerate(reverse):
+            inferred[:, :, j] = hs[1:, j][::-1 if rev else 1]
         assert inferred.dtype == trained.dtype == ad.DTYPE
         assert inferred.tobytes() == trained.tobytes()
 
@@ -417,6 +488,20 @@ class TestGatherScatter:
         assert table.grad.tobytes() == want.tobytes()
 
 
+def _inference_pool(states, mask, reverse=(False,)):
+    """`ad.maxpool_forward` of time-major (T*B, k*H) states, laid out in loop
+    order as `lstm_steps` makes them: no dead mask when no step is padded."""
+    b, t_max = mask.shape
+    k = len(reverse)
+    steps = states.reshape(t_max, b, k, -1).swapaxes(1, 2)
+    dead_steps = np.broadcast_to((mask.T == 0)[:, None, :, None], steps.shape)
+    loop_order = [slice(None, None, -1 if rev else 1) for rev in reverse]
+    hs = np.stack([steps[order, j] for j, order in enumerate(loop_order)], axis=1)
+    dead = None if mask.all() else np.stack(
+        [dead_steps[order, j] for j, order in enumerate(loop_order)], axis=1)
+    return ad.maxpool_forward(hs, dead, reverse)
+
+
 class TestMaskedMaxpool:
     def test_ties_go_to_earliest_timestep(self):
         # row 0 ties at steps 0 and 2; row 1's largest value sits on a padded step
@@ -430,7 +515,7 @@ class TestMaskedMaxpool:
     def test_signed_zero_maximum_comes_from_the_earliest_step(self):
         # -0.0 and 0.0 tie; the earliest live zero wins, sign included
         states = np.array([[-0.0], [0.0], [0.0], [-0.0], [-1.0], [-2.0]])
-        pooled = ad.maxpool_forward(states, np.ones((2, 3)))
+        pooled = _inference_pool(states, np.ones((2, 3)))
         np.testing.assert_array_equal(np.signbit(pooled[:, 0]), [True, False])
 
     def test_training_pool_signed_zero_comes_from_the_earliest_step(self):
@@ -440,19 +525,32 @@ class TestMaskedMaxpool:
         ad.backward(ad.tsum(pooled))
         np.testing.assert_array_equal(states.grad, [[1.0], [1.0], [0.0], [0.0], [0.0], [0.0]])
 
-    @pytest.mark.parametrize("zeros", [0.0, 0.3], ids=["no_zeros", "zeros"])
-    def test_training_pool_equals_inference_pool_bit_for_bit(self, rng, zeros):
-        mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)
-        states = rng.normal(size=(4 * 3, 5)).astype(np.float32)
+    @pytest.mark.parametrize("zeros, mask", [
+        (0.0, np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)),
+        (0.3, np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)),
+        (0.0, np.ones((3, 4))), (0.3, np.ones((3, 4))),
+        (0.0, np.ones((1, 4))), (0.3, np.ones((1, 4))),
+    ], ids=["no_zeros", "zeros", "unpadded_batch", "unpadded_batch_zeros", "one_unpadded_row",
+            "one_unpadded_row_zeros"])
+    def test_training_pool_equals_inference_pool_bit_for_bit(self, rng, zeros, mask):
+        # padded and unpadded batches, with and without signed-zero maxima
+        b, t_max = mask.shape
+        states = rng.normal(size=(t_max * b, 10)).astype(np.float32)
         states[rng.random(states.shape) < zeros / 2] = 0.0
         states[rng.random(states.shape) < zeros / 2] = -0.0
+        if zeros:  # in each direction, a maximum that is -0.0 first in time and 0.0 last
+            states[:, [0, 5]] = -1.0
+            states[b - 1::b, 0] = states[b - 1::b, 5] = [-0.0, 0.0, -0.0, 0.0]
         pooled = ad.masked_maxpool(ad.constant(states), mask).data
-        assert pooled.tobytes() == ad.maxpool_forward(states, mask).tobytes()
+        inferred = _inference_pool(states, mask, (False, True))
+        assert pooled.tobytes() == inferred.tobytes()
+        if zeros:  # the earliest step wins in the reverse direction too
+            assert np.signbit(pooled[b - 1, [0, 5]]).all()
 
     def test_forward_matches_numpy_max_over_live_steps(self, rng):
         mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=float)
         states = rng.normal(size=(4 * 3, 5))
-        pooled = ad.maxpool_forward(states, mask)
+        pooled = _inference_pool(states, mask)
         steps = states.reshape(4, 3, 5)
         for row in range(3):
             live = steps[mask[row] > 0, row]

@@ -602,11 +602,12 @@ def test_numeric_failure_in_training_names_the_step_and_the_op(toy_cfg, tmp_path
     # overflowing update would) fails step 2's forward pass at the scan
     apply, updates = optim.Adam.apply, []
 
-    def poisoned(self, params, grads):
-        apply(self, params, grads)
+    def poisoned(self, param_sets):
+        apply(self, param_sets)
         updates.append(1)
         if len(updates) == 2:
-            next(a for name, a in params.items() if name.endswith("fwd.w_rec"))[0, 0] = np.nan
+            next(t.data for tensors in param_sets for name, t in tensors.tensors.items()
+                 if name.endswith("fwd.w_rec"))[0, 0] = np.nan
     monkeypatch.setattr(optim.Adam, "apply", poisoned)
     assert main(["run", "--config", toy_cfg, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

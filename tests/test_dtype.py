@@ -32,23 +32,21 @@ def vocab():
 
 @pytest.fixture
 def scan_dtypes(monkeypatch):
-    """The dtype of every float array each `lstm_scan_forward` call reads or
-    returns, its cache included, as (what, dtype) pairs."""
+    """The dtype of every float array each `lstm_steps` call, the LSTM time loop
+    of training and inference, reads or returns, its kept cache included, as
+    (what, dtype) pairs. Its input is context-extended, and its weights are
+    the stacked ones, halved."""
     seen = []
-    inner = ad.lstm_scan_forward
+    inner = ad.lstm_steps
 
-    def spy(x, w_in, w_rec, bias, mask, reverse, context=None, keep=False):
-        states, cache = inner(x, w_in, w_rec, bias, mask, reverse, context, keep)
-        named = {"x": x, "w_in": w_in, "w_rec": w_rec, "bias": bias, "states": states}
-        if context is not None:
-            named["context"] = context
-        if cache is not None:
-            cache_x, _, acts, h_prev, c_prev, tanh_c = cache  # the second is the bool live mask
-            named.update({"cache x": cache_x, "acts": acts, "h_prev": h_prev, "c_prev": c_prev,
-                          "tanh_c": tanh_c})
+    def spy(x, cells, mask, reverse, keep=False):
+        hs, dead, kept = inner(x, cells, mask, reverse, keep)
+        named = {"x": x, "hs": hs, **dict(zip(("w_in", "w_rec", "bias", "half"), cells))}
+        if kept is not None:
+            named.update(zip(("acts", "c_prev", "tanh_c"), kept))
         seen.extend((what, a.dtype) for what, a in named.items())
-        return states, cache
-    monkeypatch.setattr(ad, "lstm_scan_forward", spy)
+        return hs, dead, kept
+    monkeypatch.setattr(ad, "lstm_steps", spy)
     return seen
 
 
@@ -68,10 +66,9 @@ def _check_step(loss, param_sets, parts, scan_dtypes):
         grads.update(tensors.gradients())
     _assert_dtype(grads, "gradient")
     _assert_dtype(clip_global_norm(grads, 1e-6), "clipped gradient")  # a norm this small scales
-    params = optimizer_params(*parts)
     opt = Adam(1e-3)
-    opt.apply(params, grads)
-    _assert_dtype(params, "parameter")
+    opt.apply(param_sets)
+    _assert_dtype(optimizer_params(*parts), "parameter")
     _assert_dtype({f"{name}.{k}": moment for name, (m, v, _) in opt.state.items()
                    for k, moment in (("m", m), ("v", v))}, "Adam moment")
     assert scan_dtypes and all(dtype == ad.DTYPE for _, dtype in scan_dtypes), scan_dtypes

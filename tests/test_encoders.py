@@ -75,10 +75,14 @@ class TestBiLstmMaxpool:
         batched = encode_batch(ids, mask, ParamSet(enc)).data
         for i, s in enumerate(sents):
             assert np.max(np.abs(batched[i] - encode_reference(s, enc))) < 1e-12
-        # inference runs the same kernels without a graph, bit for bit
+        # inference runs the same kernels without a graph, bit for bit, on a
+        # padded batch, an unpadded batch (no mask) and one unpadded row
         vocab = build_vocab([[f"t{i:02d}" for i in range(4, 12)]], min_count=1)
-        tokens = [[vocab.id_to_token[i] for i in s] for s in sents]
-        np.testing.assert_array_equal(encode_sentences(tokens, vocab, enc), batched)
+        for batch in (sents, [s for s in sents if len(s) == 2] + [[4, 9], [5, 5]], sents[:1]):
+            ids, mask, _ = pad_batch(batch)
+            trained = encode_batch(ids, mask, ParamSet(enc)).data
+            tokens = [[vocab.id_to_token[i] for i in s] for s in batch]
+            np.testing.assert_array_equal(encode_sentences(tokens, vocab, enc), trained)
 
     def test_maxpool_dominance(self, enc):
         # every output coordinate equals some timestep's concatenated state
@@ -113,13 +117,17 @@ class TestBiLstmMaxpool:
         assert np.array_equal(a, b)
 
     def test_empty_sentence_rejected(self, enc, vocab):
-        with pytest.raises(ValueError, match="empty"):
-            encode_sentences([[]], vocab, enc)
+        # unpadded batches (one row, two rows) and a padded one
+        for batch in ([[]], [[], []], [[], ["w1"]]):
+            with pytest.raises(ValueError, match="empty"):
+                encode_sentences(batch, vocab, enc)
 
     def test_id_out_of_range_rejected(self, enc):
         wide = build_vocab([[f"w{i}" for i in range(40)]], min_count=1)
-        with pytest.raises(ValueError, match="out of range"):
-            encode_sentences([["w39"]], wide, enc)
+        # unpadded batches (one row, two rows) and a padded one
+        for batch in ([["w39"]], [["w1"], ["w39"]], [["w1"], ["w2", "w39"]]):
+            with pytest.raises(ValueError, match="out of range"):
+                encode_sentences(batch, wide, enc)
 
     def test_encode_sentences_order_preserved(self, enc, vocab):
         sents = [["w1", "w2"], ["w3"], ["w4", "w5", "w6"]]
@@ -137,7 +145,7 @@ class TestBatching:
         r = np.random.default_rng(seed)
         return [[f"w{i}" for i in r.integers(0, 8, size=r.integers(1, 10))] for _ in range(n)]
 
-    @pytest.mark.parametrize("n", [2 * BATCH + 37, BATCH + 1, 257])
+    @pytest.mark.parametrize("n", [2 * BATCH + 37, BATCH + 1, 257, 20 * BATCH])
     def test_shuffled_input_gives_permuted_output(self, enc, vocab, n):
         sents = self._sentences(n, seed=n)
         perm = np.random.default_rng(1).permutation(n)
@@ -147,20 +155,23 @@ class TestBatching:
 
     @pytest.mark.parametrize("n, sizes", [
         (1, [1]), (BATCH, [BATCH]), (BATCH + 1, [BATCH + 1]), (2 * BATCH + 37, [BATCH, BATCH, 37]),
-        (2 * BATCH + 1, [BATCH, BATCH + 1]),
+        (2 * BATCH + 1, [BATCH, BATCH + 1]), (20 * BATCH, [BATCH] * 20),
     ])
     def test_batches_are_length_sorted_and_a_trailing_single_row_merges(
             self, enc, vocab, monkeypatch, n, sizes):
         batches = []
+        encode_ids = encoders._encode_ids
 
-        def recording_pad_batch(id_seqs):
+        def recording_encode_ids(id_seqs, *args):
             batches.append([len(s) for s in id_seqs])
-            return pad_batch(id_seqs)
-        monkeypatch.setattr(encoders, "pad_batch", recording_pad_batch)
+            return encode_ids(id_seqs, *args)
+        monkeypatch.setattr(encoders, "_encode_ids", recording_encode_ids)
         sents = self._sentences(n, seed=n)
         encode_sentences(sents, vocab, enc)
         assert [len(b) for b in batches] == sizes
         assert sum(batches, []) == sorted(len(s) for s in sents)
+        if n == 20 * BATCH:  # length-sorted batches of one length: no padding
+            assert sum(min(b) == max(b) for b in batches) >= 10
 
     def test_no_sentences_give_an_empty_matrix(self, enc, vocab):
         assert encode_sentences([], vocab, enc).shape == (0, enc.output_dim)
