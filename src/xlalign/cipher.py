@@ -18,6 +18,8 @@ import itertools
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import ConfigError, read_file
 from .evaluation import N_CLDC_CLASSES
 from .objectives import NLIDataset
@@ -25,6 +27,12 @@ from .rand import Xorshift64Star
 from .text import ParallelCorpus, tokenize
 
 ENTAILMENT, CONTRADICTION, NEUTRAL = 0, 1, 2
+
+# Most draws of one bulk call: its 64 KiB arrays stay under glibc's default
+# 128 KiB mmap threshold. Freeing a larger array raises that threshold for
+# the rest of the process, and the heap then keeps memory that no object
+# holds (about 1 MB of peak RSS in a benchmark process).
+_BLOCK_DRAWS = 1 << 13
 
 
 @dataclass
@@ -50,6 +58,11 @@ def nli_label(premise, hypothesis):
 def _sample_weighted(rng, cumulative):
     """The first index whose cumulative weight reaches a uniform draw."""
     return bisect.bisect_left(cumulative, rng.uniform() * cumulative[-1])
+
+
+def _weighted_ids(u, cumulative):
+    """`_sample_weighted` of each uniform draw in the array u."""
+    return np.searchsorted(cumulative, u * cumulative[-1], side="left")
 
 
 def gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,
@@ -78,17 +91,51 @@ def gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,
 
     cumulative = list(itertools.accumulate(1.0 / (i + 2) for i in range(vocab_size)))
 
-    def sample_sentence(length):
-        return [base[_sample_weighted(rng, cumulative)] for _ in range(length)]
-
+    # A sentence is a length draw, then that many token draws.
+    coded_words = [cipher[w] for w in base]
     rows = []
-    for _ in range(n_sentences):
-        sent = sample_sentence(lo + rng.randint(hi - lo + 1))
-        rows.append((apply_cipher(sent, cipher), sent))
+
+    def read(u, count):
+        drawn_length = (lo + (u * (hi - lo + 1)).astype(np.int64)).tolist()
+        lengths = []
+        pos = 0
+        for _ in range(count):
+            lengths.append(drawn_length[pos])
+            pos += 1 + drawn_length[pos]
+        tokens = _token_positions(lengths, np.arange(1, count + 1))
+        ids = _weighted_ids(u[tokens], cumulative)
+        rows.extend(zip(_sentences(ids, lengths, coded_words), _sentences(ids, lengths, base)))
+        return pos
+
+    _read_in_blocks(rng, n_sentences, hi + 1, read)
     corpus = ParallelCorpus(rows, *langs)
 
     nli = _gen_nli(rng, base, cipher, nli_size, lo, hi, cumulative, langs) if nli_size else None
     return CipherCorpus(corpus, cipher, nli)
+
+
+def _read_in_blocks(rng, n, most_draws, read):
+    """Read n records of at most `most_draws` draws each from rng's stream,
+    drawn in bulk a block of records at a time: `read(u, count)` reads
+    `count` records from the draws `u` and returns how many draws they used,
+    and the generator resumes after the last of them."""
+    block = max(1, _BLOCK_DRAWS // most_draws)
+    for start in range(0, n, block):
+        count = min(block, n - start)
+        u, states = rng.uniforms(count * most_draws)
+        rng.state = int(states[read(u, count) - 1])
+
+
+def _token_positions(lengths, skipped):
+    """The stream positions of the token draws of sentences of `lengths`,
+    where `skipped[i]` draws that are not token draws precede sentence i's."""
+    return np.arange(sum(lengths)) + np.repeat(skipped, lengths)
+
+
+def _sentences(ids, lengths, words):
+    """The words of `ids`, cut into consecutive token lists of `lengths`."""
+    flat = np.array(words, dtype=object)[ids].tolist()
+    return [flat[a:b] for a, b in itertools.pairwise(itertools.accumulate(lengths, initial=0))]
 
 
 def _gen_nli(rng, base, cipher, n, lo, hi, cumulative, langs):
@@ -139,23 +186,42 @@ def gen_cldc_docs(cipher_corpus, n_docs, seed=0):
     Returns {lang: [(doc, label), ...]} with docs as lists of token lists. A
     vocabulary of fewer than 3 words a band is a ConfigError.
     """
-    rng = Xorshift64Star(seed)
     base = sorted(cipher_corpus.cipher)
     band = len(base) // N_CLDC_CLASSES
     if band < 3:
         raise ConfigError(f"vocabulary too small for {N_CLDC_CLASSES} topic bands")
     ciphered_lang, base_lang = cipher_corpus.corpus.langs
     docs = {base_lang: [], ciphered_lang: []}
-    for i in range(n_docs):
-        label = i % N_CLDC_CLASSES
-        vocab_band = base[label * band:(label + 1) * band]
-        doc = []
-        for _ in range(2 + rng.randint(3)):
-            length = 3 + rng.randint(4)
-            doc.append([vocab_band[rng.randint(len(vocab_band))] for _ in range(length)])
-        docs[base_lang].append((doc, label))
-        docs[ciphered_lang].append(
-            ([apply_cipher(s, cipher_corpus.cipher) for s in doc], label))
+    coded_words = [cipher_corpus.cipher[w] for w in base]
+
+    # A document draws its sentence count (2-4), a sentence its length (3-6),
+    # a token its index in the document's band.
+    def read(u, count):
+        drawn_count = (2 + (u * 3).astype(np.int64)).tolist()
+        drawn_length = (3 + (u * 4).astype(np.int64)).tolist()
+        doc_sizes, lengths = [], []
+        pos = 0
+        for _ in range(count):
+            doc_sizes.append(drawn_count[pos])
+            pos += 1
+            for _ in range(doc_sizes[-1]):
+                lengths.append(drawn_length[pos])
+                pos += 1 + drawn_length[pos]
+        # before a sentence's tokens: its own and earlier length draws, and
+        # the count draws of its document and the earlier ones
+        skipped = np.arange(1, len(lengths) + 1) + np.repeat(np.arange(1, count + 1), doc_sizes)
+        labels = np.arange(len(docs[base_lang]), len(docs[base_lang]) + count) % N_CLDC_CLASSES
+        band_starts = np.repeat(np.repeat(labels * band, doc_sizes), lengths)
+        ids = (u[_token_positions(lengths, skipped)] * band).astype(np.int64) + band_starts
+        sentences = _sentences(ids, lengths, base)
+        coded = _sentences(ids, lengths, coded_words)
+        bounds = itertools.pairwise(itertools.accumulate(doc_sizes, initial=0))
+        for (a, b), label in zip(bounds, labels.tolist()):
+            docs[base_lang].append((sentences[a:b], label))
+            docs[ciphered_lang].append((coded[a:b], label))
+        return pos
+
+    _read_in_blocks(Xorshift64Star(seed), n_docs, 1 + 4 * (1 + 6), read)
     return docs
 
 

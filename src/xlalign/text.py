@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +59,12 @@ def build_vocab(token_seqs, min_count=1):
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts = {}
-    n_seqs = 0
-    for tokens in token_seqs:
-        n_seqs += 1
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-    if n_seqs == 0:
+    seqs = iter(token_seqs)
+    for first in seqs:
+        break
+    else:
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    counts = Counter(itertools.chain(first, itertools.chain.from_iterable(seqs)))
 
     id_to_token = list(RESERVED)
     frequencies = [0, 0, 0, 0]

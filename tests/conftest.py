@@ -1,5 +1,6 @@
 """Shared test helpers: finite differences and scalar reference models."""
 
+import itertools
 import math
 import operator
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 from xlalign import autodiff as ad
+from xlalign.cipher import CipherCorpus, _gen_nli, _sample_weighted, apply_cipher
 from xlalign.config import parse_config
+from xlalign.evaluation import N_CLDC_CLASSES
 from xlalign.pipeline import Experiment, ExperimentData
+from xlalign.rand import Xorshift64Star
 from xlalign.text import ParallelCorpus, build_vocab, save_word2vec
 
 
@@ -144,6 +148,46 @@ def encode_reference(ids, enc):
         bwd_states[pos] = h
     states = [np.concatenate([f, b]) for f, b in zip(fwd_states, bwd_states)]
     return np.max(np.stack(states), axis=0)
+
+
+def scalar_gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,
+                             nli_size=0, langs=("lb", "la")):
+    """`cipher.gen_cipher_corpus` with one scalar draw a length or token, the
+    generator's documented order of draws (validation left to the original)."""
+    lo, hi = length_range
+    rng = Xorshift64Star(seed)
+    base = [f"w{i:03d}" for i in range(vocab_size)]
+    perm = list(range(vocab_size))
+    rng.shuffle(perm)
+    cipher = {base[i]: f"k{perm[i]:03d}" for i in range(vocab_size)}
+    cumulative = list(itertools.accumulate(1.0 / (i + 2) for i in range(vocab_size)))
+    rows = []
+    for _ in range(n_sentences):
+        length = lo + rng.randint(hi - lo + 1)
+        sent = [base[_sample_weighted(rng, cumulative)] for _ in range(length)]
+        rows.append((apply_cipher(sent, cipher), sent))
+    nli = _gen_nli(rng, base, cipher, nli_size, lo, hi, cumulative, langs) if nli_size else None
+    return CipherCorpus(ParallelCorpus(rows, *langs), cipher, nli)
+
+
+def scalar_gen_cldc_docs(cipher_corpus, n_docs, seed=0):
+    """`cipher.gen_cldc_docs` with one scalar draw a sentence count, length or
+    token."""
+    rng = Xorshift64Star(seed)
+    base = sorted(cipher_corpus.cipher)
+    band = len(base) // N_CLDC_CLASSES
+    ciphered_lang, base_lang = cipher_corpus.corpus.langs
+    docs = {base_lang: [], ciphered_lang: []}
+    for i in range(n_docs):
+        label = i % N_CLDC_CLASSES
+        vocab_band = base[label * band:(label + 1) * band]
+        doc = []
+        for _ in range(2 + rng.randint(3)):
+            length = 3 + rng.randint(4)
+            doc.append([vocab_band[rng.randint(len(vocab_band))] for _ in range(length)])
+        docs[base_lang].append((doc, label))
+        docs[ciphered_lang].append(([apply_cipher(s, cipher_corpus.cipher) for s in doc], label))
+    return docs
 
 
 @pytest.fixture

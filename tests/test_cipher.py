@@ -1,10 +1,16 @@
 import hashlib
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from xlalign.cipher import (_sample_weighted, apply_cipher, gen_cipher_corpus, gen_cldc_docs,
-                            nli_label, read_corpus_files, write_corpus_files)
+from conftest import scalar_gen_cipher_corpus, scalar_gen_cldc_docs
+from xlalign import cipher
+from xlalign.cipher import (_sample_weighted, _weighted_ids, apply_cipher, gen_cipher_corpus,
+                            gen_cldc_docs, nli_label, read_corpus_files, write_corpus_files)
 from xlalign.config import ConfigError
 
 
@@ -34,6 +40,7 @@ class TestCipher:
         cumulative = [1.0, 2.0, 3.0, 4.0]  # u = 0.25, 0.5, 0.75 land exactly on a weight
         first = next(i for i, c in enumerate(cumulative) if c >= u * cumulative[-1])
         assert _sample_weighted(Fixed(), cumulative) == first
+        assert _weighted_ids(np.array([u]), cumulative).tolist() == [first]  # the bulk rule
 
     def test_cardinality_and_nonempty(self):
         cc = gen_cipher_corpus(15, 100, (2, 5), seed=2)
@@ -65,6 +72,42 @@ class TestCipher:
             gen_cipher_corpus(20, 10, (5, 2), seed=0)
         with pytest.raises(ValueError, match="n_sentences"):
             gen_cipher_corpus(20, 0, (2, 4), seed=0)
+
+
+def generated(gen, *args, **kwargs):
+    """The output of gen, or the type and text of the error it raised."""
+    try:
+        return gen(*args, **kwargs)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def corpus_payload(cc):
+    if isinstance(cc, tuple):
+        return cc
+    nli = cc.nli and {lang: (d.premises, d.hypotheses, d.labels) for lang, d in cc.nli.items()}
+    return cc.corpus.langs, cc.corpus.rows(), cc.cipher, nli
+
+
+@settings(max_examples=80, deadline=None)
+@given(vocab=st.sampled_from([10, 11, 16, 60]), n=st.integers(1, 300),
+       lo=st.integers(1, 6), extra=st.integers(0, 4), seed=st.integers(0, 2**64 - 1),
+       nli_size=st.sampled_from([0, 0, 1, 7]), n_docs=st.sampled_from([0, 1, 9, 40]),
+       block_draws=st.sampled_from([1, 16, 100, cipher._BLOCK_DRAWS]))
+def test_bulk_generation_equals_the_scalar_draws(vocab, n, lo, extra, seed, nli_size, n_docs,
+                                                 block_draws):
+    """Rows, cipher, NLI sets and CLDC documents are those of one scalar draw
+    a length or token, for lo == hi, n = 1 and any block size too; NLI
+    lengths the draws cannot make raise the same error either way."""
+    args = (vocab, n, (lo, lo + extra))
+    with mock.patch.object(cipher, "_BLOCK_DRAWS", block_draws):
+        bulk = generated(gen_cipher_corpus, *args, seed=seed, nli_size=nli_size)
+        docs = None if isinstance(bulk, tuple) else generated(gen_cldc_docs, bulk, n_docs, seed)
+    assume(not (isinstance(bulk, tuple) and bulk[0] is ConfigError))  # the oracle skips validation
+    scalar = generated(scalar_gen_cipher_corpus, *args, seed=seed, nli_size=nli_size)
+    assert corpus_payload(bulk) == corpus_payload(scalar)
+    if isinstance(docs, dict):  # 12 words or more, 3 a topic band
+        assert docs == scalar_gen_cldc_docs(bulk, n_docs, seed=seed)
 
 
 class TestNliToy:

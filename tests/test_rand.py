@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlalign.rand import Xorshift64Star
 
@@ -52,3 +54,41 @@ def test_shuffle_deterministic():
     Xorshift64Star(11).shuffle(a)
     Xorshift64Star(11).shuffle(b)
     assert a == b and sorted(a) == list(range(20)) and a != list(range(20))
+
+
+def scalar_uniforms(seed, n):
+    rng = Xorshift64Star(seed)
+    return [rng.uniform() for _ in range(n)], rng.state
+
+
+# n = 1 runs one lane and n = 2 two lanes of one draw; 49/50/51, 71/72/73
+# and 97/98/99 sit on and beside a change of lane count (about sqrt(2n)
+# lanes), and 50, 72 and 98 fill their last lane exactly
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 49, 50, 51, 71, 72, 73, 97, 98, 99, 100_000])
+@pytest.mark.parametrize("seed", [0, 42, MASK])
+def test_bulk_draw_is_the_scalar_stream(seed, n):
+    rng = Xorshift64Star(seed)
+    u, states = rng.uniforms(n)
+    expected, end = scalar_uniforms(seed, n)
+    assert u.dtype == np.float64 and u.shape == (n,) and states.shape == (n,)
+    assert u.tolist() == expected
+    assert rng.state == end == int(states[-1])
+
+
+def test_bulk_draw_needs_a_draw():
+    with pytest.raises(ValueError):
+        Xorshift64Star(1).uniforms(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, MASK), n=st.integers(1, 3000), data=st.data())
+def test_bulk_draw_prefix_resumes_the_scalar_stream(seed, n, data):
+    """Setting the state after a used prefix of k draws continues the stream
+    exactly where k scalar draws would."""
+    k = data.draw(st.integers(1, n))
+    rng = Xorshift64Star(seed)
+    u, states = rng.uniforms(n)
+    expected, _ = scalar_uniforms(seed, n + 5)
+    assert u.tolist() == expected[:n]
+    rng.state = int(states[k - 1])
+    assert [rng.uniform() for _ in range(5)] == expected[k:k + 5]

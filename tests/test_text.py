@@ -12,7 +12,7 @@ from xlalign.rand import Xorshift64Star
 from xlalign.evaluation import CLDCReport, CurvePoint, RetrievalReport
 from xlalign.objectives import TRACE_HEADER
 from xlalign.pipeline import evaluate_splits, materialize
-from xlalign.text import (UNK, NoiseParams, ParallelCorpus, build_vocab,
+from xlalign.text import (RESERVED, UNK, NoiseParams, ParallelCorpus, build_vocab,
                           corrupt, load_word2vec, save_word2vec, sif_weight, tokenize,
                           write_csv)
 
@@ -58,8 +58,10 @@ class TestVocab:
         assert v.total_count == sum(v.frequencies) == 6
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            build_vocab([], min_count=1)
+        for empty in ([], iter([]), (s for s in [])):
+            with pytest.raises(ValueError, match="empty"):
+                build_vocab(empty, min_count=1)
+        assert build_vocab(iter([[]]), min_count=1).id_to_token == RESERVED  # one empty sentence
 
     def test_counts_match_counter_oracle(self):
         rng = Xorshift64Star(5)
@@ -71,6 +73,7 @@ class TestVocab:
         for w, c in oracle.items():
             assert v.frequencies[v.token_to_id[w]] == c
         assert v.total_count == sum(oracle.values())
+        assert build_vocab(s for s in sentences) == v  # one pass over a generator
 
     def test_encode_decode(self):
         v = build_vocab([["x", "y"]], min_count=1)
