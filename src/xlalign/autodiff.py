@@ -400,25 +400,18 @@ def _flip_into(dst, src, reverse):
     return dst
 
 
-def halve_gates(w_in, w_rec, bias, dtype):
-    """The `cells` of `lstm_steps`: copies of stacked LSTM weights (k, ·, 4H)
-    in `dtype`, their i, f and o columns halved, and the (4H,) factors. With
-    σ(z) = ½ + ½·tanh(z/2), a step is one tanh over all 4H columns and the
-    affine map act·half + shift (½·t + ½ on i, f and o, t on g); halving is
-    exact, a power of two, so each product and sum is the halved one."""
-    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), w_rec.shape[1])
-    return w_in * half, w_rec * half, bias * half, half
-
-
 def lstm_steps(x, cells, mask, reverse, keep=False):
     """The one LSTM time loop, of training (`lstm_scan_forward`) and inference:
     k masked directions over the same (T, B, D) time-major input x.
 
-    cells: `halve_gates` of w_in (k, D, 4H), w_rec (k, H, 4H) and bias (k, 4H);
+    cells: the stacked w_in (k, D, 4H), w_rec (k, H, 4H) and bias (k, 4H);
     mask: (B, T), None for a batch with no padded step; reverse: k flags, a
     reverse direction runs from the last step to the first. Gate layout
     [i, f, g, o]; the state starts at zero. Each direction's input products
-    are the BLAS calls a 2-D `@` makes, so its bits do not depend on k.
+    are the BLAS calls a 2-D `@` makes, so its bits do not depend on k. With
+    σ(z) = ½ + ½·tanh(z/2), a step is one tanh of its pre-activation times the
+    gate factors (½ on i, f and o, 1 on g), then act·factor + shift; halving
+    is exact, so these are the bits of halved weights.
 
     Returns (hs, dead, kept) in loop order, time first: loop step i is time
     step i of a forward direction and T-1-i of a reverse one, so one step's
@@ -431,17 +424,18 @@ def lstm_steps(x, cells, mask, reverse, keep=False):
     tanh_c (T, k, B, H); without it the loop reuses one row of acts and
     tanh_c and two rows of c.
     """
-    w_in_half, w_rec_half, bias_half, half = cells
+    w_in, w_rec, bias = cells
+    dtype = np.result_type(x, w_in)
     t_max, b, _ = x.shape
-    k, hid = w_rec_half.shape[:2]
+    k, hid = w_rec.shape[:2]
     x = x.reshape(t_max * b, -1)
     # the bias joins the input gates before their copy into loop order (faster
     # than an add into the strided loop-order slice)
-    gates = np.empty((t_max * b, 4 * hid), dtype=half.dtype)
-    gates_in = np.empty((t_max, k, b, 4 * hid), dtype=half.dtype)
+    gates = np.empty((t_max * b, 4 * hid), dtype=dtype)
+    gates_in = np.empty((t_max, k, b, 4 * hid), dtype=dtype)
     for j, rev in enumerate(reverse):
-        np.matmul(x, w_in_half[j], out=gates)
-        gates += bias_half[j]
+        np.matmul(x, w_in[j], out=gates)
+        gates += bias[j]
         gates_in[:, j] = gates.reshape(t_max, b, 4 * hid)[::-1 if rev else 1]
     del gates  # peak memory: freed before the loop's buffers are made
     dead = None
@@ -452,31 +446,35 @@ def lstm_steps(x, cells, mask, reverse, keep=False):
         for j, rev in enumerate(reverse):
             dead[:, j] = dead_steps[::-1 if rev else 1]
         partial = dead.any(axis=(1, 2, 3)).tolist()
-    half = np.repeat(half[None], k * b, axis=0).reshape(k, b, 4 * hid)
+    half = np.full((k, b, 4, hid), 0.5, dtype=dtype)
+    half[:, :, 2] = 1.0
+    half = half.reshape(k, b, 4 * hid)
     shift = 1.0 - half
     # step i works in row i % rows of acts and tanh_c and reads row i % (rows + 1)
-    # of cs: the whole cache with `keep`, else one reused row and two c rows
+    # of cs (the whole cache with `keep`, else one reused row and two c rows),
+    # through views made once, before the loop
     rows = t_max if keep else 1
-    acts = np.empty((rows, k, b, 4 * hid), dtype=half.dtype)
-    tanh_c = np.empty((rows, k, b, hid), dtype=half.dtype)
-    cs = np.zeros((rows + 1, k, b, hid), dtype=half.dtype)
-    hs = np.zeros((t_max + 1, k, b, hid), dtype=half.dtype)
-    gate_i, gate_f, gate_g, gate_o = (acts[..., n * hid:(n + 1) * hid] for n in range(4))
-    for i in range(t_max):
-        r = i % rows
-        act, tc = acts[r], tanh_c[r]
-        c_prev, c_new = cs[i % (rows + 1)], cs[(i + 1) % (rows + 1)]
-        np.matmul(hs[i], w_rec_half, out=act)
-        act += gates_in[i]
+    acts = np.empty((rows, k, b, 4 * hid), dtype=dtype)
+    tanh_c = np.empty((rows, k, b, hid), dtype=dtype)
+    cs = np.zeros((rows + 1, k, b, hid), dtype=dtype)
+    hs = np.zeros((t_max + 1, k, b, hid), dtype=dtype)
+    work = list(zip(acts, tanh_c, *(acts[..., n * hid:(n + 1) * hid] for n in range(4))))
+    c_rows, h_rows = list(cs), list(hs)
+    for i, step_in in enumerate(gates_in):
+        act, tc, gate_i, gate_f, gate_g, gate_o = work[i % rows]
+        c_prev, c_new = c_rows[i % (rows + 1)], c_rows[(i + 1) % (rows + 1)]
+        np.matmul(h_rows[i], w_rec, out=act)
+        act += step_in
+        act *= half
         np.tanh(act, out=act)
         act *= half
         act += shift
-        np.multiply(gate_f[r], c_prev, out=c_new)
-        c_new += np.multiply(gate_i[r], gate_g[r], out=tc)  # i·g, then tanh(c)
+        np.multiply(gate_f, c_prev, out=c_new)
+        c_new += np.multiply(gate_i, gate_g, out=tc)  # i·g, then tanh(c)
         np.tanh(c_new, out=tc)
-        np.multiply(gate_o[r], tc, out=hs[i + 1])
+        np.multiply(gate_o, tc, out=h_rows[i + 1])
         if partial[i]:
-            np.copyto(hs[i + 1], hs[i], where=dead[i])
+            np.copyto(h_rows[i + 1], h_rows[i], where=dead[i])
             np.copyto(c_new, c_prev, where=dead[i])
     return hs, dead, (acts, cs[:-1], tanh_c) if keep else None
 
@@ -503,9 +501,8 @@ def lstm_scan_forward(x, w_in, w_rec, bias, mask, reverse, context=None):
     if context is not None:
         steps_ctx = np.broadcast_to(context, (t_max,) + context.shape)
         x = np.concatenate([x.reshape(t_max, b, -1), steps_ctx], axis=2).reshape(t_max * b, -1)
-    cells = halve_gates(w_in, w_rec, bias, np.result_type(x, w_in))
-    hs, dead, (acts, c_prev, tanh_c) = lstm_steps(x.reshape(t_max, b, -1), cells, mask, reverse,
-                                                  keep=True)
+    hs, dead, (acts, c_prev, tanh_c) = lstm_steps(x.reshape(t_max, b, -1), (w_in, w_rec, bias),
+                                                  mask, reverse, keep=True)
     states = np.empty((t_max, b, k, hid), dtype=hs.dtype)
     _flip_into(states.swapaxes(1, 2), hs[1:], reverse)
     return states.reshape(t_max * b, k * hid), (x, ~dead, acts, hs[:-1], c_prev, tanh_c)

@@ -27,6 +27,7 @@ from .rand import Xorshift64Star
 from .text import ParallelCorpus, tokenize
 
 ENTAILMENT, CONTRADICTION, NEUTRAL = 0, 1, 2
+_PREMISE_MIN = 4  # tokens of the shortest NLI premise
 
 # Most draws of one bulk call: its 64 KiB arrays stay under glibc's default
 # 128 KiB mmap threshold. Freeing a larger array raises that threshold for
@@ -80,6 +81,10 @@ def gen_cipher_corpus(vocab_size, n_sentences, length_range=(3, 8), seed=0,
     lo, hi = length_range
     if not 1 <= lo <= hi:
         raise ConfigError(f"degenerate length range {length_range}")
+    if nli_size and hi < _PREMISE_MIN:
+        raise ConfigError(f"NLI generation needs a longest sentence length of at least "
+                          f"{_PREMISE_MIN} tokens, the premise minimum; got length range "
+                          f"{length_range}")
     if nli_size and hi >= vocab_size - 2:
         raise ConfigError("NLI generation needs sentence lengths well below the vocabulary size")
 
@@ -140,7 +145,7 @@ def _sentences(ids, lengths, words):
 
 def _gen_nli(rng, base, cipher, n, lo, hi, cumulative, langs):
     premises, hypotheses, labels = [], [], []
-    min_len = max(lo, 4)
+    min_len = max(lo, _PREMISE_MIN)
     for i in range(n):
         premise = []
         seen = set()

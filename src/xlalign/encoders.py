@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .text import PAD, sif_weight
+from .text import PAD, UNK, sif_weight
 
 BATCH = 64  # rows per inference batch; peak memory grows with it
 DIRECTIONS = (False, True)  # the BiLSTM's (fwd, bwd) cells, as `reverse` flags
@@ -91,15 +91,35 @@ def new_encoder(vocab_size, dim, hidden, lang, seed):
 
 def pad_batch(id_seqs):
     """Right-pad with PAD; returns (ids (B,T), mask (B,T) float, lengths)."""
-    if not id_seqs:
-        raise ValueError("empty batch")
     lengths = [len(s) for s in id_seqs]
-    if min(lengths) == 0:
-        raise ValueError("cannot encode an empty sentence")
-    live = np.arange(max(lengths)) < np.array(lengths)[:, None]
-    ids = np.full(live.shape, PAD, dtype=np.int64)
-    ids[live] = np.fromiter(itertools.chain.from_iterable(id_seqs), np.int64, sum(lengths))
+    ids, live = _padded(itertools.chain.from_iterable(id_seqs), lengths, PAD)
     return ids, live.astype(np.float64), lengths
+
+
+def _padded(flat_ids, lengths, pad):
+    """The iterable `flat_ids` as a (B, T) matrix of rows of `lengths`, right-padded
+    with `pad`, and its bool mask of live steps."""
+    if not len(lengths):
+        raise ValueError("empty batch")
+    lengths = np.asarray(lengths)
+    if lengths.min() == 0:
+        raise ValueError("cannot encode an empty sentence")
+    live = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(live.shape, pad, dtype=np.int64)
+    ids[live] = np.fromiter(flat_ids, np.int64, lengths.sum())
+    return ids, live
+
+
+def id_matrix(sentences, vocab, pad=PAD):
+    """Token sequences as one id matrix: the (n, T) ids, unknown tokens UNK,
+    right-padded with `pad`, and the (n,) lengths. One bulk lookup over all
+    tokens; one sentence is its (1, T) row as it stands."""
+    ids = map(vocab.token_to_id.get, itertools.chain.from_iterable(sentences),
+              itertools.repeat(UNK))
+    if len(sentences) == 1 and sentences[0]:
+        return np.fromiter(ids, np.int64)[None], np.array([len(sentences[0])])
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    return _padded(ids, lengths, pad)[0], lengths
 
 
 def encode_batch(ids, mask, enc_tensors):
@@ -123,44 +143,46 @@ def encode_sentences(sentences, vocab, enc):
     """Encode token sequences to a (n, 2H) array of the encoder's dtype; forward
     only, builds no graph.
 
-    Sentences are encoded in order of length, in batches of `BATCH` rows, so
-    a batch pads little; the rows come back in input order. A trailing
-    one-row batch joins the batch before it: a one-row product takes BLAS's
-    matrix-vector path, whose rounding differs from a row of a matrix product.
-    The weights are stacked and halved once per call.
+    The sentences become one id matrix (`id_matrix`), whose ids are checked
+    against the embedding table once. Its rows are encoded in order of
+    length, in batches of `BATCH` rows cut to their longest row, so a batch
+    pads little; the rows come back in input order. A trailing one-row batch
+    joins the batch before it: a one-row product takes BLAS's matrix-vector
+    path, whose rounding differs from a row of a matrix product. The weights
+    are stacked once per call, as `lstm_steps` takes them.
     """
-    ids = [vocab.encode(s) for s in sentences]
-    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+    out = np.empty((len(sentences), enc.output_dim), dtype=enc.embeddings.dtype)
+    if not sentences:
+        return out
+    ids, lengths = id_matrix(sentences, vocab)
+    _check_ids(int(ids.max()), enc.vocab_size)
+    cells = [np.array([getattr(enc.fwd, n), getattr(enc.bwd, n)])
+             for n in ("w_in", "w_rec", "bias")]
+    if len(sentences) == 1:
+        out[0] = _encode_ids(ids, lengths, enc.embeddings, cells)
+        return out
+    order = np.argsort(lengths, kind="stable")
+    ids, lengths = ids[order], lengths[order]
     bounds = list(range(0, len(ids), BATCH)) + [len(ids)]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
-    w_in, w_rec, bias = (np.array([getattr(enc.fwd, n), getattr(enc.bwd, n)])
-                         for n in ("w_in", "w_rec", "bias"))
-    cells = ad.halve_gates(w_in, w_rec, bias, np.result_type(enc.embeddings, w_in))
-    out = np.empty((len(ids), enc.output_dim), dtype=enc.embeddings.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
-        rows = order[lo:hi]
-        out[rows] = _encode_ids([ids[i] for i in rows], enc, cells)
+        out[order[lo:hi]] = _encode_ids(ids[lo:hi, :lengths[hi - 1]], lengths[lo:hi],
+                                        enc.embeddings, cells)
     return out
 
 
-def _encode_ids(id_seqs, enc, cells):
-    """BiLSTM + max-pool of one batch of id lists -> (B, 2H), the bits
-    `encode_batch` gives for it. A batch whose sentences share one length is
-    stacked as it is: no padding, so no mask and no dead-step work."""
-    if len({len(s) for s in id_seqs}) == 1:
-        if not id_seqs[0]:
-            raise ValueError("cannot encode an empty sentence")
-        batch, mask = np.array(id_seqs, dtype=np.int64), None
-    else:
-        batch, mask, _ = pad_batch(id_seqs)
-    _check_ids(int(batch.max()), enc.vocab_size)
-    hs, dead, _ = ad.lstm_steps(enc.embeddings[batch.T], cells, mask, DIRECTIONS)
+def _encode_ids(ids, lengths, embeddings, cells):
+    """BiLSTM + max-pool of a (B, T) id batch of length-sorted rows whose last
+    is T long -> (B, 2H), the bits `encode_batch` gives for it. A batch whose
+    rows share one length builds no mask and no dead-step work."""
+    mask = None if lengths[0] == lengths[-1] else np.arange(ids.shape[1]) < lengths[:, None]
+    hs, dead, _ = ad.lstm_steps(embeddings[ids.T], cells, mask, DIRECTIONS)
     return ad.maxpool_forward(hs[1:], dead, DIRECTIONS)
 
 
 def _check_ids(top, vocab_size):
-    """`top`, the largest token id of a batch, must index the embedding table."""
+    """`top`, the largest token id to embed, must index the embedding table."""
     if top >= vocab_size:
         raise ValueError(f"token id {top} out of range for vocabulary of {vocab_size}")
 
@@ -184,12 +206,11 @@ def encode_sif_matrix(sentences, table, vocab, a=1e-3):
     length at the end.
     """
     weights = np.array([sif_weight(freq, vocab.total_count, a) for freq in vocab.frequencies])
-    ids, mask, lengths = pad_batch([vocab.encode(s) for s in sentences])
-    # the weighted table, and a -0.0 row that padded positions read: adding
-    # -0.0 leaves every value as it was, signed zeros included
+    # padded positions read the appended -0.0 row: adding -0.0 leaves every
+    # value as it was, signed zeros included
+    ids, lengths = id_matrix(sentences, vocab, pad=len(table))
     rows = np.concatenate([weights[:, None] * table, np.full((1, table.shape[1]), -0.0)])
-    ids[mask == 0] = len(table)
     acc = np.zeros((len(sentences), table.shape[1]))
     for pos in ids.T:
         acc += rows[pos]
-    return acc / np.array(lengths)[:, None]
+    return acc / lengths[:, None]

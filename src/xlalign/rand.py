@@ -18,12 +18,14 @@ so m steps are one 64×64 bit matrix Tᵐ, whose columns are the 64 unit
 vectors run through m steps. The n states are cut into about √(2n) lanes,
 one per block of m consecutive states; lane j starts at the state Tᵐ takes
 lane j - 1's start to (jump-ahead, applied as one table lookup per byte of
-the state). numpy then advances all lanes together, m steps of uint64
-shifts and xors, and the output multiply and shift run on the whole array.
+the state; the tables of the last few m are kept). numpy then advances all
+lanes together, m steps of uint64 shifts and xors, and the output multiply
+and shift run on the whole array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,16 +48,19 @@ def _steps(s, m, out=None):
     return s
 
 
-def _jump_tables(columns):
-    """Per byte of a state, the xor of the columns its set bits select, for
-    all 256 byte values: a bit matrix with these 64 columns as 8 lookups."""
+@functools.lru_cache(maxsize=8)
+def _jump_tables(m):
+    """Tᵐ as 8 lookups: per byte of a state, the xor of the columns its set
+    bits select, for all 256 byte values. Kept for the last few m as one
+    (8, 256) uint64 array: 16 KiB, where Python ints would take 90 KiB."""
+    columns = _steps(np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)), m).tolist()
     tables = []
     for b in range(0, 64, 8):
         table = [0]
         for col in columns[b:b + 8]:
             table += [x ^ col for x in table]
         tables.append(table)
-    return tables
+    return np.array(tables, dtype=np.uint64)
 
 
 def _jump(tables, s):
@@ -96,8 +101,7 @@ class Xorshift64Star:
         m = -(-n // lanes)
         starts = [self.state]
         if lanes > 1:
-            units = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-            tables = _jump_tables(_steps(units, m).tolist())
+            tables = _jump_tables(m).tolist()
             for _ in range(lanes - 1):
                 starts.append(_jump(tables, starts[-1]))
         states = np.empty((lanes, m), dtype=np.uint64)

@@ -344,6 +344,36 @@ def _two_d_reference(x, mask, w_in, w_rec, bias, reverse, g):
             h_prev.reshape(-1, hid).T @ d_gates, d_gates.sum(axis=0))
 
 
+def _halved_weight_steps(x, w_in, w_rec, bias, mask, reverse):
+    """The LSTM time loop over copies of the stacked weights whose i, f and o
+    columns are halved before the loop, in the BLAS calls, element-wise order
+    and loop-order layout of `lstm_steps`. Returns (hs, dead, (acts, c_prev,
+    tanh_c)) as `lstm_steps` returns them with `keep`."""
+    t_max, b, _ = x.shape
+    k, hid = w_rec.shape[:2]
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=x.dtype), hid)
+    gates_in = np.empty((t_max, k, b, 4 * hid), dtype=x.dtype)
+    for j, rev in enumerate(reverse):
+        gates = x.reshape(t_max * b, -1) @ (w_in[j] * half) + bias[j] * half
+        gates_in[:, j] = gates.reshape(t_max, b, 4 * hid)[::-1 if rev else 1]
+    dead = None if mask is None else np.stack(
+        [np.broadcast_to(~(mask.T > 0)[:, :, None], (t_max, b, hid))[::-1 if rev else 1]
+         for rev in reverse], axis=1)
+    hs, cs = (np.zeros((t_max + 1, k, b, hid), dtype=x.dtype) for _ in range(2))
+    acts = np.empty((t_max, k, b, 4 * hid), dtype=x.dtype)
+    tanh_c = np.empty((t_max, k, b, hid), dtype=x.dtype)
+    for i in range(t_max):
+        act = np.tanh(hs[i] @ (w_rec * half) + gates_in[i]) * half + (1.0 - half)
+        c_new = act[..., hid:2 * hid] * cs[i] + act[..., :hid] * act[..., 2 * hid:3 * hid]
+        acts[i], tanh_c[i] = act, np.tanh(c_new)
+        hs[i + 1] = act[..., 3 * hid:] * tanh_c[i]
+        cs[i + 1] = c_new
+        if dead is not None:
+            hs[i + 1] = np.where(dead[i], hs[i], hs[i + 1])
+            cs[i + 1] = np.where(dead[i], cs[i], cs[i + 1])
+    return hs, dead, (acts, cs[:-1], tanh_c)
+
+
 class TestLstmStep:
     """The LSTM step recurrence as `lstm_scan` runs it."""
 
@@ -433,14 +463,39 @@ class TestLstmStep:
         if context_dim:
             x = np.concatenate([x, np.broadcast_to(context, (t_max, b, context_dim))], axis=2)
         unpadded = bool(mask.all())
-        hs, dead, kept = ad.lstm_steps(x, ad.halve_gates(w_in, w_rec, bias, ad.DTYPE),
-                                       None if unpadded else mask, reverse)
+        hs, dead, kept = ad.lstm_steps(x, (w_in, w_rec, bias), None if unpadded else mask,
+                                       reverse)
         assert kept is None and (dead is None) == unpadded
         inferred = np.empty((t_max, b, k, 4), dtype=hs.dtype)
         for j, rev in enumerate(reverse):
             inferred[:, :, j] = hs[1:, j][::-1 if rev else 1]
         assert inferred.dtype == trained.dtype == ad.DTYPE
         assert inferred.tobytes() == trained.tobytes()
+
+    @pytest.mark.parametrize("k, t_max, context_dim", [(2, 8, 0), (1, 9, 64)],
+                             ids=["encoder", "decoder"])
+    @pytest.mark.parametrize("padded", [True, False], ids=["mask", "no_mask"])
+    def test_in_loop_halving_equals_halved_weights_bit_for_bit(self, rng, k, t_max, context_dim,
+                                                               padded):
+        # the joint_b16 shapes: B = 16, D = H = 32, the decoder reading a 64-wide context
+        b, hid = 16, 32
+        lengths = rng.integers(1, t_max + 1, size=b) if padded else np.full(b, t_max)
+        lengths[0] = t_max
+        mask = (np.arange(t_max) < lengths[:, None]).astype(np.float64)
+        arrays = [a.astype(ad.DTYPE) for a in
+                  _scan_inputs(rng, mask, d=32 + context_dim, hid=hid, k=k)]
+        w_in, w_rec, bias = (np.array(arrays[1 + n:1 + 3 * k:3]) for n in range(3))
+        reverse = (False, True)[:k]
+        x = arrays[0].reshape(t_max, b, -1)
+        hs, dead, kept = ad.lstm_steps(x, (w_in, w_rec, bias), mask if padded else None,
+                                       reverse, keep=True)
+        ref_hs, ref_dead, ref_kept = _halved_weight_steps(x, w_in, w_rec, bias,
+                                                          mask if padded else None, reverse)
+        assert (dead is None) == (ref_dead is None) == (not padded)
+        assert hs.tobytes() == ref_hs.tobytes()
+        for got, want in zip(kept, ref_kept):  # acts, c_prev, tanh_c
+            assert got.dtype == want.dtype == ad.DTYPE
+            assert got.tobytes() == want.tobytes()
 
     def test_inconsistent_params_rejected(self):
         z = ad.constant

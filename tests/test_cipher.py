@@ -73,6 +73,15 @@ class TestCipher:
         with pytest.raises(ValueError, match="n_sentences"):
             gen_cipher_corpus(20, 0, (2, 4), seed=0)
 
+    def test_nli_needs_lengths_reaching_the_premise_minimum(self):
+        # raised before the generator is made, so before any draw
+        with mock.patch.object(cipher, "Xorshift64Star", side_effect=AssertionError("drew")):
+            with pytest.raises(ConfigError, match=r"at least 4 tokens, the premise minimum; "
+                                                  r"got length range \(2, 2\)"):
+                gen_cipher_corpus(12, 5, (2, 2), nli_size=3)
+        assert gen_cipher_corpus(12, 5, (2, 3), nli_size=0).nli is None
+        assert len(gen_cipher_corpus(12, 5, (2, 4), nli_size=3).nli["la"].labels) == 3
+
 
 def generated(gen, *args, **kwargs):
     """The output of gen, or the type and text of the error it raised."""
@@ -97,8 +106,8 @@ def corpus_payload(cc):
 def test_bulk_generation_equals_the_scalar_draws(vocab, n, lo, extra, seed, nli_size, n_docs,
                                                  block_draws):
     """Rows, cipher, NLI sets and CLDC documents are those of one scalar draw
-    a length or token, for lo == hi, n = 1 and any block size too; NLI
-    lengths the draws cannot make raise the same error either way."""
+    a length or token, for lo == hi, n = 1 and any block size too. Lengths
+    too short for an NLI premise are a ConfigError, which the oracle skips."""
     args = (vocab, n, (lo, lo + extra))
     with mock.patch.object(cipher, "_BLOCK_DRAWS", block_draws):
         bulk = generated(gen_cipher_corpus, *args, seed=seed, nli_size=nli_size)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from xlalign import encoders
 from xlalign.autodiff import ParamSet
 from xlalign.encoders import (BATCH, encode_batch, encode_sentences, encode_sif,
-                              encode_sif_matrix, new_encoder, pad_batch)
-from xlalign.text import RESERVED, UNK, Vocabulary, build_vocab, sif_weight
+                              encode_sif_matrix, id_matrix, new_encoder, pad_batch)
+from xlalign.text import PAD, RESERVED, UNK, Vocabulary, build_vocab, sif_weight
 
 from conftest import as_float64, encode_reference, lstm_step_reference
 
@@ -162,9 +162,10 @@ class TestBatching:
         batches = []
         encode_ids = encoders._encode_ids
 
-        def recording_encode_ids(id_seqs, *args):
-            batches.append([len(s) for s in id_seqs])
-            return encode_ids(id_seqs, *args)
+        def recording_encode_ids(ids, lengths, *args):
+            assert ids.shape == (len(lengths), max(lengths))  # cut to its longest row
+            batches.append(lengths.tolist())
+            return encode_ids(ids, lengths, *args)
         monkeypatch.setattr(encoders, "_encode_ids", recording_encode_ids)
         sents = self._sentences(n, seed=n)
         encode_sentences(sents, vocab, enc)
@@ -175,6 +176,76 @@ class TestBatching:
 
     def test_no_sentences_give_an_empty_matrix(self, enc, vocab):
         assert encode_sentences([], vocab, enc).shape == (0, enc.output_dim)
+
+
+class TestIdMatrix:
+    """`encode_sentences` reads one bulk id matrix; its rows are the bits of
+    the training path over per-sentence id lists, batch by batch."""
+
+    @staticmethod
+    def _per_sentence(sentences, vocab, enc):
+        """Per-sentence `vocab.encode`, stable length order, batches of
+        `BATCH` rows with a trailing one-row batch joined to the one before,
+        each batch through `pad_batch` and the `encode_batch` graph."""
+        ids = [vocab.encode(s) for s in sentences]
+        order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+        bounds = list(range(0, len(ids), BATCH)) + [len(ids)]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        out = np.empty((len(ids), enc.output_dim), dtype=enc.embeddings.dtype)
+        for lo, hi in zip(bounds, bounds[1:]):
+            rows = order[lo:hi]
+            batch, mask, _ = pad_batch([ids[i] for i in rows])
+            out[rows] = encode_batch(batch, mask, ParamSet(enc)).data
+        return out
+
+    @pytest.mark.parametrize("case", ["unk", "one", "one_unk", "trailing_row", "equal_lengths",
+                                      "mixed"])
+    def test_matches_the_per_sentence_path_bit_for_bit(self, enc, vocab, case):
+        r = np.random.default_rng(len(case))
+
+        def sentences(n, lo=1, hi=9, words=8):  # w8 and w9 are not in the vocabulary
+            return [[f"w{i}" for i in r.integers(0, words, size=r.integers(lo, hi + 1))]
+                    for _ in range(n)]
+        sents = {"unk": sentences(40, words=10) + [["zzz"], ["w1", "zzz", "w2"]],
+                 "one": [["w3", "w1", "w4", "w1", "w5"]],
+                 "one_unk": [["zzz", "w2"]],
+                 "trailing_row": sentences(BATCH + 1),
+                 "equal_lengths": sentences(3 * BATCH, lo=4, hi=4),
+                 "mixed": sentences(2 * BATCH + 37)}[case]
+        out = encode_sentences(sents, vocab, enc)
+        assert out.dtype == enc.embeddings.dtype
+        assert out.tobytes() == self._per_sentence(sents, vocab, enc).tobytes()
+
+    def test_matrix_is_the_padded_per_sentence_ids(self, vocab):
+        sents = [["w1", "zzz"], ["w3"], ["w4", "w5", "w6", "zzz"], ["w7", "w7"]]
+        ids, lengths = id_matrix(sents, vocab)
+        want, _, want_lengths = pad_batch([vocab.encode(s) for s in sents])
+        np.testing.assert_array_equal(ids, want)
+        assert ids.dtype == np.int64 and lengths.tolist() == want_lengths
+        ids, _ = id_matrix(sents, vocab, pad=-7)
+        np.testing.assert_array_equal(ids, np.where(want == PAD, -7, want))
+        ids, lengths = id_matrix([["w2", "zzz", "w2"]], vocab)
+        assert ids.tolist() == [[vocab.token_to_id["w2"], UNK, vocab.token_to_id["w2"]]]
+        assert lengths.tolist() == [3]
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda v, e: id_matrix([], v), "empty batch"),
+        (lambda v, e: encode_sif_matrix([], np.ones((len(v), 2)), v), "empty batch"),
+        (lambda v, e: encode_sentences([[]], v, e), "cannot encode an empty sentence"),
+        (lambda v, e: encode_sentences([["w1"], []], v, e), "cannot encode an empty sentence"),
+        (lambda v, e: encode_sif_matrix([["w1"], []], np.ones((len(v), 2)), v),
+         "cannot encode an empty sentence"),
+        (lambda v, e: encode_sentences([["w1"], ["w2", "w3"]], v, new_encoder(6, 5, 4, "en", 3)),
+         "token id 7 out of range for vocabulary of 6"),
+        (lambda v, e: encode_sentences([["w5"]], v, new_encoder(6, 5, 4, "en", 3)),
+         "token id 9 out of range for vocabulary of 6"),
+    ], ids=["id_matrix_empty_list", "sif_empty_list", "one_empty_sentence",
+            "an_empty_sentence", "sif_empty_sentence", "id_out_of_range", "one_out_of_range"])
+    def test_errors_keep_their_messages(self, enc, vocab, call, message):
+        with pytest.raises(ValueError) as info:
+            call(vocab, enc)
+        assert str(info.value) == message
 
 
 class TestSif:
